@@ -14,7 +14,7 @@
 //! and greedy small-job placement. Deviations from the original (the DP
 //! tracks job counts, not per-bag counts; bag feasibility of large jobs is
 //! restored by swapping afterwards) are heuristic simplifications that
-//! keep this a *baseline*, and are documented in DESIGN.md.
+//! keep this a *baseline*.
 //!
 //! The DP state budget is explicit; exceeding it fails loudly.
 

@@ -1,5 +1,5 @@
-//! Experiment harness CLI: regenerates every table/figure of
-//! EXPERIMENTS.md, in parallel, with machine-readable perf reports.
+//! Experiment harness CLI: regenerates every experiment table/figure, in
+//! parallel, with machine-readable perf reports.
 //!
 //! ```text
 //! experiments all [flags]           run everything

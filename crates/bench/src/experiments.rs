@@ -1,5 +1,4 @@
-//! The experiment implementations (index: DESIGN.md §6, results:
-//! EXPERIMENTS.md).
+//! The experiment implementations (`experiments list` prints the index).
 
 use crate::table::{fmt_secs, geomean, Table};
 use bagsched_baselines::{
@@ -756,7 +755,7 @@ pub fn ablate_joint_cell(quick: bool, cell: usize, stats: &mut Stats) -> Table {
 
 /// C1 — solver-state cache replay: every shape is solved twice through
 /// one cached [`Solver`]; the second solve must replay the cached guess
-/// and pattern pool (work counters collapse to zero) and reproduce the
+/// and pattern solution (work counters collapse to zero) and reproduce the
 /// cold schedule bit-for-bit. This is the experiment that populates the
 /// `cache_hits`/`cache_misses` counters in the BENCH documents, so the
 /// `--compare` gate watches the replay path too.

@@ -61,7 +61,7 @@ use serde::{Deserialize, DeserializeError, Serialize, Value};
 /// v6: the solver-state cache counters joined (`cache_hits`,
 /// `cache_misses`, `cache_evictions`), emitted by the session
 /// [`bagsched_core::Solver`] when built with a cache. A hit replays the
-/// cached guess and pattern pool, so `patterns_enumerated` /
+/// cached guess and pattern solution, so `patterns_enumerated` /
 /// `pricing_rounds` / `lp_solves` drop to near-zero on repeat solves —
 /// a v5 baseline recorded before the cache existed would gate those
 /// counters against incomparably larger numbers, so it is rejected.

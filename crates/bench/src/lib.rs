@@ -3,8 +3,7 @@
 //! The paper (Grage, Jansen, Klein; SPAA 2019) is theory-only, so the
 //! "tables and figures" regenerated here are the executable versions of
 //! its illustrative figures plus the evaluation suite derived from its
-//! quantitative claims — the experiment index lives in DESIGN.md §6 and
-//! the recorded results in EXPERIMENTS.md.
+//! quantitative claims; `experiments list` prints the experiment index.
 //!
 //! Run everything in parallel and emit machine-readable perf reports:
 //! ```text

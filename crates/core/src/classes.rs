@@ -87,7 +87,7 @@ impl BagClasses {
     /// Unlike exact classes, coarse class members are *not* fully
     /// interchangeable: the aggregated stack prices against the
     /// per-size **minimum** count over members
-    /// ([`crate::pattern::collect_symbols_coarse`]) so every class-level
+    /// ([`crate::pattern::collect_symbols_classed`]) so every class-level
     /// pattern stays feasible for every member, and
     /// [`crate::declass`]'s repair pass re-places each member's surplus
     /// jobs afterwards. `tol = 0` reproduces the exact partition.

@@ -1,19 +1,20 @@
 //! Configuration of the EPTAS.
 //!
 //! Every constant of the paper is configurable. Defaults follow the
-//! paper's formulas *clamped to the instance* (DESIGN.md §2): the paper's
+//! paper's formulas *clamped to the instance*: the paper's
 //! constants are astronomically large (its own point is theoretical), and
 //! clamping preserves the approximation guarantee — e.g. making *all*
 //! bags priority is strictly more constrained than the paper requires.
 
 use std::time::Duration;
 
-/// Tuning parameters for [`Eptas`](crate::Eptas).
+/// Tuning parameters for a [`Solver`](crate::Solver).
 #[derive(Debug, Clone)]
 pub struct EptasConfig {
     /// Approximation parameter `eps` in `(0, 0.95]`. The schedule is
     /// within `(1 + O(eps))` of optimal; the hidden constant is small
-    /// (see EXPERIMENTS.md T1 for measured ratios).
+    /// (the `T1` experiment measures the ratios against the exact
+    /// optimum).
     pub epsilon: f64,
     /// Cap on enumerated patterns per guess; exceeding it fails the guess
     /// loudly (the driver then degrades as configured).
@@ -26,7 +27,7 @@ pub struct EptasConfig {
     /// jobs larger than `eps^{2k+11}`). Default `false`: all `y`
     /// fractional, with the Corollary-1 merge rounding to the bag's
     /// largest small size instead (same `O(eps)` error at practical
-    /// constants; DESIGN.md §2).
+    /// constants).
     pub paper_integral_y: bool,
     /// Branch-and-bound node budget per MILP solve.
     pub milp_max_nodes: usize,

@@ -71,7 +71,7 @@ pub fn declass(
     }
 
     // ---- 2. Per-machine symbol multisets, with surplus trimmed. ----
-    // The aggregated MILP covers with `>=` (see `solve_with_patterns_classed`),
+    // The aggregated MILP covers with `>=` (see `solve_restricted`),
     // so machines may carry more slots of a symbol than jobs exist.
     // Dropping a slot from a machine yields a sub-multiset of its
     // pattern — still a valid pattern (height only shrinks, the class
@@ -157,7 +157,7 @@ pub fn declass(
 
     // ---- 3b. Repair: re-place each member bag's surplus jobs. ----
     // Coarse classes price against `K * min` slots per size
-    // ([`crate::pattern::collect_symbols_coarse`]), so after trimming the
+    // ([`crate::pattern::collect_symbols_classed`]), so after trimming the
     // coloring hands every member exactly the class minimum — a member's
     // jobs above the minimum hold no slot yet. A pattern extended by a
     // slot is still a pattern while the height bound and the
@@ -441,7 +441,7 @@ mod tests {
     use super::*;
     use crate::classify::classify;
     use crate::config::EptasConfig;
-    use crate::milp_model::solve_patterns;
+    use crate::milp_model::PatternSolve;
     use crate::priority::select_priority;
     use crate::report::Stats;
     use crate::rounding::scale_and_round;
@@ -530,7 +530,8 @@ mod tests {
         // 6-bag instance takes the aggregated path (1 class <= budget).
         cfg.pricing_symbol_budget = 3;
         let mut stats = Stats::default();
-        let (psc, outc) = solve_patterns(&trans, &cfg, &mut stats).expect("feasible guess");
+        let sol = PatternSolve::new(&trans, &cfg).run(&mut stats).expect("feasible guess");
+        let (psc, outc) = (sol.patterns, sol.outcome);
         // The returned set is concrete: every priority symbol names a
         // real bag with per-bag availability, fully covered by x.
         let mut covered = vec![0u32; psc.symbols.len()];
@@ -555,7 +556,7 @@ mod tests {
     #[test]
     fn declass_is_identity_work_when_classes_are_singletons() {
         // Distinct profiles: aggregation on, but no class has two members
-        // — solve_patterns must return the aggregated (= per-bag) set
+        // — the pattern solve must return the aggregated (= per-bag) set
         // unchanged (no de-class pass, y straight from the MILP).
         let inst = Instance::new(&[(0.9, 0), (0.5, 1), (0.3, 2)], 3);
         let trans = transformed(&inst, 0.5);
@@ -563,9 +564,9 @@ mod tests {
         on.class_aggregation = true;
         let mut off = EptasConfig::with_epsilon(0.5);
         off.class_aggregation = false;
-        let (ps_on, out_on) = solve_patterns(&trans, &on, &mut Stats::default()).unwrap();
-        let (ps_off, out_off) = solve_patterns(&trans, &off, &mut Stats::default()).unwrap();
-        assert_eq!(ps_on.patterns.len(), ps_off.patterns.len());
-        assert_eq!(out_on.x, out_off.x);
+        let sol_on = PatternSolve::new(&trans, &on).run(&mut Stats::default()).unwrap();
+        let sol_off = PatternSolve::new(&trans, &off).run(&mut Stats::default()).unwrap();
+        assert_eq!(sol_on.patterns.patterns.len(), sol_off.patterns.patterns.len());
+        assert_eq!(sol_on.outcome.x, sol_off.outcome.x);
     }
 }

@@ -13,9 +13,9 @@
 //! The driver is session-aware: [`solve_session_inner`] optionally takes
 //! a [`SolverState`] captured by a previous run on the same rounded
 //! instance shape and *replays* it — the cached winning guess is retried
-//! first with the cached pattern pool and warm basis, and only on a seed
-//! mismatch does the full binary search run cold. [`crate::Solver`] owns
-//! the state cache; the deprecated [`Eptas`] facade always solves cold.
+//! first with the cached pattern solution, and only on a seed mismatch
+//! does the full binary search run cold. [`crate::Solver`] owns the state
+//! cache and is the only caller.
 
 use crate::assign_large::{assign_large, WorkState};
 use crate::classify::classify;
@@ -68,42 +68,10 @@ pub struct EptasResult {
     pub report: EptasReport,
 }
 
-/// One-shot facade over the session API, kept for source compatibility.
-#[deprecated(note = "use `Solver`: `Solver::with_epsilon(eps).solve_instance(&inst)` replaces \
-            `Eptas::with_epsilon(eps).solve(&inst)` and adds solver-state caching")]
-#[derive(Debug, Clone)]
-pub struct Eptas {
-    cfg: EptasConfig,
-}
-
-#[allow(deprecated)]
-impl Eptas {
-    /// Create a solver with the given configuration.
-    pub fn new(cfg: EptasConfig) -> Self {
-        Eptas { cfg }
-    }
-
-    /// Shorthand: default configuration at `eps`.
-    pub fn with_epsilon(epsilon: f64) -> Self {
-        Eptas::new(EptasConfig::with_epsilon(epsilon))
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EptasConfig {
-        &self.cfg
-    }
-
-    /// Compute a `(1 + O(eps))`-approximate feasible schedule (cold; no
-    /// state is cached or replayed).
-    pub fn solve(&self, inst: &Instance) -> Result<EptasResult, EptasError> {
-        solve_session_inner(&self.cfg, inst, None, None).map(|(result, _)| result)
-    }
-}
-
-/// The shared driver behind [`crate::Solver`] and the deprecated
-/// [`Eptas`] facade. Returns the result plus, when the pipeline (not an
-/// LPT shortcut/fallback) produced the schedule, a [`SolverState`] that
-/// replays this solve on the next structurally identical request.
+/// The driver behind [`crate::Solver`]. Returns the result plus, when the
+/// pipeline (not an LPT shortcut/fallback) produced the schedule, a
+/// [`SolverState`] that replays this solve on the next structurally
+/// identical request.
 ///
 /// `hint` seeds the binary search's *first* probe with a guess value
 /// (the similarity cache tier passes a near-neighbour's chosen guess):
@@ -164,7 +132,7 @@ pub(crate) fn solve_session_inner(
     };
 
     // Replay attempt: retry the cached winning guess with the cached
-    // pattern pool and warm basis before paying for the binary search.
+    // pattern solution before paying for the binary search.
     // A stale or mismatched seed fails fast (`SeedMismatch`) and the
     // cold search below takes over — a cache collision can cost time,
     // never correctness.
@@ -200,18 +168,18 @@ pub(crate) fn solve_session_inner(
         }
         grid.push(ub);
 
-        // Binary search the smallest guess that succeeds. With
-        // `speculative_guesses > 1` the search runs in speculative
-        // windows: likely midpoints race ahead of the verdict, and the
-        // commit order below guarantees the chosen guess is exactly the
-        // one the plain loop would pick.
+        // Binary search the smallest guess that succeeds, one window of
+        // `speculative_guesses` nodes at a time: likely midpoints race
+        // ahead of the verdict, and the commit order below guarantees the
+        // chosen guess is exactly the one a plain bisection would pick.
+        // A one-node window is the plain bisection.
         let (mut lo, mut hi) = (0usize, grid.len() - 1);
         // Nearest grid index to the similarity-cache hint, if any. Only
         // the first probe is overridden; bisection is correct from any
         // starting midpoint inside [lo, hi].
-        let mut first_mid = hint.and_then(|h| {
+        let mut first_mid = hint.map(|h| {
             let up = grid.partition_point(|&g| g < h);
-            let cand = if up == 0 {
+            if up == 0 {
                 0
             } else if up >= grid.len() {
                 grid.len() - 1
@@ -219,24 +187,43 @@ pub(crate) fn solve_session_inner(
                 up - 1
             } else {
                 up
-            };
-            (cand >= lo && cand <= hi).then_some(cand)
+            }
         });
-        if cfg.speculative_guesses <= 1 {
-            while lo <= hi {
-                let mid = first_mid.take().unwrap_or((lo + hi) / 2);
+        let cap = cfg.speculative_guesses.max(1);
+        'windows: while lo <= hi {
+            let window = build_window(lo, hi, cap, &root_token, first_mid.take());
+            // The three speculation counters are *structural*: they
+            // depend only on the window shapes and the verdict path,
+            // never on which thread finished first, so reports stay
+            // byte-identical at any thread count. Without speculation
+            // nothing is launched ahead of its verdict.
+            if cap > 1 {
+                report.stats.speculative_guesses_launched += window.len() as u64;
+            }
+            let committed = execute_window(cfg, inst, &grid, &window);
+            report.stats.speculative_wins += committed.len() as u64 - 1;
+            report.stats.guesses_cancelled += (window.len() - committed.len()) as u64;
+            let mut stop = false;
+            for (idx, res, nstats) in committed {
+                // Merging the private per-node stats in commit order
+                // reproduces the sequential totals: `try_guess` only
+                // ever adds deltas, and `Stats::add` is fieldwise.
+                report.stats.add(&nstats);
                 report.guesses_tried += 1;
-                match try_guess(cfg, inst, grid[mid], &mut report.stats, None, Some(&root_token)) {
+                let node = &window[idx];
+                match res {
                     Ok((sched, gstats, seed)) => {
                         let ms = sched.makespan(inst);
                         let better = best.as_ref().is_none_or(|&(_, bms, _, _, _)| ms < bms);
                         if better {
-                            best = Some((sched, ms, gstats, grid[mid], seed));
+                            best = Some((sched, ms, gstats, grid[node.mid], seed));
                         }
-                        if mid == 0 {
-                            break;
+                        if node.mid == 0 {
+                            stop = true;
+                        } else {
+                            lo = node.lo;
+                            hi = node.mid - 1;
                         }
-                        hi = mid - 1;
                     }
                     Err(GuessFailure::Cancelled) => {
                         // The portfolio deadline fired mid-guess. A
@@ -244,63 +231,18 @@ pub(crate) fn solve_session_inner(
                         // on it could certify a wrong "smallest feasible
                         // guess" — so the search stops here and the LPT
                         // arm below answers.
-                        report.failures.push((grid[mid], GuessFailure::Cancelled));
-                        break;
+                        report.failures.push((grid[node.mid], GuessFailure::Cancelled));
+                        stop = true;
                     }
                     Err(fail) => {
-                        report.failures.push((grid[mid], fail));
-                        lo = mid + 1;
+                        report.failures.push((grid[node.mid], fail));
+                        lo = node.mid + 1;
+                        hi = node.hi;
                     }
                 }
             }
-        } else {
-            'windows: while lo <= hi {
-                let window =
-                    build_window(lo, hi, cfg.speculative_guesses, &root_token, first_mid.take());
-                // The three speculation counters are *structural*: they
-                // depend only on the window shapes and the verdict path,
-                // never on which thread finished first, so reports stay
-                // byte-identical at any thread count.
-                report.stats.speculative_guesses_launched += window.len() as u64;
-                let committed = execute_window(cfg, inst, &grid, &window);
-                report.stats.speculative_wins += committed.len() as u64 - 1;
-                report.stats.guesses_cancelled += (window.len() - committed.len()) as u64;
-                let mut stop = false;
-                for (idx, res, nstats) in committed {
-                    // Merging the private per-node stats in commit order
-                    // reproduces the sequential totals: `try_guess` only
-                    // ever adds deltas, and `Stats::add` is fieldwise.
-                    report.stats.add(&nstats);
-                    report.guesses_tried += 1;
-                    let node = &window[idx];
-                    match res {
-                        Ok((sched, gstats, seed)) => {
-                            let ms = sched.makespan(inst);
-                            let better = best.as_ref().is_none_or(|&(_, bms, _, _, _)| ms < bms);
-                            if better {
-                                best = Some((sched, ms, gstats, grid[node.mid], seed));
-                            }
-                            if node.mid == 0 {
-                                stop = true;
-                            } else {
-                                lo = node.lo;
-                                hi = node.mid - 1;
-                            }
-                        }
-                        Err(GuessFailure::Cancelled) => {
-                            report.failures.push((grid[node.mid], GuessFailure::Cancelled));
-                            stop = true;
-                        }
-                        Err(fail) => {
-                            report.failures.push((grid[node.mid], fail));
-                            lo = node.mid + 1;
-                            hi = node.hi;
-                        }
-                    }
-                }
-                if stop {
-                    break 'windows;
-                }
+            if stop {
+                break 'windows;
             }
         }
     }
@@ -346,7 +288,7 @@ pub(crate) fn solve_session_inner(
     Ok((EptasResult { schedule, makespan, report }, state))
 }
 
-/// The per-guess result type shared by the sequential loop and the
+/// The per-guess result type shared by the inline walk and the
 /// speculative workers.
 type GuessOutcome = Result<(Schedule, GuessStats, ReplaySeed), GuessFailure>;
 
@@ -366,10 +308,11 @@ struct SpecNode {
 }
 
 /// Build the speculative prediction tree over the binary-search range
-/// `[lo, hi]`: each node's children are exactly the ranges the plain
-/// loop would visit next on success / failure, expanded breadth-first
-/// (success side first) up to `cap` nodes. The tree shape is a pure
-/// function of `(lo, hi, cap, root_mid)` — no timing enters it.
+/// `[lo, hi]`: each node's children are exactly the ranges a plain
+/// bisection would visit next on success / failure, expanded
+/// breadth-first (success side first) up to `cap` nodes. The tree shape
+/// is a pure function of `(lo, hi, cap, root_mid)` — no timing enters
+/// it.
 ///
 /// `root_mid` overrides the root node's probe point (the similarity
 /// cache's hinted first guess); children still bisect their own ranges,
@@ -393,7 +336,7 @@ fn build_window(
     let mut queue = VecDeque::from([0usize]);
     while let Some(i) = queue.pop_front() {
         let (nlo, nhi, nmid) = (nodes[i].lo, nodes[i].hi, nodes[i].mid);
-        // Success continuation: `hi = mid - 1` (the plain loop breaks at
+        // Success continuation: `hi = mid - 1` (the search stops at
         // `mid == 0` instead, and exits when the range empties).
         if nmid > 0 && nlo < nmid && nodes.len() < cap {
             let token = nodes[i].token.child();
@@ -432,7 +375,7 @@ fn build_window(
 /// order. `obtain` produces node `i`'s outcome (inline, or by waiting on
 /// a racing worker); the walk cancels the mispredicted subtree the
 /// moment each verdict lands. The returned commit sequence is exactly
-/// the node sequence the plain sequential loop would have executed.
+/// the node sequence a plain bisection would have executed.
 fn walk_committed(
     window: &[SpecNode],
     mut obtain: impl FnMut(usize) -> (GuessOutcome, Stats),
@@ -588,9 +531,9 @@ fn execute_window(
 /// accumulated into `stats` incrementally, phase by phase, so the cost
 /// of guesses that *fail* midway still shows up in the report. When
 /// `replay` carries a seed from a previous solve of the same shape, the
-/// pattern phase skips enumeration/pricing and re-solves from the cached
-/// pool and basis; the (refreshed) seed for the *next* replay is always
-/// returned alongside the schedule. A tripped `cancel` token aborts at
+/// pattern phase skips pricing, enumeration and the MILP and hands the
+/// cached solution to placement; the seed for the *next* replay is
+/// always returned alongside the schedule. A tripped `cancel` token aborts at
 /// the next phase boundary (or inside the MILP / pricing loop) with
 /// [`GuessFailure::Cancelled`].
 fn try_guess(
@@ -633,10 +576,7 @@ fn try_guess(
     if cancelled() {
         return Err(GuessFailure::Cancelled);
     }
-    let (ps, out) = (sol.patterns, sol.outcome);
-    // Carry the integral solution in the seed: the next replay of this
-    // shape hands it straight to placement, skipping the MILP as well.
-    let seed = sol.seed.with_solution(&ps, &out);
+    let (ps, out, seed) = (sol.patterns, sol.outcome, sol.seed);
 
     let mut state = WorkState::new(trans.tinst.num_jobs(), inst.num_machines());
     let (la, lemma7_swaps) = {
@@ -763,17 +703,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_facade_still_solves() {
-        // `Eptas` is a shim over the session driver; it must keep giving
-        // the same answers until it is removed.
-        let inst = Instance::new(&[(3.5, 0)], 2);
-        let r = Eptas::with_epsilon(0.5).solve(&inst).unwrap();
-        assert_eq!(r.makespan, 3.5);
-        validate_schedule(&inst, &r.schedule).unwrap();
-    }
-
-    #[test]
     fn single_job() {
         let inst = Instance::new(&[(3.5, 0)], 2);
         let r = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
@@ -838,9 +767,9 @@ mod tests {
     #[test]
     fn session_replay_matches_cold_solve() {
         // Solving through an explicit session handle must reproduce the
-        // cold schedule byte for byte: the replayed MILP is bit-identical
-        // (same pool, same basis, same branching), and every later phase
-        // is deterministic in its input.
+        // cold schedule byte for byte: the replay hands the captured
+        // pattern solution to placement, and every placement phase is
+        // deterministic in its input.
         let inst = gen::uniform(40, 4, 12, 7);
         let solver = Solver::with_epsilon(0.5);
         let (cold, state) = solver.solve_session(&inst, None).unwrap();
@@ -970,8 +899,8 @@ mod tests {
     fn speculative_search_matches_sequential() {
         // The speculative window commits verdicts in grid order, so the
         // entire solve — schedule, makespan, guess sequence, every work
-        // counter — must match the plain loop; only the three structural
-        // speculation counters may differ from zero.
+        // counter — must match the plain bisection; only the three
+        // structural speculation counters may differ from zero.
         let inst = gen::uniform(40, 4, 12, 7);
         let base = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
         let mut cfg = EptasConfig::with_epsilon(0.5);

@@ -43,10 +43,11 @@
 //! needed; tests pin it to zero on the paper path).
 //!
 //! The public entry point is the session-oriented [`Solver`]: it owns
-//! the configuration, optionally a bounded cache of per-shape
-//! [`SolverState`] handles, and replays cached state (winning guess,
-//! pattern pool, warm basis) on structurally identical requests. The
-//! one-shot [`Eptas`] facade remains as a deprecated shim.
+//! the configuration and, optionally, a bounded cache of per-shape
+//! [`SolverState`] handles. A structurally identical request replays
+//! the cached state: it validates the symbol table and re-runs placement
+//! on the cached pattern solution, skipping the guess search, pricing and
+//! the MILP.
 
 pub mod assign_large;
 pub mod classes;
@@ -76,9 +77,7 @@ pub mod undo;
 pub use bagsched_types::obs;
 
 pub use config::EptasConfig;
-#[allow(deprecated)]
-pub use driver::Eptas;
 pub use driver::{EptasError, EptasResult};
-pub use milp_model::{PatternSolution, PatternSolve, PatternStrategy, ReplaySeed};
+pub use milp_model::{PatternSolution, PatternSolve, ReplaySeed};
 pub use report::{EptasReport, Stats};
 pub use solver::{CacheCounters, Solver, SolverState};

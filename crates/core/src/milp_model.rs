@@ -5,7 +5,7 @@
 //! * `y_{(l,s),p}` (fractional): small jobs of priority size-restricted
 //!   bag `B_l^s` placed on top of pattern `p` — constraints (8)/(9).
 //!   (Constraint (7) would make the largest of these integral; see
-//!   `EptasConfig::paper_integral_y` and DESIGN.md §2.)
+//!   `EptasConfig::paper_integral_y` for why it is off by default.)
 //! * `a_p` (fractional): aggregate *area* of non-priority small jobs on
 //!   pattern `p`. The paper uses per-(bag, size) `y` variables for
 //!   non-priority bags too, but its own Lemma 9 consumes only the area
@@ -34,32 +34,30 @@
 //! constructs `y` greedily (documented deviation; the driver reports
 //! which path ran).
 //!
-//! ## Pattern generation: pricing first, enumeration as oracle
+//! ## Pattern generation: one pipeline over a bag-partition ladder
 //!
-//! [`solve_patterns`] drives a generate→solve→price loop: the
-//! [`crate::pricing`] subsystem grows a small pattern pool by column
-//! generation against the master-LP duals, and the joint/two-stage MILP
-//! then runs on that pool. Eager [`enumerate_patterns`] remains the
+//! [`PatternSolve::run`] runs one pipeline — the [`crate::pricing`]
+//! subsystem grows a small pattern pool by column generation against the
+//! master-LP duals, the joint/two-stage MILP runs on that pool, and
+//! [`crate::declass`] maps class-keyed solutions back to concrete bags —
+//! over a ladder of bag partitions: exact classes, then coarse classes
+//! (both only when the per-bag master is over its symbol budget), then
+//! per-bag. Eager [`enumerate_patterns`] closes the ladder as the
 //! cross-validation oracle: it is consulted (with a reduced budget) when
-//! the MILP over the priced pool fails inconclusively, and it is the
-//! full fallback when pricing stalls or is disabled
+//! the per-bag MILP over the priced pool fails inconclusively, and it is
+//! the full fallback when pricing stalls or is disabled
 //! ([`EptasConfig::column_generation`]).
 
 use crate::classes::BagClasses;
 use crate::classify::JobClass;
 use crate::config::EptasConfig;
 use crate::par::CancelToken;
-use crate::pattern::{
-    collect_symbols_classed, collect_symbols_coarse, enumerate_patterns, Pattern, PatternSet,
-    Symbol,
-};
+use crate::pattern::{collect_symbols_classed, enumerate_patterns, Pattern, PatternSet, Symbol};
 use crate::pricing::{generate_columns, MilpRow, Pricing, TreePriceDriver};
 use crate::report::{GuessFailure, Stats};
 use crate::rounding::SizeExp;
 use crate::transform::Transformed;
-use bagsched_milp::{
-    solve_milp_seeded, MilpOptions, MilpResult, MilpStatus, Model, Relation, VarId, WarmState,
-};
+use bagsched_milp::{solve_milp_with, MilpOptions, MilpResult, MilpStatus, Model, Relation, VarId};
 use bagsched_types::{BagId, JobId};
 use std::collections::HashMap;
 
@@ -95,93 +93,57 @@ pub struct MilpOutcome {
     pub lp_iterations: usize,
 }
 
-/// Which pattern pipeline a [`PatternSolve`] runs.
-///
-/// The explicit strategies expose the formerly separate entry points
-/// (`solve_patterns`, `solve_with_patterns`, the classed variant) behind
-/// one surface; [`PatternStrategy::Auto`] is the driver's production
-/// path, which picks per guess and falls back.
+/// The bag partition one rung of the pattern ladder runs over. Every rung
+/// runs the same pipeline — pricing, the restricted MILP, de-classing —
+/// keyed on a different [`BagClasses`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PatternStrategy {
-    /// Pick automatically: class-aggregated pricing above the symbol
-    /// budget, per-bag pricing below it, eager enumeration as the
-    /// stall/failure fallback — the historical `solve_patterns` logic,
-    /// preserved decision for decision.
-    Auto,
-    /// Eager enumeration of the full pattern pool, then the MILP: the
-    /// cross-validation oracle.
-    Eager,
-    /// Per-bag column generation against the master-LP duals; a stall is
-    /// reported as [`GuessFailure::PricingStalled`] instead of falling
-    /// back.
-    Pricing,
-    /// Class-aggregated column generation keyed on `(size, bag class)`,
-    /// de-classed to concrete bags on success; verdicts the class level
-    /// cannot settle are reported as [`GuessFailure::PricingStalled`].
-    Classed,
-    /// Like [`PatternStrategy::Classed`], but over *coarse* classes
-    /// ([`BagClasses::compute_coarse`]): profiles quantized onto a
-    /// geometric template grid, availabilities priced at the per-size
-    /// member minimum, and the de-class repair pass re-placing each
-    /// member's surplus jobs. Only ever recorded in replay seeds — the
-    /// auto path engages it when even exact classes are too many.
+enum Partition {
+    /// One class per priority bag: the per-bag master, nothing to
+    /// de-class.
+    PerBag,
+    /// Exact interchangeability classes ([`BagClasses::compute`]).
+    Exact,
+    /// Template-quantized classes ([`BagClasses::compute_coarse`]),
+    /// priced at the per-size member minimum; the de-class repair pass
+    /// re-places each member's surplus jobs.
     Coarse,
+}
+
+impl Partition {
+    /// This partition of the transformed instance's priority bags.
+    fn classes(self, trans: &Transformed, cfg: &EptasConfig) -> BagClasses {
+        match self {
+            Partition::PerBag => BagClasses::singletons(trans),
+            Partition::Exact => BagClasses::compute(trans),
+            Partition::Coarse => BagClasses::compute_coarse(trans, cfg.coarse_tolerance),
+        }
+    }
 }
 
 /// Replayable state of one successful pattern solve, captured by
 /// [`PatternSolve::run`] and consumed by [`PatternSolve::replay`]: the
-/// winning strategy, its symbol space, its (pre-tree-extension) pattern
-/// pool, and the root basis of the x-MILP when in-tree pricing ran.
+/// partition the solve ran over, the rounded guess, the symbol table and
+/// the solution the placement phases consumed.
 ///
-/// Replaying skips pattern *generation* — pricing rounds, enumeration —
-/// and, when the seed carries the captured [`MilpOutcome`] (the driver
-/// attaches it after every successful guess), the restricted MILP too:
-/// the cached integral solution is handed straight to the placement
-/// phases. A seed without a captured solution re-solves the MILP over
-/// the cached pool, seeding the branch-and-bound root with the cached
-/// basis ([`bagsched_milp::solve_milp_seeded`]). On an instance
-/// identical to the captured one either path reproduces the original
-/// solve decision for decision. Validation is structural: the rounded
-/// guess and the symbol space (sizes, bags *and* availabilities) must
+/// Replaying skips the whole pattern phase — pricing rounds, enumeration
+/// and the restricted MILP — and hands the captured solution straight to
+/// placement. Validation is structural: the rounded guess and the symbol
+/// table of the rebuilt partition (sizes, bags *and* availabilities) must
 /// match bit-exactly, so replaying against a mismatched instance (a
 /// fingerprint collision upstream) fails with
 /// [`GuessFailure::SeedMismatch`] instead of mis-scheduling.
 #[derive(Debug, Clone)]
 pub struct ReplaySeed {
-    strategy: PatternStrategy,
+    partition: Partition,
     /// `trans.t` at capture; replay requires a bit-exact match.
     t: f64,
-    /// The symbol space the pool is indexed over (replay validation).
+    /// The symbol table the solve priced over (replay validation).
     symbols: Vec<Symbol>,
-    /// The pattern pool of the winning solve, before any tree-priced
-    /// extension (tree columns re-derive on replay).
-    pool: Vec<Pattern>,
-    /// Root basis of the winning x-MILP (tree-priced path only).
-    root_warm: Option<WarmState>,
-    /// The final (post-extension, post-declass) pattern set and integral
-    /// outcome the placement phases consumed; replay reuses them
-    /// verbatim instead of re-running branch-and-bound.
-    solution: Option<Box<(PatternSet, MilpOutcome)>>,
-}
-
-impl ReplaySeed {
-    /// The strategy the seed replays.
-    pub fn strategy(&self) -> PatternStrategy {
-        self.strategy
-    }
-
-    /// Number of cached patterns.
-    pub fn pool_size(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Attach the final pattern set and integral outcome of the solve
-    /// this seed was captured from, so the next replay skips the
-    /// restricted MILP entirely.
-    pub fn with_solution(mut self, ps: &PatternSet, out: &MilpOutcome) -> Self {
-        self.solution = Some(Box::new((ps.clone(), out.clone())));
-        self
-    }
+    /// The final (post-extension, post-declass) pattern set the
+    /// placement phases consumed.
+    patterns: PatternSet,
+    /// The integral outcome over `patterns`.
+    outcome: MilpOutcome,
 }
 
 /// Solution of one [`PatternSolve::run`]: the pool the downstream
@@ -197,42 +159,49 @@ pub struct PatternSolution {
     pub seed: ReplaySeed,
 }
 
-/// Builder unifying the pattern-generation + MILP entry points: choose a
-/// [`PatternStrategy`] (or let [`PatternStrategy::Auto`] pick), or
-/// replay a cached [`ReplaySeed`], then [`run`](PatternSolve::run).
+impl PatternSolution {
+    /// Wrap a solved pattern set together with the seed that replays it.
+    fn capture(
+        partition: Partition,
+        trans: &Transformed,
+        symbols: Vec<Symbol>,
+        patterns: PatternSet,
+        outcome: MilpOutcome,
+    ) -> Self {
+        let seed = ReplaySeed {
+            partition,
+            t: trans.t,
+            symbols,
+            patterns: patterns.clone(),
+            outcome: outcome.clone(),
+        };
+        PatternSolution { patterns, outcome, seed }
+    }
+}
+
+/// Builder for one guess's pattern phase: generate patterns and solve the
+/// MILP, or replay a cached [`ReplaySeed`]; then
+/// [`run`](PatternSolve::run).
 ///
 /// ```ignore
-/// let sol = PatternSolve::new(&trans, &cfg).run(&mut stats)?;          // auto
-/// let sol = PatternSolve::new(&trans, &cfg)
-///     .strategy(PatternStrategy::Eager)
-///     .run(&mut stats)?;                                               // oracle
+/// let sol = PatternSolve::new(&trans, &cfg).run(&mut stats)?;
 /// let sol = PatternSolve::new(&trans, &cfg).replay(&seed).run(&mut stats)?;
 /// ```
 #[derive(Debug)]
 pub struct PatternSolve<'a> {
     trans: &'a Transformed,
     cfg: &'a EptasConfig,
-    strategy: PatternStrategy,
     replay: Option<&'a ReplaySeed>,
     cancel: Option<&'a CancelToken>,
 }
 
 impl<'a> PatternSolve<'a> {
-    /// Start a pattern solve for one guess with the default
-    /// ([`PatternStrategy::Auto`]) strategy.
+    /// Start a pattern solve for one guess.
     pub fn new(trans: &'a Transformed, cfg: &'a EptasConfig) -> Self {
-        PatternSolve { trans, cfg, strategy: PatternStrategy::Auto, replay: None, cancel: None }
+        PatternSolve { trans, cfg, replay: None, cancel: None }
     }
 
-    /// Force a specific pipeline instead of the auto pick.
-    pub fn strategy(mut self, strategy: PatternStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Replay a cached seed instead of generating patterns. Takes
-    /// precedence over [`strategy`](PatternSolve::strategy); the seed
-    /// carries its own.
+    /// Replay a cached seed instead of generating patterns.
     pub fn replay(mut self, seed: &'a ReplaySeed) -> Self {
         self.replay = Some(seed);
         self
@@ -248,29 +217,53 @@ impl<'a> PatternSolve<'a> {
         self
     }
 
-    /// Run the solve. Work counters are recorded into `stats` whatever
-    /// the outcome.
+    /// Run the solve: replay the seed when one is set, otherwise climb
+    /// the ladder of bag partitions — each rung one `solve_over` — and
+    /// close it with the eager oracle. Work counters are recorded into `stats` whatever
+    /// the outcome. Verdict soundness:
+    ///
+    /// * pricing-proven infeasibility ([`Pricing::Infeasible`]) refutes a
+    ///   relaxation of the full MILP, so `Err(MilpInfeasible)` is exact
+    ///   on every rung: every per-bag pattern multiset maps to a
+    ///   class-level one covering at least the (minimum) availabilities,
+    ///   so an aggregated master only relaxes;
+    /// * a class-aggregated rung that cannot settle the guess — pricing
+    ///   stalled, the restricted MILP failed, or de-classing failed —
+    ///   hands it to the next rung, so aggregation never worsens a
+    ///   verdict;
+    /// * a failure of the per-bag MILP restricted to the priced pool is
+    ///   inconclusive, so the eager oracle runs with the (small)
+    ///   [`EptasConfig::pricing_fallback_budget`]; if even that budget is
+    ///   exceeded the restricted verdict stands — the driver raises the
+    ///   guess, as for every other budget-type failure;
+    /// * a per-bag pricing stall falls back to full eager enumeration,
+    ///   which may fail with [`GuessFailure::PatternBudget`].
+    ///
+    /// With [`EptasConfig::column_generation`] off the eager rung runs
+    /// alone.
     pub fn run(self, stats: &mut Stats) -> Result<PatternSolution, GuessFailure> {
-        let cancel = self.cancel;
+        let (trans, cfg, cancel) = (self.trans, self.cfg, self.cancel);
         if let Some(seed) = self.replay {
-            return run_replay(self.trans, self.cfg, seed, stats, cancel);
+            return replay(trans, cfg, seed);
         }
-        match self.strategy {
-            PatternStrategy::Auto => run_auto(self.trans, self.cfg, stats, cancel),
-            PatternStrategy::Eager => run_eager(self.trans, self.cfg, stats, cancel),
-            PatternStrategy::Pricing => run_pricing(self.trans, self.cfg, stats, cancel),
-            PatternStrategy::Classed => {
-                let classes = BagClasses::compute(self.trans);
-                solve_patterns_aggregated(self.trans, &classes, self.cfg, stats, cancel, false)
-                    .unwrap_or(Err(GuessFailure::PricingStalled))
-            }
-            PatternStrategy::Coarse => {
-                let classes = BagClasses::compute_coarse(self.trans, self.cfg.coarse_tolerance);
-                stats.coarse_classes_formed += classes.num_classes() as u64;
-                solve_patterns_aggregated(self.trans, &classes, self.cfg, stats, cancel, true)
-                    .unwrap_or(Err(GuessFailure::PricingStalled))
+        // The per-bag rung always closes the ladder, so how it ended
+        // picks the eager rung's budget and over-budget verdict.
+        let mut eager = (cfg.max_patterns, GuessFailure::PatternBudget);
+        if cfg.column_generation {
+            for (partition, classes) in ladder(trans, cfg) {
+                match solve_over(trans, cfg, partition, &classes, stats, cancel) {
+                    Ok(sol) => return Ok(sol),
+                    Err(Unsolved::Final(fail)) => return Err(fail),
+                    Err(Unsolved::Stalled) => {
+                        eager = (cfg.max_patterns, GuessFailure::PatternBudget);
+                    }
+                    Err(Unsolved::Inconclusive(restricted)) => {
+                        eager = (cfg.max_patterns.min(cfg.pricing_fallback_budget), restricted);
+                    }
+                }
             }
         }
+        solve_eager(trans, cfg, eager.0, eager.1, stats, cancel)
     }
 }
 
@@ -323,365 +316,134 @@ pub fn nonpriority_small_area(trans: &Transformed) -> f64 {
         .sum()
 }
 
-/// Generate patterns and solve the MILP for one guess: the top entry
-/// point the driver uses.
-///
-/// With [`EptasConfig::column_generation`] on (the default) the pattern
-/// pool comes from the pricing loop; the returned [`PatternSet`] is
-/// whatever pool the successful solve ran on, so the downstream placement
-/// phases see a consistent view. Verdict soundness:
-///
-/// * pricing-proven infeasibility ([`Pricing::Infeasible`]) refutes a
-///   relaxation of the full MILP — `Err(MilpInfeasible)` is exact, on
-///   the class-aggregated master too (aggregation only relaxes);
-/// * with [`EptasConfig::class_aggregation`], instances whose *per-bag
-///   slot symbols* exceed [`EptasConfig::pricing_symbol_budget`] — where
-///   the per-bag master is too large and the pre-aggregation pipeline
-///   degraded to eager enumeration — first run the whole pricing/MILP
-///   stack keyed on bag classes and [`crate::declass`] the solution; any
-///   failure of that attempt falls back to the per-bag path below, so
-///   aggregation never worsens a verdict;
-/// * a failure of the MILP *restricted to the priced pool* is
-///   inconclusive, so the eager oracle is consulted with the (small)
-///   [`EptasConfig::pricing_fallback_budget`]; if even that budget is
-///   exceeded the restricted verdict stands as an inconclusive failure —
-///   the driver raises the guess, exactly as it does for every other
-///   budget-type failure;
-/// * a pricing stall falls back to full eager enumeration, which may
-///   fail with [`GuessFailure::PatternBudget`] as before.
-pub fn solve_patterns(
-    trans: &Transformed,
-    cfg: &EptasConfig,
-    stats: &mut Stats,
-) -> Result<(PatternSet, MilpOutcome), GuessFailure> {
-    PatternSolve::new(trans, cfg).run(stats).map(|sol| (sol.patterns, sol.outcome))
-}
-
-/// The auto pipeline behind [`PatternStrategy::Auto`].
-fn run_auto(
-    trans: &Transformed,
-    cfg: &EptasConfig,
-    stats: &mut Stats,
-    cancel: Option<&CancelToken>,
-) -> Result<PatternSolution, GuessFailure> {
-    if cfg.column_generation {
-        // Class aggregation is the *scale* path: it engages exactly when
-        // the per-bag master would be over the symbol budget — i.e. when
-        // the pre-PR pipeline skipped pricing and degraded to eager
-        // enumeration (budget-fail + LPT on tight instances). Below the
-        // ceiling the per-bag path is proven, fast, and byte-for-byte
-        // deterministic, so nothing changes there.
-        let singles = BagClasses::singletons(trans);
-        let symbols = collect_symbols_classed(trans, &singles);
-        if cfg.class_aggregation && symbols.len() > cfg.pricing_symbol_budget {
-            let classes = BagClasses::compute(trans);
-            if !classes.all_singletons() {
-                // A `None` (unrealizable or stalled at class level)
-                // retries this guess on the per-bag path below — which,
-                // above the budget, degrades to eager enumeration,
-                // exactly the pre-aggregation behaviour.
-                if let Some(resolved) =
-                    solve_patterns_aggregated(trans, &classes, cfg, stats, cancel, false)
-                {
-                    return resolved;
-                }
-            }
-            // Coarse rescue: when exact classes could not settle the
-            // guess — typically because their *count* is itself over the
-            // class-count ceiling in the pricing gate — retry with
-            // template-quantized coarse classes, which merge
-            // near-identical profiles and price against the per-size
-            // member minimum. Only worth running when coarsening
-            // actually merged something (equal counts = same partition).
-            if cfg.class_coarsening {
-                let coarse = BagClasses::compute_coarse(trans, cfg.coarse_tolerance);
-                if !coarse.all_singletons() && coarse.num_classes() < classes.num_classes() {
-                    stats.coarse_classes_formed += coarse.num_classes() as u64;
-                    if let Some(resolved) =
-                        solve_patterns_aggregated(trans, &coarse, cfg, stats, cancel, true)
-                    {
-                        return resolved;
-                    }
-                }
-            }
+/// The rungs a fresh solve climbs, in order. The class-aggregated rungs
+/// are the scale path: they engage only when the per-bag master would be
+/// over [`EptasConfig::pricing_symbol_budget`]; below it the per-bag path
+/// is proven, fast and byte-for-byte deterministic. Exact classes come
+/// first; coarse classes follow only when coarsening merged something the
+/// exact partition keeps apart (equal class counts mean the same
+/// partition). Per-bag always closes the ladder.
+fn ladder(trans: &Transformed, cfg: &EptasConfig) -> Vec<(Partition, BagClasses)> {
+    let per_bag = Partition::PerBag.classes(trans, cfg);
+    let mut rungs = Vec::new();
+    if cfg.class_aggregation
+        && collect_symbols_classed(trans, &per_bag).len() > cfg.pricing_symbol_budget
+    {
+        let exact = Partition::Exact.classes(trans, cfg);
+        let coarse = cfg
+            .class_coarsening
+            .then(|| Partition::Coarse.classes(trans, cfg))
+            .filter(|c| !c.all_singletons() && c.num_classes() < exact.num_classes());
+        if !exact.all_singletons() {
+            rungs.push((Partition::Exact, exact));
         }
-        let classes = singles;
-        stats.bag_classes += classes.num_classes() as u64;
-        stats.symbols_after_aggregation += symbols.len() as u64;
-        match generate_columns(trans, &symbols, &classes, cfg, stats, cancel) {
-            Pricing::Infeasible => return Err(GuessFailure::MilpInfeasible),
-            Pricing::Cancelled => return Err(GuessFailure::Cancelled),
-            Pricing::Converged(pool) => {
-                let ps = PatternSet::from_parts(symbols, pool);
-                match solve_restricted(
-                    trans,
-                    &ps,
-                    &classes,
-                    cfg,
-                    stats,
-                    cfg.tree_pricing,
-                    None,
-                    cancel,
-                ) {
-                    Ok((out, ext, warm)) => {
-                        let seed = ReplaySeed {
-                            strategy: PatternStrategy::Pricing,
-                            t: trans.t,
-                            symbols: ps.symbols.clone(),
-                            pool: ps.patterns.clone(),
-                            root_warm: warm,
-                            solution: None,
-                        };
-                        return Ok(PatternSolution {
-                            patterns: ext.unwrap_or(ps),
-                            outcome: out,
-                            seed,
-                        });
-                    }
-                    Err(restricted) => {
-                        // Inconclusive on a restricted pool: consult the
-                        // oracle if enumeration is cheap, otherwise let
-                        // the restricted verdict stand (both variants are
-                        // "raise the guess" to the driver).
-                        let budget = cfg.max_patterns.min(cfg.pricing_fallback_budget);
-                        match enumerate_patterns(trans, budget) {
-                            Ok(full) => {
-                                stats.patterns_enumerated += full.patterns.len() as u64;
-                                return solve_eager_pool(trans, cfg, full, stats, cancel);
-                            }
-                            Err(e) => {
-                                stats.patterns_enumerated += e.budget as u64;
-                                return Err(restricted);
-                            }
-                        }
-                    }
-                }
-            }
-            Pricing::Stalled => {} // fall through to the eager path
-        }
+        rungs.extend(coarse.map(|c| (Partition::Coarse, c)));
     }
-    run_eager(trans, cfg, stats, cancel)
+    rungs.push((Partition::PerBag, per_bag));
+    rungs
 }
 
-/// The eager pipeline behind [`PatternStrategy::Eager`] and the auto
-/// path's stall fallback: full enumeration, then the restricted MILP.
-fn run_eager(
+/// How a rung of the ladder ended without a solution.
+enum Unsolved {
+    /// A final verdict: a pricing infeasibility proof or a cancellation.
+    Final(GuessFailure),
+    /// Pricing stalled before convergence.
+    Stalled,
+    /// The MILP restricted to the priced pool failed, or de-classing its
+    /// solution did.
+    Inconclusive(GuessFailure),
+}
+
+/// One rung of the ladder: price a pool over the partition's symbols,
+/// solve the restricted MILP over it with in-tree pricing, de-class the
+/// result unless the partition is per-bag, and capture the replay seed.
+fn solve_over(
     trans: &Transformed,
     cfg: &EptasConfig,
+    partition: Partition,
+    classes: &BagClasses,
+    stats: &mut Stats,
+    cancel: Option<&CancelToken>,
+) -> Result<PatternSolution, Unsolved> {
+    if partition == Partition::Coarse {
+        stats.coarse_classes_formed += classes.num_classes() as u64;
+    }
+    stats.bag_classes += classes.num_classes() as u64;
+    let symbols = collect_symbols_classed(trans, classes);
+    stats.symbols_after_aggregation += symbols.len() as u64;
+    let pool = match generate_columns(trans, &symbols, classes, cfg, stats, cancel) {
+        Pricing::Converged(pool) => pool,
+        Pricing::Infeasible => return Err(Unsolved::Final(GuessFailure::MilpInfeasible)),
+        Pricing::Cancelled => return Err(Unsolved::Final(GuessFailure::Cancelled)),
+        Pricing::Stalled => return Err(Unsolved::Stalled),
+    };
+    let ps = PatternSet::from_parts(symbols, pool);
+    let (out, ext) = solve_restricted(trans, &ps, classes, cfg, stats, cfg.tree_pricing, cancel)
+        .map_err(Unsolved::Inconclusive)?;
+    let ps = ext.unwrap_or(ps);
+    let symbols = ps.symbols.clone();
+    let (ps, out) = if partition == Partition::PerBag {
+        (ps, out)
+    } else {
+        crate::declass::declass(trans, classes, &ps, &out, stats).map_err(Unsolved::Inconclusive)?
+    };
+    Ok(PatternSolution::capture(partition, trans, symbols, ps, out))
+}
+
+/// The eager rung: enumerate the whole per-bag pattern space under
+/// `budget`, then solve the MILP over it. Tree pricing stays off — the
+/// pool is complete by construction. Exceeding the budget fails with
+/// `over_budget`.
+fn solve_eager(
+    trans: &Transformed,
+    cfg: &EptasConfig,
+    budget: usize,
+    over_budget: GuessFailure,
     stats: &mut Stats,
     cancel: Option<&CancelToken>,
 ) -> Result<PatternSolution, GuessFailure> {
-    let ps = enumerate_patterns(trans, cfg.max_patterns).map_err(|e| {
+    let ps = enumerate_patterns(trans, budget).map_err(|e| {
         // The DFS aborts after generating exactly `budget` patterns.
         stats.patterns_enumerated += e.budget as u64;
-        GuessFailure::PatternBudget
+        over_budget
     })?;
     stats.patterns_enumerated += ps.patterns.len() as u64;
-    solve_eager_pool(trans, cfg, ps, stats, cancel)
+    let singles = Partition::PerBag.classes(trans, cfg);
+    let (out, _) = solve_restricted(trans, &ps, &singles, cfg, stats, false, cancel)?;
+    let symbols = ps.symbols.clone();
+    Ok(PatternSolution::capture(Partition::PerBag, trans, symbols, ps, out))
 }
 
-/// Solve an eagerly enumerated pool and wrap it as a replayable
-/// solution. Tree pricing stays off (the pool is complete by
-/// construction), so the seed carries no root basis — the eager MILP
-/// runs presolved, where a captured basis could not be replayed.
-fn solve_eager_pool(
-    trans: &Transformed,
-    cfg: &EptasConfig,
-    ps: PatternSet,
-    stats: &mut Stats,
-    cancel: Option<&CancelToken>,
-) -> Result<PatternSolution, GuessFailure> {
-    let singles = BagClasses::singletons(trans);
-    let (out, _, _) = solve_restricted(trans, &ps, &singles, cfg, stats, false, None, cancel)?;
-    let seed = ReplaySeed {
-        strategy: PatternStrategy::Eager,
-        t: trans.t,
-        symbols: ps.symbols.clone(),
-        pool: ps.patterns.clone(),
-        root_warm: None,
-        solution: None,
-    };
-    Ok(PatternSolution { patterns: ps, outcome: out, seed })
-}
-
-/// The per-bag pricing pipeline behind [`PatternStrategy::Pricing`].
-fn run_pricing(
-    trans: &Transformed,
-    cfg: &EptasConfig,
-    stats: &mut Stats,
-    cancel: Option<&CancelToken>,
-) -> Result<PatternSolution, GuessFailure> {
-    let classes = BagClasses::singletons(trans);
-    let symbols = collect_symbols_classed(trans, &classes);
-    stats.bag_classes += classes.num_classes() as u64;
-    stats.symbols_after_aggregation += symbols.len() as u64;
-    match generate_columns(trans, &symbols, &classes, cfg, stats, cancel) {
-        Pricing::Infeasible => Err(GuessFailure::MilpInfeasible),
-        Pricing::Stalled => Err(GuessFailure::PricingStalled),
-        Pricing::Cancelled => Err(GuessFailure::Cancelled),
-        Pricing::Converged(pool) => {
-            let ps = PatternSet::from_parts(symbols, pool);
-            let (out, ext, warm) =
-                solve_restricted(trans, &ps, &classes, cfg, stats, cfg.tree_pricing, None, cancel)?;
-            let seed = ReplaySeed {
-                strategy: PatternStrategy::Pricing,
-                t: trans.t,
-                symbols: ps.symbols.clone(),
-                pool: ps.patterns.clone(),
-                root_warm: warm,
-                solution: None,
-            };
-            Ok(PatternSolution { patterns: ext.unwrap_or(ps), outcome: out, seed })
-        }
-    }
-}
-
-/// Replay a cached seed: validate the symbol space, rebuild the pool,
-/// and re-solve the restricted MILP seeded with the cached root basis.
-fn run_replay(
+/// Replay a cached seed: rebuild the recorded partition, compare its
+/// symbol table with the seed's, and hand the captured solution to
+/// placement.
+fn replay(
     trans: &Transformed,
     cfg: &EptasConfig,
     seed: &ReplaySeed,
-    stats: &mut Stats,
-    cancel: Option<&CancelToken>,
 ) -> Result<PatternSolution, GuessFailure> {
     // The rounded guess pins the whole size geometry; a drifted `t`
-    // means the cached pool belongs to a different guess grid.
+    // means the seed belongs to a different guess grid.
     if trans.t.to_bits() != seed.t.to_bits() {
         return Err(GuessFailure::SeedMismatch);
     }
-    let classes = match seed.strategy {
-        PatternStrategy::Eager | PatternStrategy::Pricing => BagClasses::singletons(trans),
-        PatternStrategy::Classed => {
-            let classes = BagClasses::compute(trans);
-            if classes.all_singletons() {
-                return Err(GuessFailure::SeedMismatch);
-            }
-            classes
-        }
-        PatternStrategy::Coarse => {
-            let classes = BagClasses::compute_coarse(trans, cfg.coarse_tolerance);
-            if classes.all_singletons() {
-                return Err(GuessFailure::SeedMismatch);
-            }
-            classes
-        }
-        // Auto never lands in a seed: capture always records the
-        // concrete winning pipeline.
-        PatternStrategy::Auto => return Err(GuessFailure::SeedMismatch),
-    };
-    let symbols_now = match seed.strategy {
-        PatternStrategy::Coarse => collect_symbols_coarse(trans, &classes),
-        _ => collect_symbols_classed(trans, &classes),
-    };
-    if symbols_now != seed.symbols {
+    let classes = seed.partition.classes(trans, cfg);
+    if (seed.partition != Partition::PerBag && classes.all_singletons())
+        || collect_symbols_classed(trans, &classes) != seed.symbols
+    {
         return Err(GuessFailure::SeedMismatch);
     }
-    // The captured integral solution short-circuits the whole MILP: the
-    // symbol space (availabilities included) matched bit-exactly, so the
-    // cached multiplicities place this instance's large/priority jobs
-    // decision for decision. Anything the outcome cannot cover (e.g. a
-    // drifted small-job area on a colliding fingerprint) fails in a
-    // placement phase as an ordinary `GuessFailure` and the driver
+    // The symbol table (availabilities included) matched bit-exactly, so
+    // the captured multiplicities place this instance's large/priority
+    // jobs decision for decision. Anything the outcome cannot cover
+    // (e.g. a drifted small-job area on a colliding fingerprint) fails
+    // in a placement phase as an ordinary `GuessFailure` and the driver
     // solves cold.
-    if let Some(cached) = &seed.solution {
-        let (ps, out) = cached.as_ref().clone();
-        return Ok(PatternSolution { patterns: ps, outcome: out, seed: seed.clone() });
-    }
-    let ps = PatternSet::from_parts(seed.symbols.clone(), seed.pool.clone());
-    match seed.strategy {
-        PatternStrategy::Eager => {
-            let (out, _, _) =
-                solve_restricted(trans, &ps, &classes, cfg, stats, false, None, cancel)?;
-            Ok(PatternSolution { patterns: ps, outcome: out, seed: seed.clone() })
-        }
-        PatternStrategy::Pricing => {
-            let (out, ext, warm) = solve_restricted(
-                trans,
-                &ps,
-                &classes,
-                cfg,
-                stats,
-                cfg.tree_pricing,
-                seed.root_warm.as_ref(),
-                cancel,
-            )?;
-            let seed = ReplaySeed { root_warm: warm, ..seed.clone() };
-            Ok(PatternSolution { patterns: ext.unwrap_or(ps), outcome: out, seed })
-        }
-        PatternStrategy::Classed | PatternStrategy::Coarse => {
-            let (out, ext, warm) = solve_restricted(
-                trans,
-                &ps,
-                &classes,
-                cfg,
-                stats,
-                cfg.tree_pricing,
-                seed.root_warm.as_ref(),
-                cancel,
-            )?;
-            let seed = ReplaySeed { root_warm: warm, ..seed.clone() };
-            let ps = ext.unwrap_or(ps);
-            let (cps, cout) = crate::declass::declass(trans, &classes, &ps, &out, stats)?;
-            Ok(PatternSolution { patterns: cps, outcome: cout, seed })
-        }
-        PatternStrategy::Auto => unreachable!("rejected above"),
-    }
-}
-
-/// The class-aggregated attempt: pricing and the MILP keyed on `(size,
-/// bag class)`, de-classed to concrete bags on success. With `coarse`
-/// set the classes are template-quantized ([`BagClasses::compute_coarse`])
-/// and the symbol availabilities are priced at the per-size member
-/// minimum ([`collect_symbols_coarse`]); the de-class repair pass then
-/// re-places each member's surplus jobs.
-///
-/// Returns `Some` only for verdicts that are *final*: a de-classed
-/// solution, or a pricing infeasibility proof (exact — every per-bag
-/// pattern multiset maps to a class-level one covering at least the
-/// minimum availabilities, so the aggregated master is a relaxation on
-/// the coarse path too). `None` means the class level could not settle
-/// the guess — pricing stalled, the restricted MILP failed, or the
-/// concrete small-job split or surplus repair failed — and the caller
-/// retries per-bag, where the joint model and the eager oracle are
-/// available.
-fn solve_patterns_aggregated(
-    trans: &Transformed,
-    classes: &BagClasses,
-    cfg: &EptasConfig,
-    stats: &mut Stats,
-    cancel: Option<&CancelToken>,
-    coarse: bool,
-) -> Option<Result<PatternSolution, GuessFailure>> {
-    stats.bag_classes += classes.num_classes() as u64;
-    let symbols = if coarse {
-        collect_symbols_coarse(trans, classes)
-    } else {
-        collect_symbols_classed(trans, classes)
-    };
-    stats.symbols_after_aggregation += symbols.len() as u64;
-    match generate_columns(trans, &symbols, classes, cfg, stats, cancel) {
-        Pricing::Infeasible => Some(Err(GuessFailure::MilpInfeasible)),
-        Pricing::Stalled => None,
-        Pricing::Cancelled => Some(Err(GuessFailure::Cancelled)),
-        Pricing::Converged(pool) => {
-            let ps = PatternSet::from_parts(symbols, pool);
-            let (out, ext, warm) =
-                solve_restricted(trans, &ps, classes, cfg, stats, cfg.tree_pricing, None, cancel)
-                    .ok()?;
-            let seed = ReplaySeed {
-                strategy: if coarse { PatternStrategy::Coarse } else { PatternStrategy::Classed },
-                t: trans.t,
-                symbols: ps.symbols.clone(),
-                pool: ps.patterns.clone(),
-                root_warm: warm,
-                solution: None,
-            };
-            let ps = ext.unwrap_or(ps);
-            let (cps, cout) = crate::declass::declass(trans, classes, &ps, &out, stats).ok()?;
-            Some(Ok(PatternSolution { patterns: cps, outcome: cout, seed }))
-        }
-    }
+    Ok(PatternSolution {
+        patterns: seed.patterns.clone(),
+        outcome: seed.outcome.clone(),
+        seed: seed.clone(),
+    })
 }
 
 /// The one place pattern sets grow a tree-priced tail: patterns append in
@@ -693,17 +455,19 @@ fn extend_patterns(ps: PatternSet, extra: &[Pattern]) -> PatternSet {
     PatternSet::from_parts(ps.symbols, patterns)
 }
 
-/// Build and solve the MILP for one guess over a *given* pattern set.
-/// Simplex/branch-and-bound work counters are recorded into `stats`
-/// whatever the outcome, so infeasible and budget-exhausted guesses still
-/// account for their cost.
+/// Build and solve the MILP for one guess over a *given* per-bag pattern
+/// set — the eager oracle's surface, tree pricing off. Simplex/branch-
+/// and-bound work counters are recorded into `stats` whatever the
+/// outcome, so infeasible and budget-exhausted guesses still account for
+/// their cost.
 pub fn solve_with_patterns(
     trans: &Transformed,
     ps: &PatternSet,
     cfg: &EptasConfig,
     stats: &mut Stats,
 ) -> Result<MilpOutcome, GuessFailure> {
-    solve_with_patterns_classed(trans, ps, &BagClasses::singletons(trans), cfg, stats)
+    let singles = BagClasses::singletons(trans);
+    solve_restricted(trans, ps, &singles, cfg, stats, false, None).map(|(out, _)| out)
 }
 
 /// Per-pattern slot counts per bag class: `table[p][c]` is how many slots
@@ -714,36 +478,20 @@ pub(crate) fn class_mult_table(ps: &PatternSet, classes: &BagClasses) -> Vec<Vec
     ps.patterns.iter().map(|pat| pat.class_multiplicities(&ps.symbols, classes)).collect()
 }
 
-/// [`solve_with_patterns`] generalized to class-keyed pattern sets: the
-/// covering rows of the MILP run over whatever symbols `ps` carries, and
-/// the small-job constraints (3)–(5) run per `(class, size)` with the
-/// per-pattern free capacity `|C| - mult_C(p)` replacing the boolean
-/// `chi` exclusion. Singleton classes reproduce the per-bag model
-/// term for term. Tree pricing is off on this entry point (it is the
-/// oracle/cross-validation surface); the priced-pool path goes through
-/// [`solve_restricted`].
-pub(crate) fn solve_with_patterns_classed(
-    trans: &Transformed,
-    ps: &PatternSet,
-    classes: &BagClasses,
-    cfg: &EptasConfig,
-    stats: &mut Stats,
-) -> Result<MilpOutcome, GuessFailure> {
-    solve_restricted(trans, ps, classes, cfg, stats, false, None, None).map(|(out, _, _)| out)
-}
-
 /// The restricted configuration MILP over a (priced or enumerated) pool,
-/// optionally with in-tree pricing (`tree`): fractional node LPs of the
-/// branch-and-bound then consult the knapsack pricing DFS against the
-/// node duals and graft improving patterns as new integer columns (see
-/// [`TreePriceDriver`]). Only the priced-pool path enables it — eager
-/// pools are already complete by construction. When tree columns were
-/// generated the second return value carries the extended pattern set
-/// (`x`'s index space), built exactly once. `root_warm` seeds the
-/// x-MILP's root LP with a basis from a previous identical solve; the
-/// third return value is this solve's root basis for the next one (see
-/// [`bagsched_milp::solve_milp_seeded`]).
-#[allow(clippy::too_many_arguments)]
+/// keyed on `classes`: the covering rows run over whatever symbols `ps`
+/// carries, and the small-job constraints (3)–(5) run per `(class, size)`
+/// with the per-pattern free capacity `|C| - mult_C(p)` replacing the
+/// boolean `chi` exclusion. Singleton classes reproduce the per-bag model
+/// term for term.
+///
+/// With `tree` set, fractional node LPs of the branch-and-bound consult
+/// the knapsack pricing DFS against the node duals and graft improving
+/// patterns as new integer columns (see [`TreePriceDriver`]). Only the
+/// priced-pool rungs enable it — eager pools are already complete by
+/// construction. When tree columns were generated the second return
+/// value carries the extended pattern set (`x`'s index space), built
+/// exactly once.
 fn solve_restricted(
     trans: &Transformed,
     ps: &PatternSet,
@@ -751,9 +499,8 @@ fn solve_restricted(
     cfg: &EptasConfig,
     stats: &mut Stats,
     tree: bool,
-    root_warm: Option<&WarmState>,
     cancel: Option<&CancelToken>,
-) -> Result<(MilpOutcome, Option<PatternSet>, Option<WarmState>), GuessFailure> {
+) -> Result<(MilpOutcome, Option<PatternSet>), GuessFailure> {
     let pairs = priority_small_pairs_classed(trans, classes);
     let w_nonprio = nonpriority_small_area(trans);
     let class_mult = class_mult_table(ps, classes);
@@ -795,9 +542,9 @@ fn solve_restricted(
     let ctx =
         ClassCtx { classes, class_mult: &class_mult, with_smalls: &classes_with_smalls, covering };
     if joint {
-        solve_joint(trans, ps, cfg, pairs, w_nonprio, &ctx, stats, tree, root_warm, cancel)
+        solve_joint(trans, ps, cfg, pairs, w_nonprio, &ctx, stats, tree, cancel)
     } else {
-        solve_two_stage(trans, ps, cfg, pairs, w_nonprio, &ctx, stats, tree, root_warm, cancel)
+        solve_two_stage(trans, ps, cfg, pairs, w_nonprio, &ctx, stats, tree, cancel)
     }
 }
 
@@ -852,13 +599,11 @@ fn run_milp(
     cfg: &EptasConfig,
     stats: &mut Stats,
     tree: Option<TreePriceDriver<'_>>,
-    root_warm: Option<&WarmState>,
     cancel: Option<&CancelToken>,
-) -> (MilpResult, Vec<Pattern>, Vec<u32>, Option<WarmState>) {
+) -> (MilpResult, Vec<Pattern>, Vec<u32>) {
     match tree {
         Some(mut driver) => {
-            let (res, warm_out) =
-                solve_milp_seeded(model, &milp_options(cfg, cancel), Some(&mut driver), root_warm);
+            let res = solve_milp_with(model, &milp_options(cfg, cancel), Some(&mut driver));
             stats.add(&driver.stats);
             let tree_x = match res.status {
                 MilpStatus::Optimal | MilpStatus::Feasible => {
@@ -866,15 +611,9 @@ fn run_milp(
                 }
                 _ => Vec::new(),
             };
-            (res, driver.new_patterns, tree_x, warm_out)
+            (res, driver.new_patterns, tree_x)
         }
-        None => {
-            // Without a pricer the warm seam stays closed: passing a
-            // seed would skip presolve and change which model the B&B
-            // explores relative to the cold path it must reproduce.
-            let (res, _) = solve_milp_seeded(model, &milp_options(cfg, cancel), None, None);
-            (res, Vec::new(), Vec::new(), None)
-        }
+        None => (solve_milp_with(model, &milp_options(cfg, cancel), None), Vec::new(), Vec::new()),
     }
 }
 
@@ -898,9 +637,8 @@ fn solve_joint(
     ctx: &ClassCtx<'_>,
     stats: &mut Stats,
     tree: bool,
-    root_warm: Option<&WarmState>,
     cancel: Option<&CancelToken>,
-) -> Result<(MilpOutcome, Option<PatternSet>, Option<WarmState>), GuessFailure> {
+) -> Result<(MilpOutcome, Option<PatternSet>), GuessFailure> {
     let m = trans.tinst.num_machines() as f64;
     let np = ps.patterns.len();
     let mut model = Model::new();
@@ -1020,8 +758,7 @@ fn solve_joint(
 
     let driver = tree
         .then(|| TreePriceDriver::new(&ps.symbols, ctx.classes, trans.t, cfg, rows, &ps.patterns));
-    let (res, tree_patterns, tree_x, warm_out) =
-        run_milp(&model, cfg, stats, driver, root_warm, cancel);
+    let (res, tree_patterns, tree_x) = run_milp(&model, cfg, stats, driver, cancel);
     record_milp(stats, &res);
     match res.status {
         MilpStatus::Optimal | MilpStatus::Feasible => {
@@ -1046,7 +783,6 @@ fn solve_joint(
                     lp_iterations: res.lp_iterations,
                 },
                 ext,
-                warm_out,
             ))
         }
         MilpStatus::Infeasible => Err(GuessFailure::MilpInfeasible),
@@ -1077,9 +813,8 @@ fn solve_two_stage(
     ctx: &ClassCtx<'_>,
     stats: &mut Stats,
     tree: bool,
-    root_warm: Option<&WarmState>,
     cancel: Option<&CancelToken>,
-) -> Result<(MilpOutcome, Option<PatternSet>, Option<WarmState>), GuessFailure> {
+) -> Result<(MilpOutcome, Option<PatternSet>), GuessFailure> {
     let m = trans.tinst.num_machines() as f64;
     let np = ps.patterns.len();
     let mut model = Model::new();
@@ -1135,8 +870,7 @@ fn solve_two_stage(
 
     let driver = tree
         .then(|| TreePriceDriver::new(&ps.symbols, ctx.classes, trans.t, cfg, rows, &ps.patterns));
-    let (res, tree_patterns, tree_x, warm_out) =
-        run_milp(&model, cfg, stats, driver, root_warm, cancel);
+    let (res, tree_patterns, tree_x) = run_milp(&model, cfg, stats, driver, cancel);
     record_milp(stats, &res);
     let xs: Vec<u32> = match res.status {
         MilpStatus::Optimal | MilpStatus::Feasible => {
@@ -1181,7 +915,6 @@ fn solve_two_stage(
             lp_iterations: res.lp_iterations,
         },
         ext,
-        warm_out,
     ))
 }
 

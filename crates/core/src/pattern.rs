@@ -143,15 +143,26 @@ pub fn collect_symbols(trans: &Transformed) -> Vec<Symbol> {
 }
 
 /// Collect slot symbols keyed on `(size, bag class)`: one symbol per
-/// (rounded size, interchangeability class) pair, carrying the class
-/// *representative* bag and the summed availability of all members. With
-/// singleton classes this is exactly the per-bag symbol set; with real
-/// classes it collapses the symbol count — and with it the master-LP
-/// covering rows — to the number of distinct profiles.
+/// (rounded size, class) pair, carrying the class *representative* bag
+/// and the availability `K * min` — class size times the **minimum**
+/// per-size non-small job count over the members — plus one wildcard
+/// symbol per size for the non-priority bags.
+///
+/// * Singleton classes give exactly the per-bag symbol set.
+/// * Exact classes ([`BagClasses::compute`]) have identical member
+///   profiles, so `K * min` is the member sum, and the symbol count —
+///   with it the master-LP covering rows — collapses to the number of
+///   distinct profiles.
+/// * Coarse class members ([`BagClasses::compute_coarse`]) are only
+///   near-identical, so the minimum is the largest per-member slot count
+///   every member can actually absorb: any class-level pattern priced
+///   against it de-classes into concrete patterns feasible for *every*
+///   member, and [`crate::declass`]'s repair pass re-places the
+///   per-member surplus (`count_b - min`) afterwards.
 pub fn collect_symbols_classed(trans: &Transformed, classes: &BagClasses) -> Vec<Symbol> {
     let epsilon = trans.t.sqrt() - 1.0; // T = (1 + eps)^2
 
-    // Collect symbol availabilities, priority bags keyed by class rep.
+    // Non-small job counts per (size, priority bag) and per wildcard size.
     let mut prio: HashMap<(SizeExp, BagId), u32> = HashMap::new();
     let mut wild: HashMap<SizeExp, u32> = HashMap::new();
     for (j, &class) in trans.tclass.iter().enumerate() {
@@ -161,91 +172,37 @@ pub fn collect_symbols_classed(trans: &Transformed, classes: &BagClasses) -> Vec
         let tbag = trans.tinst.bag_of(bagsched_types::JobId(j as u32));
         let exp = trans.texp[j];
         if trans.is_priority_tbag[tbag.idx()] {
-            let rep = classes.rep(classes.of(tbag).expect("priority bags are classed"));
-            *prio.entry((exp, rep)).or_insert(0) += 1;
+            *prio.entry((exp, tbag)).or_insert(0) += 1;
         } else {
             *wild.entry(exp).or_insert(0) += 1;
         }
     }
 
     let mut symbols: Vec<Symbol> = Vec::new();
-    for (&(exp, bag), &avail) in &prio {
-        let size = crate::rounding::exp_size(exp, epsilon);
-        symbols.push(Symbol { exp, size, bag: SlotBag::Priority(bag), avail });
+    for &(exp, bag) in prio.keys() {
+        let c = classes.of(bag).expect("priority bags are classed");
+        if classes.rep(c) != bag {
+            continue;
+        }
+        // A size some member lacks has minimum 0 and gets no symbol
+        // (coarse grouping guarantees identical supports, so this is
+        // belt and braces).
+        let min = classes.members[c]
+            .iter()
+            .map(|&b| prio.get(&(exp, b)).copied().unwrap_or(0))
+            .min()
+            .unwrap_or(0);
+        if min > 0 {
+            let size = crate::rounding::exp_size(exp, epsilon);
+            let avail = classes.size(c) as u32 * min;
+            symbols.push(Symbol { exp, size, bag: SlotBag::Priority(bag), avail });
+        }
     }
     for (&exp, &avail) in &wild {
         let size = crate::rounding::exp_size(exp, epsilon);
         // `avail` is the *total* job count — it is the RHS of the covering
         // constraint (2). Per-pattern multiplicity is limited by the
         // height bound inside the DFS, never here.
-        symbols.push(Symbol { exp, size, bag: SlotBag::X, avail });
-    }
-    symbols.sort_by(|a, b| {
-        b.size.total_cmp(&a.size).then_with(|| match (a.bag, b.bag) {
-            (SlotBag::Priority(x), SlotBag::Priority(y)) => x.cmp(&y),
-            (SlotBag::Priority(_), SlotBag::X) => std::cmp::Ordering::Less,
-            (SlotBag::X, SlotBag::Priority(_)) => std::cmp::Ordering::Greater,
-            (SlotBag::X, SlotBag::X) => std::cmp::Ordering::Equal,
-        })
-    });
-    symbols
-}
-
-/// Collect slot symbols for *coarse* classes
-/// ([`BagClasses::compute_coarse`]): keyed like
-/// [`collect_symbols_classed`] on `(size, class representative)`, but the
-/// availability is `K * min` — class size times the **minimum** per-size
-/// non-small job count over the members — instead of the member sum.
-/// Coarse class members are only near-identical, so the minimum is the
-/// largest per-member slot count every member can actually absorb: any
-/// class-level pattern priced against it de-classes into concrete
-/// patterns feasible for *every* member, and [`crate::declass`]'s repair
-/// pass re-places the per-member surplus (`count_b - min`) afterwards.
-/// With singleton classes `min` is the bag's own count and this is
-/// exactly [`collect_symbols_classed`].
-pub fn collect_symbols_coarse(trans: &Transformed, classes: &BagClasses) -> Vec<Symbol> {
-    let epsilon = trans.t.sqrt() - 1.0; // T = (1 + eps)^2
-
-    // Per priority bag: non-small job count per size exponent.
-    let mut per_bag: HashMap<BagId, HashMap<SizeExp, u32>> = HashMap::new();
-    let mut wild: HashMap<SizeExp, u32> = HashMap::new();
-    for (j, &class) in trans.tclass.iter().enumerate() {
-        if class == JobClass::Small {
-            continue;
-        }
-        let tbag = trans.tinst.bag_of(bagsched_types::JobId(j as u32));
-        let exp = trans.texp[j];
-        if trans.is_priority_tbag[tbag.idx()] {
-            *per_bag.entry(tbag).or_default().entry(exp).or_insert(0) += 1;
-        } else {
-            *wild.entry(exp).or_insert(0) += 1;
-        }
-    }
-
-    let mut symbols: Vec<Symbol> = Vec::new();
-    for c in 0..classes.num_classes() {
-        let rep = classes.rep(c);
-        let k = classes.size(c) as u32;
-        // Iterating the representative's exponents covers the whole
-        // class: an exponent some member lacks has minimum 0 and would
-        // be dropped anyway (coarse grouping guarantees identical
-        // supports, so this is belt and braces).
-        let Some(rep_counts) = per_bag.get(&rep) else { continue };
-        for &exp in rep_counts.keys() {
-            let min = classes.members[c]
-                .iter()
-                .map(|b| per_bag.get(b).and_then(|m| m.get(&exp)).copied().unwrap_or(0))
-                .min()
-                .unwrap_or(0);
-            if min == 0 {
-                continue;
-            }
-            let size = crate::rounding::exp_size(exp, epsilon);
-            symbols.push(Symbol { exp, size, bag: SlotBag::Priority(rep), avail: k * min });
-        }
-    }
-    for (&exp, &avail) in &wild {
-        let size = crate::rounding::exp_size(exp, epsilon);
         symbols.push(Symbol { exp, size, bag: SlotBag::X, avail });
     }
     symbols.sort_by(|a, b| {
@@ -468,15 +425,58 @@ mod tests {
     }
 
     #[test]
-    fn coarse_symbols_match_classed_on_singletons() {
-        let jobs = [(0.9, 0), (0.5, 1), (0.3, 2), (0.01, 2)];
-        let (t, _) = patterns_for(&jobs, 3, 0.5, None, 1000);
-        let singles = BagClasses::singletons(&t);
-        assert_eq!(
-            collect_symbols_coarse(&t, &singles),
-            collect_symbols_classed(&t, &singles),
-            "singleton coarse symbols must be the per-bag symbols"
-        );
+    fn classed_availability_is_the_member_sum_on_exact_partitions() {
+        // Exact class members share one profile, so the collector's
+        // `K * min` must equal the member sum — checked against an
+        // independent per-(size, representative) count over the jobs, on
+        // singleton and exact partitions across families and guesses.
+        use bagsched_types::lowerbound::lower_bounds;
+        use bagsched_types::{gen, JobId};
+        let cfg = EptasConfig::with_epsilon(0.5);
+        let mut shapes: Vec<Instance> = Vec::new();
+        for family in gen::Family::ALL {
+            for (n, m) in [(24, 4), (60, 20), (120, 40), (300, 100)] {
+                shapes.push(family.generate(n, m, 2));
+            }
+        }
+        for n in [100, 400, 1600] {
+            shapes.push(gen::clustered(n, n / 3, n / 3, 5, 2));
+        }
+        let mut nontrivial = 0usize;
+        for inst in &shapes {
+            let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
+            let lb = lower_bounds(inst).combined();
+            for step in 0..5 {
+                let Some(r) = scale_and_round(&sizes, lb * (1.0 + 0.2 * step as f64), 0.5) else {
+                    continue;
+                };
+                let c = classify(&r, inst.num_machines());
+                let p = select_priority(inst, &r, &c, &cfg);
+                let t = transform(inst, &r, &c, &p);
+                for classes in [BagClasses::singletons(&t), BagClasses::compute(&t)] {
+                    let mut expected: HashMap<(SizeExp, SlotBag), u32> = HashMap::new();
+                    for j in 0..t.tinst.num_jobs() {
+                        if t.tclass[j] == JobClass::Small {
+                            continue;
+                        }
+                        let b = t.tinst.bag_of(JobId(j as u32));
+                        let bag = match classes.of(b) {
+                            Some(class) => SlotBag::Priority(classes.rep(class)),
+                            None => SlotBag::X,
+                        };
+                        *expected.entry((t.texp[j], bag)).or_insert(0) += 1;
+                    }
+                    let got: HashMap<(SizeExp, SlotBag), u32> =
+                        collect_symbols_classed(&t, &classes)
+                            .iter()
+                            .map(|s| ((s.exp, s.bag), s.avail))
+                            .collect();
+                    assert_eq!(got, expected, "n={} step={step}", inst.num_jobs());
+                    nontrivial += usize::from(!classes.all_singletons());
+                }
+            }
+        }
+        assert!(nontrivial >= 20, "too few non-trivial exact partitions ({nontrivial})");
     }
 
     #[test]
@@ -487,7 +487,7 @@ mod tests {
         let (t, _) = patterns_for(&jobs, 7, 0.5, None, 100_000);
         let coarse = BagClasses::compute_coarse(&t, 1.0);
         assert_eq!(coarse.num_classes(), 1);
-        let syms = collect_symbols_coarse(&t, &coarse);
+        let syms = collect_symbols_classed(&t, &coarse);
         let prio: Vec<&Symbol> =
             syms.iter().filter(|s| matches!(s.bag, SlotBag::Priority(_))).collect();
         assert_eq!(prio.len(), 1);

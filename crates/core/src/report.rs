@@ -72,14 +72,14 @@ impl std::fmt::Display for GuessFailure {
     }
 }
 
-/// Monotone work counters accumulated over an entire [`Eptas::solve`]
-/// call — every guess of the binary search, *including failed ones* — so
+/// Monotone work counters accumulated over an entire [`Solver`] solve
+/// — every guess of the binary search, *including failed ones* — so
 /// that wall-clock deltas measured by the bench harness are attributable
 /// to algorithmic work rather than noise. All counters only ever grow;
 /// [`Stats::add`] merges the counters of several solves (the experiment
 /// harness sums them per table).
 ///
-/// [`Eptas::solve`]: crate::Eptas::solve
+/// [`Solver`]: crate::Solver
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Machine patterns enumerated by the Definition-3 DFS.
@@ -153,7 +153,7 @@ pub struct Stats {
     /// solved cell is a failure, not noise.
     pub lpt_fallbacks: u64,
     /// Solves answered by replaying cached solver state (chosen guess +
-    /// pattern pool + root basis) instead of the cold guess search. A
+    /// pattern solution) instead of the cold guess search. A
     /// savings-style counter like `node_warm_starts`: growth means the
     /// cross-request cache engages.
     pub cache_hits: u64,

@@ -1,16 +1,15 @@
 //! Session-oriented solver facade with cross-request state caching.
 //!
-//! [`Solver`] replaces the one-shot `Eptas` facade. It owns an
-//! [`EptasConfig`] and, optionally, a bounded LRU cache of
-//! [`SolverState`] handles keyed by the rounded-instance
-//! [`fingerprint`]: the winning makespan guess plus the pattern pool,
-//! symbol table and root basis that produced it. A later request whose
-//! instance rounds to the same shape *replays* that state — guess
-//! search, pattern enumeration and column-generation pricing are all
-//! skipped, and the MILP re-solves from the cached warm basis in a
-//! handful of pivots. Replay is validated structurally (bit-exact guess,
-//! symbol-table equality), so a fingerprint collision degrades to a cold
-//! solve instead of a wrong schedule.
+//! [`Solver`] is the EPTAS entry point. It owns an [`EptasConfig`] and,
+//! optionally, a bounded LRU cache of [`SolverState`] handles keyed by
+//! the rounded-instance [`fingerprint`]: the winning makespan guess plus
+//! the pattern solution that won it. A later request whose instance
+//! rounds to the same shape *replays* that state: it validates the
+//! symbol table and re-runs placement on the cached pattern solution,
+//! skipping the guess search, pattern enumeration, column-generation
+//! pricing and the MILP. Replay is validated structurally (bit-exact
+//! guess, symbol-table equality), so a fingerprint collision degrades to
+//! a cold solve instead of a wrong schedule.
 //!
 //! Three entry points, least to most explicit:
 //!
@@ -18,7 +17,7 @@
 //!   epsilon per request), never panics, answers with a
 //!   [`SolveResponse`].
 //! * [`Solver::solve_instance`] — one-shot [`Instance`] solve through
-//!   the cache (the `Eptas::solve` replacement).
+//!   the cache.
 //! * [`Solver::solve_session`] — caller-held state: pass the
 //!   [`SolverState`] from the previous solve, get the refreshed one
 //!   back. Bypasses the shared cache entirely.
@@ -41,7 +40,7 @@ use std::time::Instant;
 pub struct SolverState {
     /// The winning makespan guess of the captured solve.
     pub(crate) chosen_guess: f64,
-    /// The pattern-phase replay seed (strategy, pool, warm basis).
+    /// The pattern-phase replay seed (partition, symbols, solution).
     pub(crate) seed: ReplaySeed,
 }
 
@@ -49,11 +48,6 @@ impl SolverState {
     /// The makespan guess the replay retries first.
     pub fn chosen_guess(&self) -> f64 {
         self.chosen_guess
-    }
-
-    /// Number of patterns in the cached pool.
-    pub fn pool_size(&self) -> usize {
-        self.seed.pool_size()
     }
 }
 
@@ -218,10 +212,10 @@ impl Solver {
         self.cache.as_ref().map_or(0, |c| c.lock().unwrap().len())
     }
 
-    /// One-shot solve through the shared cache (the `Eptas::solve`
-    /// replacement). With a cache attached, the report's
-    /// `cache_hits`/`cache_misses`/`cache_evictions` counters and the
-    /// `replayed` flag record what the cache did for this request.
+    /// One-shot solve through the shared cache. With a cache attached,
+    /// the report's `cache_hits`/`cache_misses`/`cache_evictions`
+    /// counters and the `replayed` flag record what the cache did for
+    /// this request.
     pub fn solve_instance(&self, inst: &Instance) -> Result<EptasResult, EptasError> {
         self.solve_cached(&self.cfg, inst)
     }

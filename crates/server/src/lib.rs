@@ -3,10 +3,10 @@
 //! A persistent daemon ([`server::serve`], shipped as the
 //! `bagsched-server` binary) keeps a [`bagsched_core::Solver`] — and,
 //! crucially, its solver-state cache — resident across requests:
-//! repeat traffic replays the cached winning guess, pattern pool and
-//! warm simplex basis instead of re-running guess search and
-//! column-generation pricing, which is where the one-shot CLI spends
-//! almost all of its time.
+//! repeat traffic replays the cached winning guess and its pattern
+//! solution instead of re-running guess search, column-generation
+//! pricing and the MILP, which is where the one-shot CLI spends almost
+//! all of its time.
 //!
 //! * [`protocol`] — the length-prefixed JSON wire format (hostile-input
 //!   safe) and a blocking [`protocol::Client`].

@@ -5,7 +5,7 @@
 //! for its lifetime and loops frames through the shared
 //! [`Solver`](bagsched_core::Solver). The solver's state cache is the
 //! whole point of staying resident: repeat traffic replays cached
-//! pattern pools and warm bases instead of re-searching (see
+//! pattern solutions instead of re-searching (see
 //! `bagsched_core::solver`).
 //!
 //! Shutdown is cooperative: the `shutdown` op (or

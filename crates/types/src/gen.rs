@@ -1,7 +1,7 @@
 //! Synthetic workload families.
 //!
 //! The paper contains no experimental testbed, so the harness evaluates on
-//! these families (DESIGN.md §5). Every generator is deterministic in its
+//! these families. Every generator is deterministic in its
 //! seed and guarantees `|B_l| <= m`, i.e. the produced instance is feasible.
 
 use crate::instance::{Instance, InstanceBuilder};

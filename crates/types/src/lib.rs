@@ -16,7 +16,7 @@
 //! * [`lowerbound`] — certified makespan lower bounds used to measure
 //!   approximation ratios where the exact optimum is out of reach,
 //! * [`gen`] — the synthetic workload families used by the experiment
-//!   harness (the paper has no testbed; see DESIGN.md §5),
+//!   harness (the paper has no testbed),
 //! * [`io`] — JSON (de)serialization of instances and schedules,
 //! * [`wire`] — solve request/response wire types and the rounded-shape
 //!   instance fingerprint used as the server's solver-state cache key,

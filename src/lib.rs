@@ -34,8 +34,9 @@
 //!
 //! A [`Solver`](eptas::Solver) is a session: built with
 //! [`Solver::with_cache`](eptas::Solver::with_cache) it remembers the
-//! winning guess, pattern pool and warm simplex basis per instance
-//! *shape*, and replays them on repeat solves instead of re-searching.
+//! winning guess and its pattern solution per instance *shape*; a repeat
+//! solve validates the symbol table and re-runs placement on the cached
+//! solution, skipping the guess search, pricing and the MILP.
 //! The `bagsched-server` daemon (crate `bagsched-server`) keeps such a
 //! solver resident behind a length-prefixed JSON TCP protocol; the
 //! `bagsched-bencher` load client measures the cache's effect on tail

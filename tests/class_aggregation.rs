@@ -9,13 +9,12 @@
 
 use bagsched::eptas::classes::BagClasses;
 use bagsched::eptas::classify::classify;
-use bagsched::eptas::milp_model::solve_patterns;
 use bagsched::eptas::pattern::SlotBag;
 use bagsched::eptas::priority::select_priority;
 use bagsched::eptas::report::Stats;
 use bagsched::eptas::rounding::scale_and_round;
 use bagsched::eptas::transform::transform;
-use bagsched::eptas::{EptasConfig, EptasResult, Solver};
+use bagsched::eptas::{EptasConfig, EptasResult, PatternSolve, Solver};
 use bagsched::types::{gen, validate_schedule, Instance};
 
 /// Highly symmetric instances: `groups` clusters of identical single-job
@@ -131,9 +130,10 @@ fn declassing_never_doubles_a_bag_on_a_machine() {
         let classes = BagClasses::compute(&trans);
         assert!(!classes.all_singletons(), "seed {seed}: instance must have real classes");
         let mut stats = Stats::default();
-        let Ok((ps, out)) = solve_patterns(&trans, &cfg, &mut stats) else {
+        let Ok(sol) = PatternSolve::new(&trans, &cfg).run(&mut stats) else {
             continue; // guess infeasible at this scale: nothing to check
         };
+        let (ps, out) = (sol.patterns, sol.outcome);
         let mut covered = vec![0u32; ps.symbols.len()];
         for (pi, pat) in ps.patterns.iter().enumerate() {
             let mut bags = Vec::new();
@@ -180,4 +180,34 @@ fn below_the_gate_aggregation_is_inert() {
         );
         assert_eq!(a.schedule.assignment(), b.schedule.assignment(), "{}", family.name());
     }
+}
+
+/// Replay of an exact-class seed: a cached `Solver` whose cold solve
+/// settles every guess on the exact-class rung answers the repeat from
+/// the cache — no pricing, no enumeration — with the same schedule.
+#[test]
+fn exact_class_seed_replays_through_the_cache() {
+    let inst = symmetric_instance(3, 6, 8, 0);
+    let mut cfg = EptasConfig::with_epsilon(0.5);
+    cfg.pricing_symbol_budget = 6;
+    let solver = Solver::with_cache(cfg, 4);
+    let cold = solver.solve_instance(&inst).unwrap();
+    assert!(!cold.report.replayed);
+    let won = cold.report.last_success.as_ref().expect("the pipeline must win this shape");
+    // A per-bag attempt adds one class per priority bag, so a total below
+    // one guess's bag count means no guess left the exact-class rung.
+    assert!(
+        cold.report.stats.bag_classes < won.priority_bags as u64,
+        "cold solve must settle on exact classes: {} classes over {} guesses, {} priority bags",
+        cold.report.stats.bag_classes,
+        cold.report.guesses_tried,
+        won.priority_bags
+    );
+    let hit = solver.solve_instance(&inst).unwrap();
+    assert!(hit.report.replayed, "the repeat must replay the exact-class seed");
+    assert_eq!(hit.report.stats.patterns_enumerated, 0);
+    assert_eq!(hit.report.stats.pricing_rounds, 0);
+    assert_eq!(hit.report.stats.milp_nodes, 0, "a hit must skip the MILP");
+    assert_eq!(hit.schedule.assignment(), cold.schedule.assignment());
+    assert_eq!(hit.makespan.to_bits(), cold.makespan.to_bits());
 }

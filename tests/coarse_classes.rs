@@ -187,3 +187,26 @@ fn below_the_gate_coarsening_is_inert() {
         assert_eq!(a.schedule.assignment(), b.schedule.assignment(), "{}", family.name());
     }
 }
+
+/// Replay of a coarse-class seed: a cached `Solver` whose cold solve
+/// settles on the coarse rung answers the repeat from the cache — no
+/// pricing, no enumeration — with the same schedule.
+#[test]
+fn coarse_class_seed_replays_through_the_cache() {
+    let inst = near_symmetric(3, 2, 6, 0);
+    let (exact, _) = class_counts(&inst, 0.5).expect("fixture must coarsen");
+    let solver = Solver::with_cache(coarse_forced(exact - 1, 0.5), 4);
+    let cold = solver.solve_instance(&inst).unwrap();
+    assert!(!cold.report.replayed);
+    // Only a coarse rung that settled its guess runs the de-class repair.
+    let s = &cold.report.stats;
+    assert!(s.coarse_classes_formed > 0, "cold solve must engage the coarse rung");
+    assert!(s.repair_jobs_moved > 0, "the coarse rung must settle a guess");
+    let hit = solver.solve_instance(&inst).unwrap();
+    assert!(hit.report.replayed, "the repeat must replay the coarse seed");
+    assert_eq!(hit.report.stats.patterns_enumerated, 0);
+    assert_eq!(hit.report.stats.pricing_rounds, 0);
+    assert_eq!(hit.report.stats.milp_nodes, 0, "a hit must skip the MILP");
+    assert_eq!(hit.schedule.assignment(), cold.schedule.assignment());
+    assert_eq!(hit.makespan.to_bits(), cold.makespan.to_bits());
+}
