@@ -262,11 +262,6 @@ impl Serialize for BenchRecord {
 
 impl Deserialize for BenchRecord {
     fn from_value(v: &Value) -> Result<Self, DeserializeError> {
-        // Tolerant on `phases`: v8 records predate the field.
-        let phases = match v.field("phases") {
-            Ok(val) => phases_from_value(val)?,
-            Err(_) => PhaseProfile::default(),
-        };
         Ok(BenchRecord {
             schema_version: u64::from_value(v.field("schema_version")?)?,
             id: String::from_value(v.field("id")?)?,
@@ -277,7 +272,7 @@ impl Deserialize for BenchRecord {
             headers: Vec::from_value(v.field("headers")?)?,
             rows: Vec::from_value(v.field("rows")?)?,
             counters: counters_from_value(v.field("counters")?)?,
-            phases,
+            phases: phases_from_value(v.field("phases")?)?,
         })
     }
 }
@@ -660,16 +655,9 @@ mod tests {
         assert_eq!(parsed.schema_version, SCHEMA_VERSION);
         assert_eq!(SCHEMA_VERSION, 9, "phase profiles entered the documents at v9");
         assert_eq!(parsed.counters.len(), Stats::default().named().len());
-        // Phase rows roundtrip too, and a pre-v9 document without the
-        // `phases` field parses as an empty profile.
+        // Phase rows roundtrip too.
         let prof = BenchRecord::from_outcome(&profiled_outcome("fig9", 1.25, 9_000), true);
         assert_eq!(BenchRecord::from_json(&prof.to_json()).unwrap(), prof);
-        let mut v: Value = serde_json::from_str(&rec.to_json()).unwrap();
-        if let Value::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "phases");
-        }
-        let old = BenchRecord::from_json(&serde_json::to_string_pretty(&v).unwrap()).unwrap();
-        assert!(old.phases.is_empty());
     }
 
     #[test]

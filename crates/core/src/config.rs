@@ -44,8 +44,6 @@ pub struct EptasConfig {
     /// row/column budgets can still be far slower than the two-stage
     /// path; this caps the actual work estimate.
     pub joint_cell_budget: usize,
-    /// Binary-search grid ratio is `1 + epsilon * grid_factor`.
-    pub grid_factor: f64,
     /// Generate patterns by column-generation pricing against the master
     /// LP duals instead of eager enumeration (default). Eager enumeration
     /// remains the cross-validation oracle and the fallback when pricing
@@ -120,12 +118,6 @@ pub struct EptasConfig {
     /// (default). Per-round pivot work then scales with the newly priced
     /// columns rather than the whole tableau.
     pub warm_start: bool,
-    /// Pools larger than this are pruned to the master's optimal support
-    /// (plus the empty pattern and the singleton seeds) before the
-    /// restricted MILP runs: every unused column widens the dense
-    /// tableau of *every* branch-and-bound node LP. Small pools pass
-    /// through untouched.
-    pub pricing_pool_cap: usize,
     /// Eager-enumeration budget used to consult the oracle when the MILP
     /// over the priced pool fails inconclusively. Kept far below
     /// `max_patterns`: on instances where enumeration is cheap this
@@ -140,31 +132,6 @@ pub struct EptasConfig {
     /// the warm tableau cannot encode. Off = every node solves cold
     /// (pre-PR-5 behaviour).
     pub dual_simplex: bool,
-    /// Generate pattern columns *inside* the branch-and-bound tree
-    /// (default on): at fractional node LPs of the restricted MILP the
-    /// knapsack pricing DFS re-runs against the node duals, and improving
-    /// patterns are grafted into the tree as new integer columns. Rescues
-    /// dives that fail only because the root pool is missing a column.
-    /// Only engages on MILPs over a priced pool (the eager/oracle path is
-    /// never tree-priced).
-    pub tree_pricing: bool,
-    /// Total in-tree pricing rounds (one knapsack DFS each) per MILP
-    /// solve; bounds the extra work tree pricing may add to a solve.
-    pub tree_pricing_round_cap: usize,
-    /// Round cap of the pricing loop's *enrichment* phase (phase B) on
-    /// **wide** masters — those carrying more structural columns than
-    /// [`EptasConfig::pricing_symbol_budget`] when enrichment starts.
-    /// The pool is feasibility-complete at that point, so every extra
-    /// round trades a marginal pool improvement for a permanently wider
-    /// dense master tableau — the classic column-generation tailing-off,
-    /// measured at >90% of the n=1600 tight cell before the cap existed
-    /// (the master objective keeps improving by dust-sized amounts right
-    /// up to `pricing_max_rounds`). A short enrichment is safe because a
-    /// column the integral search turns out to miss is priced *in the
-    /// branch-and-bound tree* on demand ([`EptasConfig::tree_pricing`])
-    /// instead of speculatively at the root. Narrow masters, where a
-    /// round is cheap, enrich to natural convergence as before.
-    pub pricing_enrich_rounds: usize,
     /// Reduced-cost threshold of the master column lifecycle: a nonbasic
     /// pattern column whose reduced cost stays above this for
     /// `PURGE_PATIENCE` consecutive feasibility-master re-solves is
@@ -173,11 +140,6 @@ pub struct EptasConfig {
     /// still see it; it is re-admitted the moment it prices negative
     /// under later duals). `f64::INFINITY` disables purging.
     pub column_purge_threshold: f64,
-    /// Pivots between basis refactorizations of the revised simplex
-    /// (threaded to every LP/MILP model the pipeline builds). Smaller
-    /// keeps the eta file shorter — cheaper FTRAN/BTRAN per pivot — at
-    /// the cost of more frequent rebuilds.
-    pub refactor_interval: usize,
     /// Worker threads the solver may use internally (scoped threads,
     /// spawned per solve — no persistent pool). `1` (the default) runs
     /// every parallel seam on the caller's thread. The determinism
@@ -229,7 +191,6 @@ impl EptasConfig {
             joint_col_budget: 2500,
             joint_row_budget: 1200,
             joint_cell_budget: 150_000,
-            grid_factor: 0.5,
             column_generation: true,
             pricing_max_rounds: 400,
             pricing_dfs_node_budget: 200_000,
@@ -239,13 +200,8 @@ impl EptasConfig {
             class_coarsening: true,
             coarse_tolerance: 0.5,
             warm_start: true,
-            pricing_pool_cap: 600,
             dual_simplex: true,
-            tree_pricing: true,
-            tree_pricing_round_cap: 16,
-            pricing_enrich_rounds: 8,
             column_purge_threshold: 0.1,
-            refactor_interval: 32,
             solver_threads: 1,
             pricing_shards: 1,
             speculative_guesses: 1,

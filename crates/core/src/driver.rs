@@ -157,9 +157,10 @@ pub(crate) fn solve_session_inner(
     }
 
     if best.is_none() {
-        // Geometric guess grid.
+        // Geometric guess grid with ratio `1 + eps * GRID_FACTOR`.
+        const GRID_FACTOR: f64 = 0.5;
         let eps = cfg.epsilon;
-        let step = 1.0 + eps * cfg.grid_factor;
+        let step = 1.0 + eps * GRID_FACTOR;
         let mut grid = Vec::new();
         let mut t = lb;
         while t < ub * (1.0 - 1e-12) {

@@ -378,7 +378,7 @@ fn solve_over(
         Pricing::Stalled => return Err(Unsolved::Stalled),
     };
     let ps = PatternSet::from_parts(symbols, pool);
-    let (out, ext) = solve_restricted(trans, &ps, classes, cfg, stats, cfg.tree_pricing, cancel)
+    let (out, ext) = solve_restricted(trans, &ps, classes, cfg, stats, true, cancel)
         .map_err(Unsolved::Inconclusive)?;
     let ps = ext.unwrap_or(ps);
     let symbols = ps.symbols.clone();
@@ -642,7 +642,6 @@ fn solve_joint(
     let m = trans.tinst.num_machines() as f64;
     let np = ps.patterns.len();
     let mut model = Model::new();
-    model.set_refactor_interval(cfg.refactor_interval);
 
     // x_p: integer in [0, m]; empty pattern costs nothing. The tiny
     // index-dependent perturbation breaks the column symmetry of
@@ -818,7 +817,6 @@ fn solve_two_stage(
     let m = trans.tinst.num_machines() as f64;
     let np = ps.patterns.len();
     let mut model = Model::new();
-    model.set_refactor_interval(cfg.refactor_interval);
     let mut rows: Vec<MilpRow> = Vec::new();
     // Perturbed like the joint model: see the comment there.
     let x: Vec<VarId> = (0..np)

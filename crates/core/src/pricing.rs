@@ -77,13 +77,34 @@ const COLS_PER_ROUND: usize = 4;
 
 /// Warm-started master re-solves accumulate floating-point drift in the
 /// reused basis; a periodic cold refresh bounds it (the revised engine
-/// additionally refactorizes every [`EptasConfig::refactor_interval`]
-/// pivots *within* a solve).
+/// additionally refactorizes every 32 pivots, the `Model` default,
+/// *within* a solve).
 const WARM_REFRESH_EVERY: usize = 32;
 
 /// Consecutive feasibility-master re-solves a nonbasic column must price
 /// above [`EptasConfig::column_purge_threshold`] before it is purged.
 const PURGE_PATIENCE: u32 = 3;
+
+/// Round cap of the enrichment phase (phase B) on **wide** masters —
+/// those carrying more structural columns than
+/// [`EptasConfig::pricing_symbol_budget`] when enrichment starts. The
+/// pool is feasibility-complete at that point, so every extra round
+/// trades a marginal pool improvement for a permanently wider master —
+/// the classic column-generation tailing-off, measured at >90% of the
+/// n=1600 tight cell before the cap existed. A short enrichment is safe
+/// because a column the integral search turns out to miss is priced in
+/// the branch-and-bound tree on demand ([`TreePriceDriver`]).
+const ENRICH_ROUNDS: usize = 8;
+
+/// Converged pools larger than this are pruned to the master's optimal
+/// support (plus the empty pattern and the singleton seeds) before the
+/// restricted MILP runs: every unused column widens every
+/// branch-and-bound node LP. Smaller pools pass through untouched.
+const POOL_CAP: usize = 600;
+
+/// Total in-tree pricing rounds (one knapsack DFS each) per MILP solve;
+/// bounds the extra work [`TreePriceDriver`] may add to a solve.
+const TREE_ROUND_CAP: usize = 16;
 
 /// Canonical identity of a pattern: its sorted `(symbol, multiplicity)`
 /// entries.
@@ -188,7 +209,6 @@ pub fn generate_columns(
     // `Model::add_column`; the model is never rebuilt.
     let area_row = symbols.len() + 1;
     let mut model = Model::new();
-    model.set_refactor_interval(cfg.refactor_interval);
     let z_machines = model.add_var(1.0, 0.0, f64::INFINITY);
     let z_area = model.add_var(1.0, 0.0, f64::INFINITY);
     model.add_con(&[(z_machines, -1.0)], Relation::Le, m);
@@ -349,18 +369,15 @@ pub fn generate_columns(
     // Every exit below happens right after a master solve of the final,
     // unmodified model, so the last LP doubles as the pruning input.
     let final_lp;
-    // On *wide* masters enrichment is capped, not run to convergence:
-    // late rounds trade dust-sized master improvements for ever-wider
-    // dense tableaus (each admitted column raises the per-pivot cost of
-    // every later re-solve — the classic column-generation tailing-off,
-    // measured at >90% of the n=1600 tight cell when enrichment ran to
-    // `pricing_max_rounds`). The pool is feasibility-complete either
-    // way, and a column the integral search turns out to miss is priced
-    // *in the tree* ([`TreePriceDriver`]) instead of speculatively at
-    // the root. Narrow masters — where a round costs microseconds and a
-    // leaner pool can push the downstream MILP onto a worse path (a
-    // smaller pool flips the joint/two-stage size estimate) — enrich to
-    // natural convergence exactly as before the cap existed.
+    // On *wide* masters enrichment is capped at [`ENRICH_ROUNDS`], not
+    // run to convergence: late rounds trade dust-sized master
+    // improvements for ever-wider masters (each admitted column raises
+    // the per-pivot cost of every later re-solve). The pool is
+    // feasibility-complete either way, and a column the integral search
+    // turns out to miss is priced *in the tree* ([`TreePriceDriver`])
+    // instead of speculatively at the root. Narrow masters — where a
+    // round costs microseconds and a fuller pool gives the restricted
+    // MILP more columns to dive on — enrich to natural convergence.
     let enrich_capped = pool.len() > cfg.pricing_symbol_budget;
     let mut enrich_rounds = 0usize;
     loop {
@@ -392,7 +409,7 @@ pub fn generate_columns(
         }
         if lp.status != LpStatus::Optimal
             || rounds >= cfg.pricing_max_rounds
-            || (enrich_capped && enrich_rounds >= cfg.pricing_enrich_rounds)
+            || (enrich_capped && enrich_rounds >= ENRICH_ROUNDS)
         {
             // Stopping the optimality phase early is always safe; it
             // only bounds the enrichment.
@@ -462,7 +479,7 @@ pub fn generate_columns(
     // the LP support (the columns that matter), the empty pattern and
     // the singleton seeds (structural feasibility); drop the rest. Small
     // pools are passed through untouched — pre-aggregation behaviour.
-    if pool.len() > cfg.pricing_pool_cap && final_lp.status == LpStatus::Optimal {
+    if pool.len() > POOL_CAP && final_lp.status == LpStatus::Optimal {
         // A column still purged at exit is nonbasic by construction (the
         // guard would have re-admitted a useful one), so it falls to the
         // same support filter as an in-model column at zero.
@@ -618,8 +635,7 @@ pub(crate) enum MilpRow {
 /// estimates, which is sound: a non-improving column is dead weight, not
 /// an error) and appends improving patterns as integer columns, which the
 /// B&B grafts onto the warm node basis. The round cap
-/// ([`EptasConfig::tree_pricing_round_cap`]) bounds the total extra work
-/// per MILP solve.
+/// ([`TREE_ROUND_CAP`]) bounds the total extra work per MILP solve.
 pub(crate) struct TreePriceDriver<'a> {
     symbols: &'a [Symbol],
     classes: &'a BagClasses,
@@ -661,7 +677,7 @@ impl<'a> TreePriceDriver<'a> {
             keys: pool.iter().map(|p| p.entries.clone()).collect(),
             new_patterns: Vec::new(),
             new_vars: Vec::new(),
-            rounds_left: cfg.tree_pricing_round_cap,
+            rounds_left: TREE_ROUND_CAP,
             stats: Stats::default(),
             next_obj_index: pool.len(),
         }

@@ -31,11 +31,6 @@ pub enum GuessFailure {
     /// de-classed MILP solution and the transformed instance
     /// (inconclusive; formerly a process-aborting panic).
     LargePlacement,
-    /// The column-generation pricing loop stalled before converging and
-    /// no fallback was requested (inconclusive; only the explicit
-    /// pricing strategies report this — the auto path falls back to
-    /// eager enumeration instead).
-    PricingStalled,
     /// A cached replay seed did not match the instance it was replayed
     /// against — the fingerprint collided or the cached symbol space
     /// drifted. Inconclusive by construction: the caller falls back to
@@ -64,7 +59,6 @@ impl std::fmt::Display for GuessFailure {
             GuessFailure::SwapRepair => "large-job swap repair found no partner",
             GuessFailure::MediumFlow => "medium-job reinsertion flow incomplete",
             GuessFailure::LargePlacement => "large-slot placement hit a bag/supply mismatch",
-            GuessFailure::PricingStalled => "column-generation pricing stalled",
             GuessFailure::SeedMismatch => "cached replay seed does not match the instance",
             GuessFailure::Cancelled => "guess cancelled by the deadline or speculation controller",
         };
@@ -134,7 +128,8 @@ pub struct Stats {
     /// `columns_generated`, which counts root master-LP pricing).
     pub tree_columns_generated: u64,
     /// Basis refactorizations of the revised simplex: eta-file rebuilds
-    /// from the sparse basis columns (every `refactor_interval` pivots).
+    /// from the sparse basis columns (every 32 pivots, the `Model`
+    /// default).
     pub basis_refactorizations: u64,
     /// Eta updates of the revised simplex: factorized basis changes, one
     /// per pivot between refactorizations.

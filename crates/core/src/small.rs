@@ -27,7 +27,7 @@ use crate::milp_model::MilpOutcome;
 use crate::pattern::PatternSet;
 use crate::transform::Transformed;
 use bagsched_types::{BagId, JobId, MachineId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const FRAC_TOL: f64 = 1e-7;
 
@@ -72,8 +72,10 @@ pub fn place_priority_smalls(
     //    pieces[(pattern, bag)] -> fractional pieces; fulls likewise.
     let mut fulls: HashMap<(usize, BagId), Vec<JobId>> = HashMap::new();
     let mut fracs: HashMap<(usize, BagId), Vec<Piece>> = HashMap::new();
-    // Per job: (pattern, alpha) pieces, to find leftovers later.
-    let mut job_pieces: HashMap<JobId, Vec<(usize, f64)>> = HashMap::new();
+    // Per job: (pattern, alpha) pieces, to find leftovers later. Ordered
+    // maps here and below: iteration order decides placement, and a
+    // solve must not depend on hash seeds.
+    let mut job_pieces: BTreeMap<JobId, Vec<(usize, f64)>> = BTreeMap::new();
 
     for (i, pair) in out.pairs.iter().enumerate() {
         let mut quotas: Vec<(usize, f64)> =
@@ -112,7 +114,7 @@ pub fn place_priority_smalls(
     }
 
     // Leftover jobs: fractionally split everywhere.
-    let mut leftovers: HashMap<BagId, Vec<JobId>> = HashMap::new();
+    let mut leftovers: BTreeMap<BagId, Vec<JobId>> = BTreeMap::new();
     for (&job, pieces) in &job_pieces {
         if !(pieces.len() == 1 && pieces[0].1 >= 1.0 - FRAC_TOL) {
             leftovers.entry(trans.tinst.bag_of(job)).or_default().push(job);
@@ -142,8 +144,6 @@ pub fn place_priority_smalls(
         for &bag in &bags {
             let full = fulls.get(&(p, bag)).cloned().unwrap_or_default();
             let frac = fracs.get(&(p, bag)).cloned().unwrap_or_default();
-            let nf_jobs: std::collections::HashSet<JobId> = frac.iter().map(|pc| pc.job).collect();
-            let _ = &nf_jobs;
             let mf = mp.saturating_sub(full.len());
             let frac_area: f64 = frac.iter().map(|pc| pc.alpha * trans.tinst.size(pc.job)).sum();
             let hf = if mf > 0 { frac_area / mf as f64 } else { 0.0 };
@@ -215,7 +215,7 @@ pub fn place_nonpriority_smalls(trans: &Transformed, epsilon: f64, state: &mut W
     }
 
     // Machine groups by height rounded up to multiples of eps.
-    let mut by_height: HashMap<i64, Vec<usize>> = HashMap::new();
+    let mut by_height: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
     for machine in 0..m {
         let key = (state.loads[machine] / epsilon - 1e-9).ceil() as i64;
         by_height.entry(key).or_default().push(machine);

@@ -243,8 +243,6 @@ impl Solver {
             error: Some(msg),
             makespan: 0.0,
             assignment: Vec::new(),
-            cache_hit: false,
-            micros: start.elapsed().as_micros() as u64,
             cache: CacheTag::Miss,
             elapsed_us: start.elapsed().as_micros() as u64,
         };
@@ -272,17 +270,14 @@ impl Solver {
                 } else {
                     CacheTag::Miss
                 };
-                let micros = start.elapsed().as_micros() as u64;
                 SolveResponse {
                     id: req.id,
                     ok: true,
                     error: None,
                     makespan: res.makespan,
                     assignment: res.schedule.assignment().iter().map(|m| m.0).collect(),
-                    cache_hit: res.report.replayed,
-                    micros,
                     cache,
-                    elapsed_us: micros,
+                    elapsed_us: start.elapsed().as_micros() as u64,
                 }
             }
             Err(e) => error(e.to_string()),
@@ -452,11 +447,11 @@ mod tests {
         let cold = solver.solve(&req);
         assert!(cold.ok, "{:?}", cold.error);
         assert_eq!(cold.id, 7);
-        assert!(!cold.cache_hit);
+        assert_ne!(cold.cache, CacheTag::Hit);
         assert_eq!(cold.assignment.len(), inst(0).num_jobs());
         let warm = solver.solve(&SolveRequest { id: 8, ..req });
         assert!(warm.ok);
-        assert!(warm.cache_hit);
+        assert_eq!(warm.cache, CacheTag::Hit);
         assert_eq!(warm.assignment, cold.assignment);
         assert_eq!(warm.makespan.to_bits(), cold.makespan.to_bits());
     }
@@ -561,13 +556,13 @@ mod tests {
             instance: inst(0),
         });
         assert!(a.ok && b.ok);
-        assert!(!b.cache_hit, "different epsilon is a different cache key");
+        assert_ne!(b.cache, CacheTag::Hit, "different epsilon is a different cache key");
         let again = solver.solve(&SolveRequest {
             id: 3,
             epsilon: 0.4,
             deadline_ms: None,
             instance: inst(0),
         });
-        assert!(again.cache_hit);
+        assert_eq!(again.cache, CacheTag::Hit);
     }
 }

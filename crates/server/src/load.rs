@@ -201,24 +201,6 @@ impl Serialize for LoadReport {
 
 impl Deserialize for LoadReport {
     fn from_value(v: &Value) -> Result<Self, DeserializeError> {
-        // Tolerant on fields added after the first report schema, so
-        // old baseline files keep working with --compare.
-        let near = match v.field("cache_near") {
-            Ok(val) => u64::from_value(val)?,
-            Err(_) => 0,
-        };
-        let near_latency = match v.field("near_latency") {
-            Ok(val) => Option::<Percentiles>::from_value(val)?,
-            Err(_) => None,
-        };
-        let overhead = match v.field("overhead") {
-            Ok(val) => Percentiles::from_value(val)?,
-            Err(_) => Percentiles::default(),
-        };
-        let elapsed_inversions = match v.field("elapsed_inversions") {
-            Ok(val) => u64::from_value(val)?,
-            Err(_) => 0,
-        };
         Ok(LoadReport {
             completed: u64::from_value(v.field("completed")?)?,
             errors: u64::from_value(v.field("errors")?)?,
@@ -227,12 +209,12 @@ impl Deserialize for LoadReport {
             overall: Percentiles::from_value(v.field("overall")?)?,
             hits: u64::from_value(v.field("cache_hits")?)?,
             misses: u64::from_value(v.field("cache_misses")?)?,
-            near,
+            near: u64::from_value(v.field("cache_near")?)?,
             hit_latency: Option::<Percentiles>::from_value(v.field("hit_latency")?)?,
             miss_latency: Option::<Percentiles>::from_value(v.field("miss_latency")?)?,
-            near_latency,
-            overhead,
-            elapsed_inversions,
+            near_latency: Option::<Percentiles>::from_value(v.field("near_latency")?)?,
+            overhead: Percentiles::from_value(v.field("overhead")?)?,
+            elapsed_inversions: u64::from_value(v.field("elapsed_inversions")?)?,
             server: StatsReply::from_value(v.field("server")?)?,
         })
     }
@@ -590,26 +572,6 @@ mod tests {
         let mut slow = back.clone();
         slow.overall.p50 = 1_000;
         assert!(compare(&slow, &report).is_err());
-    }
-
-    #[test]
-    fn old_reports_without_cache_split_still_parse() {
-        // A baseline written before the near/overhead fields existed
-        // must keep working with --compare.
-        let old = r#"{
-            "completed": 5, "errors": 0, "elapsed_micros": 100, "throughput_rps": 50.0,
-            "overall": {"p50_micros": 10, "p99_micros": 20, "p999_micros": 30},
-            "cache_hits": 2, "cache_misses": 3,
-            "hit_latency": null, "miss_latency": null,
-            "server": {"requests": 5, "protocol_errors": 0, "cache_hits": 2,
-                       "cache_misses": 3, "cache_evictions": 0, "cached_states": 3}
-        }"#;
-        let report: LoadReport = serde_json::from_str(old).unwrap();
-        assert_eq!(report.near, 0);
-        assert_eq!(report.near_latency, None);
-        assert_eq!(report.overhead, Percentiles::default());
-        assert_eq!(report.elapsed_inversions, 0);
-        assert!(report.server.ops.is_empty());
     }
 
     #[test]

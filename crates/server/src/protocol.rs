@@ -441,22 +441,6 @@ impl Serialize for StatsReply {
 
 impl Deserialize for StatsReply {
     fn from_value(v: &Value) -> Result<Self, DeserializeError> {
-        // Tolerant on everything added after the first protocol
-        // version: replies from older servers parse with zeros/empties.
-        let opt_u64 = |name: &str| -> Result<u64, DeserializeError> {
-            match v.field(name) {
-                Ok(val) => u64::from_value(val),
-                Err(_) => Ok(0),
-            }
-        };
-        let ops = match v.field("ops") {
-            Ok(val) => Vec::<OpLatency>::from_value(val)?,
-            Err(_) => Vec::new(),
-        };
-        let slow = match v.field("slow") {
-            Ok(val) => Vec::<SlowRequest>::from_value(val)?,
-            Err(_) => Vec::new(),
-        };
         Ok(StatsReply {
             requests: u64::from_value(v.field("requests")?)?,
             protocol_errors: u64::from_value(v.field("protocol_errors")?)?,
@@ -464,12 +448,12 @@ impl Deserialize for StatsReply {
             cache_misses: u64::from_value(v.field("cache_misses")?)?,
             cache_evictions: u64::from_value(v.field("cache_evictions")?)?,
             cached_states: u64::from_value(v.field("cached_states")?)?,
-            coalesced_waits: opt_u64("coalesced_waits")?,
-            near_hits: opt_u64("near_hits")?,
-            inflight: opt_u64("inflight")?,
-            uptime_secs: opt_u64("uptime_secs")?,
-            ops,
-            slow,
+            coalesced_waits: u64::from_value(v.field("coalesced_waits")?)?,
+            near_hits: u64::from_value(v.field("near_hits")?)?,
+            inflight: u64::from_value(v.field("inflight")?)?,
+            uptime_secs: u64::from_value(v.field("uptime_secs")?)?,
+            ops: Vec::<OpLatency>::from_value(v.field("ops")?)?,
+            slow: Vec::<SlowRequest>::from_value(v.field("slow")?)?,
         })
     }
 }
@@ -670,21 +654,5 @@ mod tests {
         assert_eq!(decode::<Ack>(&encode(&Ack::ok())).unwrap(), Ack::ok());
         let e = Ack::err("nope");
         assert_eq!(decode::<Ack>(&encode(&e)).unwrap(), e);
-    }
-
-    #[test]
-    fn old_stats_replies_without_metrics_still_parse() {
-        // A reply from a daemon predating the metrics layer: only the
-        // original counters. Everything newer parses as zero/empty.
-        let old = br#"{"requests": 4, "protocol_errors": 0, "cache_hits": 1,
-                       "cache_misses": 3, "cache_evictions": 0, "cached_states": 3}"#;
-        let s = decode::<StatsReply>(old).unwrap();
-        assert_eq!(s.requests, 4);
-        assert_eq!(s.coalesced_waits, 0);
-        assert_eq!(s.near_hits, 0);
-        assert_eq!(s.inflight, 0);
-        assert_eq!(s.uptime_secs, 0);
-        assert!(s.ops.is_empty());
-        assert!(s.slow.is_empty());
     }
 }

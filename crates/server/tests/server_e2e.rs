@@ -5,7 +5,7 @@
 use bagsched_server::load::{self, LoadConfig};
 use bagsched_server::protocol::{read_frame, write_frame, Ack, Client, MAX_FRAME};
 use bagsched_server::server::{serve, ServerConfig, ServerHandle};
-use bagsched_types::{gen, SolveRequest};
+use bagsched_types::{gen, CacheTag, SolveRequest};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -27,12 +27,12 @@ fn solve_twice_hits_cache_with_identical_answer() {
 
     let cold = client.solve(&req).unwrap();
     assert!(cold.ok, "{:?}", cold.error);
-    assert!(!cold.cache_hit, "first solve of a shape must miss");
+    assert_ne!(cold.cache, CacheTag::Hit, "first solve of a shape must miss");
     assert_eq!(cold.assignment.len(), 24);
 
     let warm = client.solve(&SolveRequest { id: 2, ..req }).unwrap();
     assert!(warm.ok);
-    assert!(warm.cache_hit, "second solve of the same shape must hit");
+    assert_eq!(warm.cache, CacheTag::Hit, "second solve of the same shape must hit");
     assert_eq!(warm.id, 2);
     assert_eq!(warm.assignment, cold.assignment, "replay must be byte-identical");
     assert_eq!(warm.makespan.to_bits(), cold.makespan.to_bits());

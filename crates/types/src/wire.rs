@@ -49,14 +49,9 @@ pub struct SolveResponse {
     /// Machine index for each job, indexed by dense job id (empty when
     /// `ok` is `false`).
     pub assignment: Vec<u32>,
-    /// Whether this solve replayed cached solver state.
-    pub cache_hit: bool,
-    /// Server-side solve latency in microseconds.
-    pub micros: u64,
     /// How the solver-state cache served this request: a full replay
     /// (`Hit`), a similarity-tier guess hint (`Near`), or a cold solve
-    /// (`Miss`). Refines [`cache_hit`](SolveResponse::cache_hit),
-    /// which stays for wire compatibility.
+    /// (`Miss`).
     pub cache: CacheTag,
     /// Wall time the server spent on this request end to end (parse,
     /// solve, schedule extraction), microseconds. Clients cross-check
@@ -135,8 +130,6 @@ impl Serialize for SolveResponse {
             ("error".into(), self.error.to_value()),
             ("makespan".into(), self.makespan.to_value()),
             ("assignment".into(), self.assignment.to_value()),
-            ("cache_hit".into(), self.cache_hit.to_value()),
-            ("micros".into(), self.micros.to_value()),
             ("cache".into(), self.cache.as_str().to_string().to_value()),
             ("elapsed_us".into(), self.elapsed_us.to_value()),
         ])
@@ -145,33 +138,15 @@ impl Serialize for SolveResponse {
 
 impl Deserialize for SolveResponse {
     fn from_value(v: &Value) -> Result<Self, DeserializeError> {
-        let cache_hit = bool::from_value(v.field("cache_hit")?)?;
-        let micros = u64::from_value(v.field("micros")?)?;
-        // Tolerant: responses from servers predating the observability
-        // fields lack `cache`/`elapsed_us`; derive the tag from the
-        // boolean and fall back to the solve latency.
-        let cache = match v.field("cache") {
-            Ok(val) => match String::from_value(val)?.as_str() {
-                "hit" => CacheTag::Hit,
-                "near" => CacheTag::Near,
-                "miss" => CacheTag::Miss,
-                other => {
-                    return Err(DeserializeError::new(format!(
-                        "cache tag must be hit|near|miss, got {other:?}"
-                    )));
-                }
-            },
-            Err(_) => {
-                if cache_hit {
-                    CacheTag::Hit
-                } else {
-                    CacheTag::Miss
-                }
+        let cache = match String::from_value(v.field("cache")?)?.as_str() {
+            "hit" => CacheTag::Hit,
+            "near" => CacheTag::Near,
+            "miss" => CacheTag::Miss,
+            other => {
+                return Err(DeserializeError::new(format!(
+                    "cache tag must be hit|near|miss, got {other:?}"
+                )));
             }
-        };
-        let elapsed_us = match v.field("elapsed_us") {
-            Ok(val) => u64::from_value(val)?,
-            Err(_) => micros,
         };
         Ok(SolveResponse {
             id: u64::from_value(v.field("id")?)?,
@@ -179,10 +154,8 @@ impl Deserialize for SolveResponse {
             error: Option::<String>::from_value(v.field("error")?)?,
             makespan: f64::from_value(v.field("makespan")?)?,
             assignment: Vec::<u32>::from_value(v.field("assignment")?)?,
-            cache_hit,
-            micros,
             cache,
-            elapsed_us,
+            elapsed_us: u64::from_value(v.field("elapsed_us")?)?,
         })
     }
 }
@@ -323,8 +296,6 @@ mod tests {
             error: None,
             makespan: 4.5,
             assignment: vec![0, 1, 2, 0],
-            cache_hit: true,
-            micros: 1234,
             cache: CacheTag::Hit,
             elapsed_us: 1234,
         };
@@ -336,31 +307,10 @@ mod tests {
             error: Some("epsilon out of range".into()),
             makespan: 0.0,
             assignment: Vec::new(),
-            cache_hit: false,
-            micros: 7,
             cache: CacheTag::Miss,
             elapsed_us: 7,
         };
         assert_eq!(SolveResponse::from_value(&err.to_value()).unwrap(), err);
-    }
-
-    #[test]
-    fn old_responses_without_cache_tag_still_parse() {
-        // A response serialized before `cache`/`elapsed_us` existed
-        // parses with the tag derived from `cache_hit` and the elapsed
-        // time falling back to `micros`.
-        let old = Value::Obj(vec![
-            ("id".into(), 9u64.to_value()),
-            ("ok".into(), Value::Bool(true)),
-            ("error".into(), Option::<String>::None.to_value()),
-            ("makespan".into(), 3.5f64.to_value()),
-            ("assignment".into(), Value::Arr(vec![0u64.to_value(), 1u64.to_value()])),
-            ("cache_hit".into(), Value::Bool(true)),
-            ("micros".into(), 42u64.to_value()),
-        ]);
-        let back = SolveResponse::from_value(&old).unwrap();
-        assert_eq!(back.cache, CacheTag::Hit);
-        assert_eq!(back.elapsed_us, 42);
     }
 
     #[test]
@@ -371,8 +321,6 @@ mod tests {
             error: None,
             makespan: 2.0,
             assignment: vec![0, 0],
-            cache_hit: false,
-            micros: 900,
             cache: CacheTag::Near,
             elapsed_us: 901,
         };
