@@ -27,7 +27,6 @@ pub const ALL: &[&str] = &[
     "heuristics",
     "ablate-transform",
     "ablate-bprime",
-    "ablate-joint",
     "cache-replay",
     "parallel-solver",
 ];
@@ -75,7 +74,7 @@ pub struct ExperimentRun {
 
 /// How many schedulable cells an experiment splits into. Most experiments
 /// are a single cell; the two with a long serial row loop (`scaling-n`,
-/// `ablate-joint`) run one cell *per row* so the parallel runner's
+/// `scaling-cold`) run one cell *per row* so the parallel runner's
 /// critical path is a single solve, not a whole table. Experiment ids —
 /// and the merged tables and JSON documents keyed on them — are
 /// unaffected by the split. `None` for unknown ids.
@@ -83,7 +82,6 @@ pub fn num_cells(id: &str, quick: bool) -> Option<usize> {
     match id {
         "scaling-n" => Some(scaling_n_grid(quick).len()),
         "scaling-cold" => Some(scaling_cold_grid(quick).len()),
-        "ablate-joint" => Some(ablate_joint_grid(quick).len()),
         known if ALL.contains(&known) => Some(1),
         _ => None,
     }
@@ -102,7 +100,6 @@ pub fn run_cell(id: &str, cell: usize, quick: bool) -> Option<ExperimentRun> {
     let table = match id {
         "scaling-n" => scaling_n_cell(quick, cell, st),
         "scaling-cold" => scaling_cold_cell(quick, cell, st),
-        "ablate-joint" => ablate_joint_cell(quick, cell, st),
         // Single-cell experiments: the range check above already pinned
         // `cell` to 0.
         "fig1" => fig1(quick, st),
@@ -714,45 +711,6 @@ pub fn ablate_bprime(quick: bool, stats: &mut Stats) -> Table {
     t
 }
 
-/// A3 row grid: `(n, mode label, joint column budget)` — one runner cell
-/// per row, so neither MILP path's solve blocks the other experiments.
-fn ablate_joint_grid(quick: bool) -> Vec<(usize, &'static str, usize)> {
-    let ns: &[usize] = if quick { &[30] } else { &[30, 60, 120] };
-    let mut grid = Vec::new();
-    for &n in ns {
-        for (name, budget) in [("joint", usize::MAX), ("two-stage", 1)] {
-            grid.push((n, name, budget));
-        }
-    }
-    grid
-}
-
-/// A3 — ablation: joint (paper-faithful) MILP vs the two-stage path; one
-/// row.
-pub fn ablate_joint_cell(quick: bool, cell: usize, stats: &mut Stats) -> Table {
-    let mut t = Table::new(
-        "A3",
-        "Ablation: joint MILP vs two-stage x-MILP + greedy y",
-        &["mode", "n", "time", "makespan/LB", "feasible"],
-    );
-    let (n, name, budget) = ablate_joint_grid(quick)[cell];
-    let inst = gen::clustered(n, n / 3, n / 3, 4, 10);
-    let lb = lower_bounds(&inst).combined();
-    let mut cfg = EptasConfig::with_epsilon(0.5);
-    cfg.joint_col_budget = budget;
-    let start = Instant::now();
-    let r = solve(&tuned(cfg), &inst, stats);
-    let elapsed = start.elapsed().as_secs_f64();
-    t.row(vec![
-        name.into(),
-        n.to_string(),
-        fmt_secs(elapsed),
-        format!("{:.3}", r.makespan / lb),
-        r.schedule.is_feasible(&inst).to_string(),
-    ]);
-    t
-}
-
 /// C1 — solver-state cache replay: every shape is solved twice through
 /// one cached [`Solver`]; the second solve must replay the cached guess
 /// and pattern solution (work counters collapse to zero) and reproduce the
@@ -899,24 +857,20 @@ mod tests {
     #[test]
     fn split_experiments_expose_one_cell_per_row() {
         // scaling-n quick: 3 loose + 3 tight rows (the tight ladder's
-        // upper rungs are full mode only); ablate-joint quick: 1 n x 2
-        // modes. Everything else is a single cell, and out-of-range
-        // cells are rejected.
+        // upper rungs are full mode only). Everything else is a single
+        // cell, and out-of-range cells are rejected.
         assert_eq!(num_cells("scaling-n", true), Some(6));
         assert_eq!(num_cells("scaling-n", false), Some(13));
         assert_eq!(num_cells("scaling-cold", true), Some(1));
         assert_eq!(num_cells("scaling-cold", false), Some(2));
-        assert_eq!(num_cells("ablate-joint", true), Some(2));
-        assert_eq!(num_cells("ablate-joint", false), Some(6));
         for &id in ALL {
-            if id != "scaling-n" && id != "scaling-cold" && id != "ablate-joint" {
+            if id != "scaling-n" && id != "scaling-cold" {
                 assert_eq!(num_cells(id, true), Some(1), "{id}");
             }
         }
         assert!(run_cell("fig1", 1, true).is_none());
         assert!(run_cell("scaling-n", 6, true).is_none(), "split ids share the None contract");
         assert!(run_cell("scaling-cold", 1, true).is_none());
-        assert!(run_cell("ablate-joint", 2, true).is_none());
     }
 
     #[test]

@@ -23,27 +23,10 @@ pub struct EptasConfig {
     /// (`b'` in Definition 2). `None` = paper formula `(d*q+1)*q` clamped
     /// to the number of bags.
     pub priority_cap: Option<usize>,
-    /// Enforce constraint (7) literally (integral `y` for priority small
-    /// jobs larger than `eps^{2k+11}`). Default `false`: all `y`
-    /// fractional, with the Corollary-1 merge rounding to the bag's
-    /// largest small size instead (same `O(eps)` error at practical
-    /// constants).
-    pub paper_integral_y: bool,
     /// Branch-and-bound node budget per MILP solve.
     pub milp_max_nodes: usize,
     /// Wall-clock budget per MILP solve.
     pub milp_time_limit: Duration,
-    /// Column budget for the joint (paper-faithful) MILP with explicit
-    /// `y` variables; above it the two-stage path (x-MILP with aggregate
-    /// small-job cuts, then greedy fractional `y`) is used.
-    pub joint_col_budget: usize,
-    /// Row budget, analogous.
-    pub joint_row_budget: usize,
-    /// Budget on `rows * cols` of the joint model. The dense-tableau
-    /// simplex pays O(rows * cols) *per pivot*, so a model inside the
-    /// row/column budgets can still be far slower than the two-stage
-    /// path; this caps the actual work estimate.
-    pub joint_cell_budget: usize,
     /// Generate patterns by column-generation pricing against the master
     /// LP duals instead of eager enumeration (default). Eager enumeration
     /// remains the cross-validation oracle and the fallback when pricing
@@ -185,12 +168,8 @@ impl EptasConfig {
             epsilon,
             max_patterns: 20_000,
             priority_cap: None,
-            paper_integral_y: false,
             milp_max_nodes: 20_000,
             milp_time_limit: Duration::from_secs(20),
-            joint_col_budget: 2500,
-            joint_row_budget: 1200,
-            joint_cell_budget: 150_000,
             column_generation: true,
             pricing_max_rounds: 400,
             pricing_dfs_node_budget: 200_000,
@@ -220,7 +199,6 @@ mod tests {
         assert_eq!(c.epsilon, 0.5);
         assert!(c.max_patterns > 0);
         assert!(c.priority_cap.is_none());
-        assert!(!c.paper_integral_y);
     }
 
     #[test]

@@ -27,15 +27,14 @@
 //! deterministic edge order.
 //!
 //! Small jobs are then re-realized on the concrete patterns by the same
-//! greedy the two-stage path uses; if that fails the guess is reported
+//! greedy the restricted MILP uses; if that fails the guess is reported
 //! as inconclusive ([`GuessFailure::SmallPlacement`]) and the driver
 //! raises it — exactly like every other budget-type failure.
 
 use crate::classes::BagClasses;
 use crate::classify::JobClass;
 use crate::milp_model::{
-    class_mult_table, greedy_small_y, nonpriority_small_area, priority_small_pairs, ClassCtx,
-    MilpOutcome,
+    greedy_small_y, nonpriority_small_area, priority_small_pairs, ClassCtx, MilpOutcome,
 };
 use crate::pattern::{collect_symbols, Pattern, PatternSet, SlotBag};
 use crate::report::{GuessFailure, Stats};
@@ -310,34 +309,11 @@ pub fn declass(
     // ---- 5. Re-realize the small jobs on the concrete patterns. ----
     let singles = BagClasses::singletons(trans);
     let pairs = priority_small_pairs(trans);
-    let class_mult = class_mult_table(&psc, &singles);
-    let with_smalls: Vec<usize> = {
-        let mut seen = Vec::new();
-        for pair in &pairs {
-            let c = singles.of(pair.tbag).expect("pair reps are classed");
-            if !seen.contains(&c) {
-                seen.push(c);
-            }
-        }
-        seen
-    };
-    let ctx = ClassCtx {
-        classes: &singles,
-        class_mult: &class_mult,
-        with_smalls: &with_smalls,
-        covering: bagsched_milp::Relation::Eq,
-    };
+    let ctx = ClassCtx::new(&singles, &psc, &pairs);
     let w_nonprio = nonpriority_small_area(trans);
     let y = greedy_small_y(trans, &psc, &xs, &pairs, w_nonprio, &ctx)?;
 
-    let outc = MilpOutcome {
-        x: xs,
-        y,
-        pairs,
-        joint: out.joint,
-        nodes: out.nodes,
-        lp_iterations: out.lp_iterations,
-    };
+    let outc = MilpOutcome { x: xs, y, pairs, nodes: out.nodes, lp_iterations: out.lp_iterations };
     Ok((psc, outc))
 }
 

@@ -615,7 +615,6 @@ fn try_guess(
         patterns: ps.patterns.len(),
         symbols: ps.symbols.len(),
         priority_bags: trans.is_priority_tbag.iter().filter(|&&p| p).count(),
-        joint_milp: out.joint,
         milp_nodes: out.nodes,
         lp_iterations: out.lp_iterations,
         lemma7_swaps,

@@ -1,19 +1,8 @@
-//! The configuration MILP (paper §3, constraints (1)–(9)).
+//! The configuration MILP (paper §3), restricted to a pattern pool.
 //!
-//! Variables:
-//! * `x_p` (integer): machines assigned pattern `p` — constraint (6);
-//! * `y_{(l,s),p}` (fractional): small jobs of priority size-restricted
-//!   bag `B_l^s` placed on top of pattern `p` — constraints (8)/(9).
-//!   (Constraint (7) would make the largest of these integral; see
-//!   `EptasConfig::paper_integral_y` for why it is off by default.)
-//! * `a_p` (fractional): aggregate *area* of non-priority small jobs on
-//!   pattern `p`. The paper uses per-(bag, size) `y` variables for
-//!   non-priority bags too, but its own Lemma 9 consumes only the area
-//!   distribution of those variables (group-bag-LPT re-places the jobs
-//!   from scratch), so aggregating them is a lossless model reduction
-//!   that shrinks the LP by a factor of the number of non-priority bags.
-//!
-//! Constraints (paper numbering):
+//! Only the large jobs' pattern counts must be integral, so they are the
+//! only variables: `x_p` (integer) machines run pattern `p` — constraint
+//! (6). The rows:
 //! * (1) `sum_p x_p <= m`;
 //! * (2) per slot symbol: `sum_p x_p * mult_p(symbol) = avail` on the
 //!   per-bag path (the paper writes `>=`; equality is equally valid — an
@@ -22,23 +11,35 @@
 //!   because class multiplicities make every up-dive of the
 //!   branch-and-bound overshoot an equality; [`crate::declass`] trims
 //!   the surplus slots afterwards;
-//! * (3) per priority small pair: `sum_p y = count`, plus the aggregate
-//!   `sum_p a_p = total non-priority small area`;
-//! * (4) per pattern: `sum y * size + a_p <= x_p * (T - height(p))`;
-//! * (5) per (pattern, priority bag): `sum_s y <= x_p` when the pattern
-//!   holds no job of the bag, `y = 0` otherwise (encoded by simply not
-//!   creating those variables).
+//! * the *area cut* `sum_p x_p * (T - height(p)) >= ` the total small
+//!   area, priority and non-priority — the capacity rows (4) summed over
+//!   patterns;
+//! * per bag class `C` owning priority small jobs, a *count cut*
+//!   `sum_p x_p * free_C(p) >= ` its small-job count and an *area cut*
+//!   `sum_{p : free_C(p) > 0} x_p * (T - height(p)) >= ` its small area —
+//!   rows (3)–(5) of the class summed over patterns. `free_C(p) = |C| -
+//!   mult_C(p)` counts the member bags without a large slot on a machine
+//!   of pattern `p`; singleton classes recover the paper's boolean `chi`
+//!   exclusion.
 //!
-//! When the joint model exceeds the configured size budget, a *two-stage*
-//! path solves the x-MILP with aggregate small-job cuts and then
-//! constructs `y` greedily (documented deviation; the driver reports
-//! which path ran).
+//! The small jobs' `y` is then realized greedily over the solved `x`
+//! ([`greedy_small_y`]): priority pairs per pattern, fractional
+//! throughout (constraint (7)'s integral `y` is replaced by the
+//! Corollary-1 merge in [`crate::small`], the same `O(eps)` error at
+//! practical constants). Non-priority small jobs enter by area alone,
+//! since Lemma 9 re-places them from scratch.
+//!
+//! The one departure from the paper: the cuts are necessary for a
+//! fractional `y` but not sufficient, and the greedy is not exact, so a
+//! failed realization does not refute the guess. It is reported as
+//! inconclusive ([`GuessFailure::SmallPlacement`]) and the driver raises
+//! the guess, as for every budget-type failure.
 //!
 //! ## Pattern generation: one pipeline over a bag-partition ladder
 //!
 //! [`PatternSolve::run`] runs one pipeline — the [`crate::pricing`]
 //! subsystem grows a small pattern pool by column generation against the
-//! master-LP duals, the joint/two-stage MILP runs on that pool, and
+//! master-LP duals, the restricted MILP runs on that pool, and
 //! [`crate::declass`] maps class-keyed solutions back to concrete bags —
 //! over a ladder of bag partitions: exact classes, then coarse classes
 //! (both only when the per-bag master is over its symbol budget), then
@@ -85,8 +86,6 @@ pub struct MilpOutcome {
     pub y: HashMap<(usize, usize), f64>,
     /// The priority small pairs (index space of `y`).
     pub pairs: Vec<SmallPair>,
-    /// Whether the joint (paper-faithful) model was solved.
-    pub joint: bool,
     /// Branch-and-bound nodes.
     pub nodes: usize,
     /// Simplex iterations.
@@ -470,28 +469,21 @@ pub fn solve_with_patterns(
     solve_restricted(trans, ps, &singles, cfg, stats, false, None).map(|(out, _)| out)
 }
 
-/// Per-pattern slot counts per bag class: `table[p][c]` is how many slots
-/// of class `c` pattern `p` holds (summed over sizes). The class-keyed
-/// generalization of `chi`: with singleton classes the entries are 0/1
-/// and `table[p][c] == 1` iff `chi_p(rep_c)`.
-pub(crate) fn class_mult_table(ps: &PatternSet, classes: &BagClasses) -> Vec<Vec<u32>> {
-    ps.patterns.iter().map(|pat| pat.class_multiplicities(&ps.symbols, classes)).collect()
-}
-
 /// The restricted configuration MILP over a (priced or enumerated) pool,
 /// keyed on `classes`: the covering rows run over whatever symbols `ps`
-/// carries, and the small-job constraints (3)–(5) run per `(class, size)`
-/// with the per-pattern free capacity `|C| - mult_C(p)` replacing the
-/// boolean `chi` exclusion. Singleton classes reproduce the per-bag model
-/// term for term.
+/// carries, and the small-job cuts run per class with the per-pattern
+/// free capacity `|C| - mult_C(p)` (see the module docs). Singleton
+/// classes reproduce the per-bag model term for term. Small jobs are then
+/// realized by [`greedy_small_y`].
 ///
 /// With `tree` set, fractional node LPs of the branch-and-bound consult
 /// the knapsack pricing DFS against the node duals and graft improving
 /// patterns as new integer columns (see [`TreePriceDriver`]). Only the
 /// priced-pool rungs enable it — eager pools are already complete by
-/// construction. When tree columns were generated the second return
-/// value carries the extended pattern set (`x`'s index space), built
-/// exactly once.
+/// construction. Tree columns enter every row, so small jobs are realized
+/// on their machines too. When tree columns were generated the second
+/// return value carries the extended pattern set (`x`'s index space),
+/// built exactly once.
 fn solve_restricted(
     trans: &Transformed,
     ps: &PatternSet,
@@ -503,34 +495,7 @@ fn solve_restricted(
 ) -> Result<(MilpOutcome, Option<PatternSet>), GuessFailure> {
     let pairs = priority_small_pairs_classed(trans, classes);
     let w_nonprio = nonpriority_small_area(trans);
-    let class_mult = class_mult_table(ps, classes);
-
-    // Estimate the joint model size.
-    let np = ps.patterns.len();
-    let y_cols: usize = pairs
-        .iter()
-        .map(|pair| {
-            let c = classes.of(pair.tbag).expect("pair reps are classed");
-            let cap = classes.size(c) as u32;
-            (0..np).filter(|&p| class_mult[p][c] < cap).count()
-        })
-        .sum();
-    let classes_with_smalls: Vec<usize> = {
-        let mut seen = Vec::new();
-        for pair in &pairs {
-            let c = classes.of(pair.tbag).expect("pair reps are classed");
-            if !seen.contains(&c) {
-                seen.push(c);
-            }
-        }
-        seen
-    };
-    let est_cols = np + y_cols + np; // x + y + a
-    let est_rows = 1 + ps.symbols.len() + pairs.len() + 1 + np + np * classes_with_smalls.len();
-
-    let joint = est_cols <= cfg.joint_col_budget
-        && est_rows <= cfg.joint_row_budget
-        && est_cols.saturating_mul(est_rows) <= cfg.joint_cell_budget;
+    let ctx = ClassCtx::new(classes, ps, &pairs);
     // The per-bag path keeps the equality covering (2) — it prunes the
     // search and downstream consumes counts exactly. The aggregated path
     // uses the paper's original `>=`: with class multiplicities the
@@ -539,27 +504,130 @@ fn solve_restricted(
     // land, and [`crate::declass`] trims the surplus slots (a sub-multiset
     // of a pattern is itself a valid pattern).
     let covering = if classes.all_singletons() { Relation::Eq } else { Relation::Ge };
-    let ctx =
-        ClassCtx { classes, class_mult: &class_mult, with_smalls: &classes_with_smalls, covering };
-    if joint {
-        solve_joint(trans, ps, cfg, pairs, w_nonprio, &ctx, stats, tree, cancel)
-    } else {
-        solve_two_stage(trans, ps, cfg, pairs, w_nonprio, &ctx, stats, tree, cancel)
+    let m = trans.tinst.num_machines() as f64;
+    let np = ps.patterns.len();
+    let mut model = Model::new();
+    let mut rows: Vec<MilpRow> = Vec::new();
+
+    // x_p: integer in [0, m]; empty pattern costs nothing. The tiny
+    // index-dependent perturbation breaks the column symmetry of
+    // bag-symmetric patterns — without it the simplex stalls in degenerate
+    // pivots on the covering equalities and the B&B dive cannot reach an
+    // incumbent within budget.
+    let x: Vec<VarId> = (0..np)
+        .map(|p| model.add_int_var(if p == 0 { 0.0 } else { 1.0 + p as f64 * 1e-9 }, 0.0, m))
+        .collect();
+
+    // (1)
+    let ones: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 1.0)).collect();
+    model.add_con(&ones, Relation::Le, m);
+    rows.push(MilpRow::Machine);
+    // (2) per symbol.
+    for (si, sym) in ps.symbols.iter().enumerate() {
+        let mut terms = Vec::new();
+        for (p, pat) in ps.patterns.iter().enumerate() {
+            if let Some(&(_, mult)) = pat.entries.iter().find(|&&(s, _)| s == si) {
+                terms.push((x[p], mult as f64));
+            }
+        }
+        model.add_con(&terms, covering, sym.avail as f64);
+        rows.push(MilpRow::Symbol(si));
     }
+
+    // Aggregate area cut: all small jobs must fit above the patterns.
+    let w_prio: f64 = pairs.iter().map(|p| p.size * p.jobs.len() as f64).sum();
+    let area_terms: Vec<(VarId, f64)> =
+        ps.patterns.iter().enumerate().map(|(p, pat)| (x[p], trans.t - pat.height)).collect();
+    model.add_con(&area_terms, Relation::Ge, w_prio + w_nonprio);
+    rows.push(MilpRow::AreaCut);
+
+    // Per class with smalls: count and area cuts over the free member
+    // capacity (singleton classes: chi = 0 patterns with weight 1).
+    for &c in &ctx.with_smalls {
+        let rep = classes.rep(c);
+        let count: f64 =
+            pairs.iter().filter(|pr| pr.tbag == rep).map(|pr| pr.jobs.len() as f64).sum();
+        let area: f64 =
+            pairs.iter().filter(|pr| pr.tbag == rep).map(|pr| pr.size * pr.jobs.len() as f64).sum();
+        let count_terms: Vec<(VarId, f64)> = (0..np)
+            .filter(|&p| ctx.free_cap(p, c) > 0)
+            .map(|p| (x[p], ctx.free_cap(p, c) as f64))
+            .collect();
+        model.add_con(&count_terms, Relation::Ge, count);
+        rows.push(MilpRow::ClassCount(c));
+        let area_terms: Vec<(VarId, f64)> = (0..np)
+            .filter(|&p| ctx.free_cap(p, c) > 0)
+            .map(|p| (x[p], trans.t - ps.patterns[p].height))
+            .collect();
+        model.add_con(&area_terms, Relation::Ge, area);
+        rows.push(MilpRow::ClassArea(c));
+    }
+
+    let driver =
+        tree.then(|| TreePriceDriver::new(&ps.symbols, classes, trans.t, cfg, rows, &ps.patterns));
+    let (res, tree_patterns, tree_x) = run_milp(&model, cfg, stats, driver, cancel);
+    record_milp(stats, &res);
+    let xs: Vec<u32> = match res.status {
+        MilpStatus::Optimal | MilpStatus::Feasible => {
+            let mut xs: Vec<u32> = x.iter().map(|&v| res.x[v.0].round() as u32).collect();
+            xs.extend(tree_x);
+            xs
+        }
+        MilpStatus::Infeasible => return Err(GuessFailure::MilpInfeasible),
+        // A budget stop under a tripped token is a cancellation, not a
+        // verdict: the driver must not raise the search on it.
+        MilpStatus::Budget | MilpStatus::Unbounded => {
+            return Err(if cancel.is_some_and(CancelToken::is_cancelled) {
+                GuessFailure::Cancelled
+            } else {
+                GuessFailure::MilpBudget
+            });
+        }
+    };
+
+    // The greedy `y` must see the same index space as `xs`: extend the
+    // pattern set (and its class context) with the tree columns, once —
+    // the same extended set rides up to the caller.
+    let ext = (!tree_patterns.is_empty()).then(|| extend_patterns(ps.clone(), &tree_patterns));
+    let y = match &ext {
+        None => greedy_small_y(trans, ps, &xs, &pairs, w_nonprio, &ctx)?,
+        Some(ext) => {
+            let ext_ctx = ClassCtx::new(classes, ext, &pairs);
+            greedy_small_y(trans, ext, &xs, &pairs, w_nonprio, &ext_ctx)?
+        }
+    };
+    Ok((MilpOutcome { x: xs, y, pairs, nodes: res.nodes, lp_iterations: res.lp_iterations }, ext))
 }
 
-/// The class context threaded through the MILP builders.
+/// The class context of a restricted MILP over one pattern set: which
+/// classes own priority small jobs, and how many member bags of each
+/// class every pattern leaves without a large slot.
 pub(crate) struct ClassCtx<'a> {
-    pub classes: &'a BagClasses,
-    /// `[pattern][class]` slot counts (see [`class_mult_table`]).
-    pub class_mult: &'a [Vec<u32>],
+    classes: &'a BagClasses,
+    /// `[pattern][class]` slot counts: how many slots of class `c`
+    /// pattern `p` holds, summed over sizes. The class-keyed
+    /// generalization of `chi`: with singleton classes the entries are
+    /// 0/1 and `class_mult[p][c] == 1` iff `chi_p(rep_c)`.
+    class_mult: Vec<Vec<u32>>,
     /// Classes that own priority small jobs, in pair order.
-    pub with_smalls: &'a [usize],
-    /// Relation of the covering rows (2): `Eq` per-bag, `Ge` aggregated.
-    pub covering: Relation,
+    with_smalls: Vec<usize>,
 }
 
-impl ClassCtx<'_> {
+impl<'a> ClassCtx<'a> {
+    /// The context of `ps` under `classes`, for the small pairs `pairs`.
+    pub(crate) fn new(classes: &'a BagClasses, ps: &PatternSet, pairs: &[SmallPair]) -> Self {
+        let mut with_smalls = Vec::new();
+        for pair in pairs {
+            let c = classes.of(pair.tbag).expect("pair reps are classed");
+            if !with_smalls.contains(&c) {
+                with_smalls.push(c);
+            }
+        }
+        let class_mult =
+            ps.patterns.iter().map(|pat| pat.class_multiplicities(&ps.symbols, classes)).collect();
+        ClassCtx { classes, class_mult, with_smalls }
+    }
+
     /// Per-machine capacity pattern `p` leaves for small jobs of class
     /// `c`: member bags without a large slot on the machine.
     fn free_cap(&self, p: usize, c: usize) -> u32 {
@@ -617,310 +685,11 @@ fn run_milp(
     }
 }
 
-/// The paper-faithful joint model, class-keyed: constraint (5) becomes
-/// `sum_s y_{(C,s),p} <= (|C| - mult_C(p)) * x_p` — each machine of
-/// pattern `p` has `|C| - mult_C(p)` member bags without a large slot,
-/// and the bag-constraint allows one small job per such bag. Singleton
-/// classes recover the paper's boolean `chi` form exactly.
-///
-/// Tree-priced columns participate only in rows (1) and (2): they carry
-/// no `y`/`a` variables, so no small jobs are modelled on them — a sound
-/// restriction (their machines simply stay small-free in the MILP's
-/// view).
-#[allow(clippy::too_many_arguments)]
-fn solve_joint(
-    trans: &Transformed,
-    ps: &PatternSet,
-    cfg: &EptasConfig,
-    pairs: Vec<SmallPair>,
-    w_nonprio: f64,
-    ctx: &ClassCtx<'_>,
-    stats: &mut Stats,
-    tree: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<(MilpOutcome, Option<PatternSet>), GuessFailure> {
-    let m = trans.tinst.num_machines() as f64;
-    let np = ps.patterns.len();
-    let mut model = Model::new();
-
-    // x_p: integer in [0, m]; empty pattern costs nothing. The tiny
-    // index-dependent perturbation breaks the column symmetry of
-    // bag-symmetric patterns — without it the simplex stalls in degenerate
-    // pivots on the covering equalities and the B&B dive cannot reach an
-    // incumbent within budget.
-    let x: Vec<VarId> = (0..np)
-        .map(|p| model.add_int_var(if p == 0 { 0.0 } else { 1.0 + p as f64 * 1e-9 }, 0.0, m))
-        .collect();
-
-    // Integral-y threshold of constraint (7): eps^{2k+11}.
-    let eps = cfg.epsilon;
-    let y_int_threshold = if cfg.paper_integral_y {
-        // medium_threshold = eps^{k+1}  =>  eps^{2k+11} = mt^2 * eps^9.
-        let mt = medium_threshold_of(trans);
-        mt * mt * eps.powi(9)
-    } else {
-        f64::INFINITY
-    };
-
-    // y variables per (pair, pattern with free class capacity). The tiny
-    // perturbation breaks ties among symmetric (pair, pattern) columns,
-    // like for `x`.
-    let mut y: HashMap<(usize, usize), VarId> = HashMap::new();
-    for (i, pair) in pairs.iter().enumerate() {
-        let c = ctx.classes.of(pair.tbag).expect("pair reps are classed");
-        for p in 0..np {
-            if ctx.free_cap(p, c) > 0 {
-                let tiny = (i * np + p) as f64 * 1e-12;
-                let v = if pair.size > y_int_threshold {
-                    model.add_int_var(tiny, 0.0, pair.jobs.len() as f64)
-                } else {
-                    model.add_var(tiny, 0.0, pair.jobs.len() as f64)
-                };
-                y.insert((i, p), v);
-            }
-        }
-    }
-
-    // a_p variables.
-    let a: Vec<VarId> = (0..np).map(|_| model.add_var(0.0, 0.0, f64::INFINITY)).collect();
-
-    // Row layout for the in-tree pricer, recorded as the rows are built.
-    let mut rows: Vec<MilpRow> = Vec::new();
-
-    // (1)
-    let ones: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 1.0)).collect();
-    model.add_con(&ones, Relation::Le, m);
-    rows.push(MilpRow::Machine);
-
-    // (2) per symbol.
-    for (si, sym) in ps.symbols.iter().enumerate() {
-        let mut terms = Vec::new();
-        for (p, pat) in ps.patterns.iter().enumerate() {
-            if let Some(&(_, mult)) = pat.entries.iter().find(|&&(s, _)| s == si) {
-                terms.push((x[p], mult as f64));
-            }
-        }
-        model.add_con(&terms, ctx.covering, sym.avail as f64);
-        rows.push(MilpRow::Symbol(si));
-    }
-
-    // (3) per pair.
-    for (i, pair) in pairs.iter().enumerate() {
-        let terms: Vec<(VarId, f64)> =
-            (0..np).filter_map(|p| y.get(&(i, p)).map(|&v| (v, 1.0))).collect();
-        model.add_con(&terms, Relation::Eq, pair.jobs.len() as f64);
-        rows.push(MilpRow::Other);
-    }
-    // (3') aggregate non-priority area.
-    if w_nonprio > 0.0 {
-        let terms: Vec<(VarId, f64)> = a.iter().map(|&v| (v, 1.0)).collect();
-        model.add_con(&terms, Relation::Eq, w_nonprio);
-        rows.push(MilpRow::Other);
-    }
-
-    // (4) per pattern.
-    for (p, pat) in ps.patterns.iter().enumerate() {
-        let budget = trans.t - pat.height;
-        let mut terms: Vec<(VarId, f64)> = vec![(a[p], 1.0), (x[p], -budget)];
-        for (i, pair) in pairs.iter().enumerate() {
-            if let Some(&v) = y.get(&(i, p)) {
-                terms.push((v, pair.size));
-            }
-        }
-        model.add_con(&terms, Relation::Le, 0.0);
-        rows.push(MilpRow::Other);
-    }
-
-    // (5) per (pattern, class with smalls): small jobs of the class are
-    // capped by the member bags without a large slot on the machine.
-    for &c in ctx.with_smalls {
-        let rep = ctx.classes.rep(c);
-        for (p, &xp) in x.iter().enumerate() {
-            let free = ctx.free_cap(p, c);
-            if free == 0 {
-                continue;
-            }
-            let mut terms: Vec<(VarId, f64)> = vec![(xp, -(free as f64))];
-            for (i, pair) in pairs.iter().enumerate() {
-                if pair.tbag == rep {
-                    if let Some(&v) = y.get(&(i, p)) {
-                        terms.push((v, 1.0));
-                    }
-                }
-            }
-            if terms.len() > 1 {
-                model.add_con(&terms, Relation::Le, 0.0);
-                rows.push(MilpRow::Other);
-            }
-        }
-    }
-
-    let driver = tree
-        .then(|| TreePriceDriver::new(&ps.symbols, ctx.classes, trans.t, cfg, rows, &ps.patterns));
-    let (res, tree_patterns, tree_x) = run_milp(&model, cfg, stats, driver, cancel);
-    record_milp(stats, &res);
-    match res.status {
-        MilpStatus::Optimal | MilpStatus::Feasible => {
-            let mut xs: Vec<u32> = x.iter().map(|&v| res.x[v.0].round() as u32).collect();
-            xs.extend(tree_x);
-            let ys: HashMap<(usize, usize), f64> = y
-                .into_iter()
-                .filter_map(|(key, v)| {
-                    let val = res.x[v.0];
-                    (val > 1e-9).then_some((key, val))
-                })
-                .collect();
-            let ext =
-                (!tree_patterns.is_empty()).then(|| extend_patterns(ps.clone(), &tree_patterns));
-            Ok((
-                MilpOutcome {
-                    x: xs,
-                    y: ys,
-                    pairs,
-                    joint: true,
-                    nodes: res.nodes,
-                    lp_iterations: res.lp_iterations,
-                },
-                ext,
-            ))
-        }
-        MilpStatus::Infeasible => Err(GuessFailure::MilpInfeasible),
-        // A budget stop under a tripped token is a cancellation, not a
-        // verdict: the driver must not raise the search on it.
-        MilpStatus::Budget | MilpStatus::Unbounded => {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                Err(GuessFailure::Cancelled)
-            } else {
-                Err(GuessFailure::MilpBudget)
-            }
-        }
-    }
-}
-
-/// Two-stage path: x-MILP with aggregate cuts, then greedy fractional y.
-///
-/// This model is all-`x` rows, so tree-priced columns participate fully
-/// (coverings, area cut, per-class cuts): small jobs *can* be realized on
-/// their machines — the greedy `y` runs over the extended pattern set.
-#[allow(clippy::too_many_arguments)]
-fn solve_two_stage(
-    trans: &Transformed,
-    ps: &PatternSet,
-    cfg: &EptasConfig,
-    pairs: Vec<SmallPair>,
-    w_nonprio: f64,
-    ctx: &ClassCtx<'_>,
-    stats: &mut Stats,
-    tree: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<(MilpOutcome, Option<PatternSet>), GuessFailure> {
-    let m = trans.tinst.num_machines() as f64;
-    let np = ps.patterns.len();
-    let mut model = Model::new();
-    let mut rows: Vec<MilpRow> = Vec::new();
-    // Perturbed like the joint model: see the comment there.
-    let x: Vec<VarId> = (0..np)
-        .map(|p| model.add_int_var(if p == 0 { 0.0 } else { 1.0 + p as f64 * 1e-9 }, 0.0, m))
-        .collect();
-
-    let ones: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 1.0)).collect();
-    model.add_con(&ones, Relation::Le, m);
-    rows.push(MilpRow::Machine);
-    for (si, sym) in ps.symbols.iter().enumerate() {
-        let mut terms = Vec::new();
-        for (p, pat) in ps.patterns.iter().enumerate() {
-            if let Some(&(_, mult)) = pat.entries.iter().find(|&&(s, _)| s == si) {
-                terms.push((x[p], mult as f64));
-            }
-        }
-        model.add_con(&terms, ctx.covering, sym.avail as f64);
-        rows.push(MilpRow::Symbol(si));
-    }
-
-    // Aggregate area cut: all small jobs must fit above the patterns.
-    let w_prio: f64 = pairs.iter().map(|p| p.size * p.jobs.len() as f64).sum();
-    let area_terms: Vec<(VarId, f64)> =
-        ps.patterns.iter().enumerate().map(|(p, pat)| (x[p], trans.t - pat.height)).collect();
-    model.add_con(&area_terms, Relation::Ge, w_prio + w_nonprio);
-    rows.push(MilpRow::AreaCut);
-
-    // Per class with smalls: count and area cuts over the free member
-    // capacity (singleton classes: chi = 0 patterns with weight 1).
-    for &c in ctx.with_smalls {
-        let rep = ctx.classes.rep(c);
-        let count: f64 =
-            pairs.iter().filter(|pr| pr.tbag == rep).map(|pr| pr.jobs.len() as f64).sum();
-        let area: f64 =
-            pairs.iter().filter(|pr| pr.tbag == rep).map(|pr| pr.size * pr.jobs.len() as f64).sum();
-        let count_terms: Vec<(VarId, f64)> = (0..np)
-            .filter(|&p| ctx.free_cap(p, c) > 0)
-            .map(|p| (x[p], ctx.free_cap(p, c) as f64))
-            .collect();
-        model.add_con(&count_terms, Relation::Ge, count);
-        rows.push(MilpRow::ClassCount(c));
-        let area_terms: Vec<(VarId, f64)> = (0..np)
-            .filter(|&p| ctx.free_cap(p, c) > 0)
-            .map(|p| (x[p], trans.t - ps.patterns[p].height))
-            .collect();
-        model.add_con(&area_terms, Relation::Ge, area);
-        rows.push(MilpRow::ClassArea(c));
-    }
-
-    let driver = tree
-        .then(|| TreePriceDriver::new(&ps.symbols, ctx.classes, trans.t, cfg, rows, &ps.patterns));
-    let (res, tree_patterns, tree_x) = run_milp(&model, cfg, stats, driver, cancel);
-    record_milp(stats, &res);
-    let xs: Vec<u32> = match res.status {
-        MilpStatus::Optimal | MilpStatus::Feasible => {
-            let mut xs: Vec<u32> = x.iter().map(|&v| res.x[v.0].round() as u32).collect();
-            xs.extend(tree_x);
-            xs
-        }
-        MilpStatus::Infeasible => return Err(GuessFailure::MilpInfeasible),
-        MilpStatus::Budget | MilpStatus::Unbounded => {
-            return Err(if cancel.is_some_and(CancelToken::is_cancelled) {
-                GuessFailure::Cancelled
-            } else {
-                GuessFailure::MilpBudget
-            });
-        }
-    };
-
-    // The greedy `y` must see the same index space as `xs`: extend the
-    // pattern set (and the per-pattern class table) with the tree
-    // columns, once — the same extended set rides up to the caller.
-    let ext = (!tree_patterns.is_empty()).then(|| extend_patterns(ps.clone(), &tree_patterns));
-    let y = match &ext {
-        None => greedy_small_y(trans, ps, &xs, &pairs, w_nonprio, ctx)?,
-        Some(ext) => {
-            let class_mult = class_mult_table(ext, ctx.classes);
-            let ext_ctx = ClassCtx {
-                classes: ctx.classes,
-                class_mult: &class_mult,
-                with_smalls: ctx.with_smalls,
-                covering: ctx.covering,
-            };
-            greedy_small_y(trans, ext, &xs, &pairs, w_nonprio, &ext_ctx)?
-        }
-    };
-    Ok((
-        MilpOutcome {
-            x: xs,
-            y,
-            pairs,
-            joint: false,
-            nodes: res.nodes,
-            lp_iterations: res.lp_iterations,
-        },
-        ext,
-    ))
-}
-
 /// Greedy fractional y over a solved `x`: big pieces first, onto the
 /// pattern with the most free area per machine, respecting the
 /// per-(pattern, class) count cap `free_cap * x_p` and the area budgets;
 /// non-priority area `w_nonprio` must still fit afterwards. Shared by the
-/// two-stage path and the de-classer (which re-realizes the small jobs on
+/// restricted MILP and the de-classer (which re-realizes the small jobs on
 /// the concrete patterns).
 pub(crate) fn greedy_small_y(
     trans: &Transformed,
@@ -938,7 +707,7 @@ pub(crate) fn greedy_small_y(
         .map(|(p, pat)| xs[p] as f64 * (trans.t - pat.height))
         .collect();
     let mut class_cap: HashMap<(usize, usize), f64> = HashMap::new();
-    for &c in ctx.with_smalls {
+    for &c in &ctx.with_smalls {
         for (p, &xp) in xs.iter().enumerate() {
             let free = ctx.free_cap(p, c);
             if free > 0 {
@@ -982,16 +751,6 @@ pub(crate) fn greedy_small_y(
     Ok(y)
 }
 
-/// Recover `eps^{k+1}` from the transformed instance's job classes.
-fn medium_threshold_of(trans: &Transformed) -> f64 {
-    // Smallest non-small rounded size is >= eps^{k+1}; in its absence use
-    // T (the threshold is only used for the optional constraint (7)).
-    (0..trans.tinst.num_jobs())
-        .filter(|&j| trans.tclass[j] != JobClass::Small)
-        .map(|j| trans.tinst.size(JobId(j as u32)))
-        .fold(trans.t, f64::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1024,7 +783,6 @@ mod tests {
         let jobs = [(0.9, 0), (0.9, 1), (0.4, 2), (0.05, 0), (0.05, 3)];
         let (t, ps, out) = pipeline(&jobs, 3, &cfg);
         let out = out.expect("guess T covers this instance");
-        assert!(out.joint, "small model must take the joint path");
         // (1): machines.
         let total: u32 = out.x.iter().sum();
         assert!(total as usize <= t.tinst.num_machines());
@@ -1062,21 +820,6 @@ mod tests {
         let jobs = [(1.0, 0), (1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4)];
         let (_, _, out) = pipeline(&jobs, 2, &cfg);
         assert_eq!(out.unwrap_err(), GuessFailure::MilpInfeasible);
-    }
-
-    #[test]
-    fn two_stage_path_triggers_on_tiny_budget() {
-        let mut cfg = EptasConfig::with_epsilon(0.5);
-        cfg.joint_col_budget = 1; // force the two-stage path
-        let jobs = [(0.9, 0), (0.9, 1), (0.05, 0), (0.05, 1)];
-        let (_, _, out) = pipeline(&jobs, 2, &cfg);
-        let out = out.expect("two-stage path should also succeed here");
-        assert!(!out.joint);
-        // y still covers all priority small jobs.
-        for (i, pair) in out.pairs.iter().enumerate() {
-            let sum: f64 = out.y.iter().filter(|((pi, _), _)| *pi == i).map(|(_, &v)| v).sum();
-            assert!((sum - pair.jobs.len() as f64).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -71,8 +71,8 @@ impl Pattern {
 
     /// Per-class slot counts of this pattern, summed over sizes — the
     /// `mult_C(p)` of the class-aggregated MILP. The single home of the
-    /// rule; the MILP builders' `class_mult_table` and the in-tree
-    /// pricer's free-capacity coefficients both derive from it.
+    /// rule; the restricted MILP's `ClassCtx` and the in-tree pricer's
+    /// free-capacity coefficients both derive from it.
     pub(crate) fn class_multiplicities(
         &self,
         symbols: &[Symbol],

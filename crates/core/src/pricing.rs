@@ -600,8 +600,6 @@ fn seed_pool(trans: &Transformed, symbols: &[Symbol], classes: &BagClasses) -> V
 /// What a row of the restricted configuration MILP means to a *new*
 /// pattern column — the layout map the in-tree pricer uses to build
 /// column coefficients and to read the master-row duals off a node LP.
-/// Rows a new pure-`x` column does not touch (the joint model's per-pair,
-/// per-pattern and `chi` rows) are [`MilpRow::Other`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MilpRow {
     /// Constraint (1): the machine-count cap; coefficient 1.
@@ -611,14 +609,12 @@ pub(crate) enum MilpRow {
     Symbol(usize),
     /// An aggregate small-area cut; coefficient `T - height`.
     AreaCut,
-    /// Two-stage per-class small-count cut; coefficient = the pattern's
-    /// free capacity for the class (member bags without a large slot).
+    /// Per-class small-count cut; coefficient = the pattern's free
+    /// capacity for the class (member bags without a large slot).
     ClassCount(usize),
-    /// Two-stage per-class small-area cut; coefficient `T - height` when
-    /// the pattern has free capacity for the class, else absent.
+    /// Per-class small-area cut; coefficient `T - height` when the
+    /// pattern has free capacity for the class, else absent.
     ClassArea(usize),
-    /// A row new pattern columns never touch.
-    Other,
 }
 
 /// The branch-and-price driver: prices pattern columns *inside* the
@@ -630,7 +626,7 @@ pub(crate) enum MilpRow {
 /// pattern the node LP would price in immediately. This driver implements
 /// [`bagsched_milp::TreePricer`]: at fractional optimal nodes it re-runs
 /// the bounded-knapsack pricing DFS against the *node* duals (machine
-/// row, covering rows, area cut — the two-stage class cuts are not
+/// row, covering rows, area cut — the per-class cuts are not
 /// modelled in the knapsack profit and make priced columns conservative
 /// estimates, which is sound: a non-improving column is dead weight, not
 /// an error) and appends improving patterns as integer columns, which the
@@ -708,7 +704,7 @@ impl bagsched_milp::TreePricer for TreePriceDriver<'_> {
         let mut added = Vec::with_capacity(cands.len());
         for pat in cands {
             // Free member-bag capacity per class (`|C| - mult_C(p)`),
-            // from the same rule the MILP builders use.
+            // from the same rule the restricted MILP uses.
             let class_mult = pat.class_multiplicities(self.symbols, self.classes);
             let free_cap = |c: usize| (self.classes.size(c) as u32).saturating_sub(class_mult[c]);
             let mut coeffs: Vec<(usize, f64)> = Vec::new();
@@ -729,7 +725,6 @@ impl bagsched_milp::TreePricer for TreePriceDriver<'_> {
                             0.0
                         }
                     }
-                    MilpRow::Other => 0.0,
                 };
                 if coef != 0.0 {
                     coeffs.push((r, coef));

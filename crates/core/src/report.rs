@@ -18,8 +18,9 @@ pub enum GuessFailure {
     PatternBudget,
     /// The MILP solver exhausted its node/time budget (inconclusive).
     MilpBudget,
-    /// The two-stage small-job placement could not realize the `y`
-    /// assignment (inconclusive; the joint path would have been exact).
+    /// The greedy small-job realization found no fractional `y` over the
+    /// solved pattern counts (inconclusive: the MILP's small-job cuts are
+    /// necessary, not sufficient, and the greedy is not exact).
     SmallPlacement,
     /// The Lemma-7 swap repair found no partner (cannot happen at paper
     /// constants; possible under a forced small `priority_cap`).
@@ -55,7 +56,7 @@ impl std::fmt::Display for GuessFailure {
             GuessFailure::MilpInfeasible => "pattern MILP infeasible at this guess",
             GuessFailure::PatternBudget => "pattern enumeration budget exhausted",
             GuessFailure::MilpBudget => "MILP solver budget exhausted",
-            GuessFailure::SmallPlacement => "two-stage small-job placement failed",
+            GuessFailure::SmallPlacement => "greedy small-job placement failed",
             GuessFailure::SwapRepair => "large-job swap repair found no partner",
             GuessFailure::MediumFlow => "medium-job reinsertion flow incomplete",
             GuessFailure::LargePlacement => "large-slot placement hit a bag/supply mismatch",
@@ -337,9 +338,6 @@ pub struct GuessStats {
     pub symbols: usize,
     /// Number of priority bags (transformed instance).
     pub priority_bags: usize,
-    /// Whether the joint (paper-faithful) MILP was used, as opposed to
-    /// the two-stage x-MILP + greedy-y path.
-    pub joint_milp: bool,
     /// Branch-and-bound nodes of the MILP solve.
     pub milp_nodes: usize,
     /// Simplex iterations of the MILP solve.

@@ -60,23 +60,28 @@ fn column_generation_cross_validates_against_enumeration_oracle() {
 
 #[test]
 fn eptas_within_bound_of_true_optimum() {
-    // Exhaustive check against exact optima on small instances.
-    let eps = 0.4;
-    for family in gen::Family::ALL {
-        for seed in 0..3 {
-            let inst = family.generate(11, 3, seed);
-            let exact = exact_makespan(&inst, 20_000_000).unwrap();
-            assert!(exact.proven_optimal, "{}: exact budget too small", family.name());
-            let r = Solver::with_epsilon(eps).solve_instance(&inst).unwrap();
-            let ratio = r.makespan / exact.makespan;
-            assert!(
-                ratio <= 1.0 + 3.0 * eps + 1e-9,
-                "{} seed {seed}: ratio {ratio:.4} > 1 + 3 eps (eptas {}, opt {})",
-                family.name(),
-                r.makespan,
-                exact.makespan
-            );
-            assert!(ratio >= 1.0 - 1e-9, "{}: beat the optimum?!", family.name());
+    // Exhaustive check against exact optima on small instances. Every
+    // guess must settle on the MILP path: the small-job cuts of the
+    // x-model plus the greedy realization have to carry these shapes
+    // without the LPT fallback.
+    for (n, m, eps) in [(11, 3, 0.4), (16, 4, 0.5)] {
+        for family in gen::Family::ALL {
+            for seed in 0..3 {
+                let name = format!("{} n={n} m={m} seed {seed}", family.name());
+                let inst = family.generate(n, m, seed);
+                let exact = exact_makespan(&inst, 20_000_000).unwrap();
+                assert!(exact.proven_optimal, "{name}: exact budget too small");
+                let r = Solver::with_epsilon(eps).solve_instance(&inst).unwrap();
+                assert!(!r.report.fell_back_to_lpt, "{name}: fell back to LPT");
+                let ratio = r.makespan / exact.makespan;
+                assert!(
+                    ratio <= 1.0 + 3.0 * eps + 1e-9,
+                    "{name}: ratio {ratio:.4} > 1 + 3 eps (eptas {}, opt {})",
+                    r.makespan,
+                    exact.makespan
+                );
+                assert!(ratio >= 1.0 - 1e-9, "{name}: beat the optimum?!");
+            }
         }
     }
 }

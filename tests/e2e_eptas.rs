@@ -77,20 +77,10 @@ fn forced_swap_path_still_feasible() {
 }
 
 #[test]
-fn paper_integral_y_mode() {
-    let mut cfg = EptasConfig::with_epsilon(0.5);
-    cfg.paper_integral_y = true;
-    let inst = gen::uniform(20, 3, 8, 5);
-    let r = Solver::new(cfg).solve_instance(&inst).unwrap();
-    validate_schedule(&inst, &r.schedule).unwrap();
-}
-
-#[test]
 fn two_stage_path_end_to_end() {
-    let mut cfg = EptasConfig::with_epsilon(0.5);
-    cfg.joint_col_budget = 1; // force the scalable path
+    // The x-model, then the greedy small-job realization over it.
     let inst = gen::uniform(30, 4, 12, 3);
-    let r = Solver::new(cfg).solve_instance(&inst).unwrap();
+    let r = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
     validate_schedule(&inst, &r.schedule).unwrap();
 }
 
