@@ -76,10 +76,11 @@ fn n3200_tight_clustered_solves_via_milp_under_the_ceiling() {
         return;
     }
     const PAR_THREADS: usize = 4;
-    // Sequential measured ~5.7s; 4 threads on a real 4-core machine beat
-    // that, so 8s is tight there. A 1-core box still pays the sharded
-    // configuration's overhead sequentially (~12.5s measured), hence the
-    // relaxed ceiling.
+    // Sequential measured ~2.9s (2-core Xeon), and this sharded
+    // configuration ~2.7s pinned to one core and ~3.2s on two. The
+    // ceilings date from ~5.7s sequential and ~12.5s sharded on one core,
+    // before every non-root node LP started warm; they are left as they
+    // were, loose against today's times.
     const PAR_CEILING_SECS: f64 = 8.0;
     const RELAXED_CEILING_SECS: f64 = 20.0;
     let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

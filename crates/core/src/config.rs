@@ -110,10 +110,12 @@ pub struct EptasConfig {
     /// Warm-start branch-and-bound *node* LPs from the parent basis via
     /// the dual simplex (default on): a branching bound change leaves the
     /// parent basis dual feasible, so the child re-optimizes in a few
-    /// dual pivots instead of a cold phase-1/phase-2 solve. Falls back to
-    /// a cold solve per node on numerical singularity or a bound shape
-    /// the warm tableau cannot encode. Off = every node solves cold
-    /// (pre-PR-5 behaviour).
+    /// dual pivots instead of a cold phase-1/phase-2 solve; the first
+    /// down-branch on a tree-priced `[0, inf)` column appends that
+    /// column's bound row to the warm basis. Falls back to a cold solve
+    /// per node only on numerical singularity or an iteration-limited
+    /// warm re-solve. Off = every node solves cold (the reference the
+    /// warm path is tested against).
     pub dual_simplex: bool,
     /// Reduced-cost threshold of the master column lifecycle: a nonbasic
     /// pattern column whose reduced cost stays above this for

@@ -70,9 +70,13 @@ pub enum Pricing {
 
 /// Columns added per pricing round: the DFS collects the top-K improving
 /// leaves rather than only the single best, to cut master re-solves.
-/// Warm starts make extra re-solves cheap while every admitted column
-/// permanently widens the dense tableau, so a small K beats the old 16
-/// (measured on n=400 tight clustered: ~20% fewer total pivots).
+/// Warm starts make extra re-solves cheap, while every admitted column
+/// stays in the master for good: on the sparse revised simplex it is one
+/// more column to price at every pivot, and if it survives into the
+/// restricted MILP one more bound row in every node LP. K = 4 beat the
+/// old 16 on n=400 tight clustered (~20% fewer total pivots), measured
+/// on the dense tableau the sparse engine replaced; it has not been
+/// re-measured since.
 const COLS_PER_ROUND: usize = 4;
 
 /// Warm-started master re-solves accumulate floating-point drift in the
@@ -182,11 +186,14 @@ pub fn generate_columns(
     // is the symbol count (the pre-aggregation gate, byte-for-byte);
     // classed symbols are already collapsed, so the aggregated path is
     // gated on its class count instead — the quantity that stays small
-    // when thousands of per-bag symbols share a few profiles. Past the
-    // budget the dense-tableau simplex dominates everything pricing
-    // saves: declare a stall so the caller takes the eager path (which
-    // degrades exactly like the pre-pricing pipeline on these extreme
-    // instances).
+    // when thousands of per-bag symbols share a few profiles. Each
+    // symbol is a master row, so past the budget every pivot factors and
+    // prices against a basis that many rows tall, and the master LP
+    // dominates everything pricing saves: declare a stall so the caller
+    // takes the eager path (which degrades exactly like the pre-pricing
+    // pipeline on these extreme instances). The budget's default was set
+    // on the dense tableau and has not been re-measured on the sparse
+    // engine.
     let master_size = if classes.all_singletons() { symbols.len() } else { classes.num_classes() };
     if master_size > cfg.pricing_symbol_budget {
         return Pricing::Stalled;
@@ -474,11 +481,15 @@ pub fn generate_columns(
 
     // ---- Final pruning: the restricted MILP pays per column. ----
     // On large instances the converged pool carries hundreds of columns
-    // that the master's optimum never uses; every one of them widens the
-    // dense tableau of *each* branch-and-bound node LP downstream. Keep
-    // the LP support (the columns that matter), the empty pattern and
-    // the singleton seeds (structural feasibility); drop the rest. Small
+    // that the master's optimum never uses; in the restricted MILP every
+    // one of them is an integer variable with a finite upper bound, so
+    // it adds a bound row to *each* branch-and-bound node LP downstream
+    // and one more column to price at every pivot there. Keep the LP
+    // support (the columns that matter), the empty pattern and the
+    // singleton seeds (structural feasibility); drop the rest. Small
     // pools are passed through untouched — pre-aggregation behaviour.
+    // `POOL_CAP` dates from the dense tableau and has not been
+    // re-measured on the sparse engine.
     if pool.len() > POOL_CAP && final_lp.status == LpStatus::Optimal {
         // A column still purged at exit is nonbasic by construction (the
         // guard would have re-admitted a useful one), so it falls to the

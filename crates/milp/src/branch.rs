@@ -11,12 +11,15 @@
 //! which the parent's optimal basis stays dual feasible. Each node hands
 //! its final basis ([`crate::simplex::WarmState`]) to its children, which
 //! re-optimize with the dual simplex ([`crate::dual::reoptimize`])
-//! instead of a cold phase-1/phase-2 solve; any change the dual engine
-//! cannot absorb (numerical singularity, a bound shape the tableau lacks
-//! a row for) falls back to the cold solve. Basis hand-off is by
-//! reference count: small tableaus are shared with both children, large
-//! ones only with the dive child (the sibling re-solves cold on
-//! backtrack) to bound memory by O(1) tableaus instead of O(depth).
+//! instead of a cold phase-1/phase-2 solve. Branching down on a variable
+//! without a finite upper bound — every tree-priced column starts
+//! `[0, inf)` — appends that variable's bound row to the child's basis,
+//! so a node falls back to the cold solve only on a numerically singular
+//! step, an iteration-limited warm re-solve, or a bound relaxation (which
+//! branching never makes). Basis hand-off is by reference count: small
+//! bases are shared with both children, large ones only with the dive
+//! child (the sibling re-solves cold on backtrack) to bound memory by
+//! O(1) bases instead of O(depth).
 //!
 //! **In-tree pricing** ([`TreePricer`], [`solve_milp_with`]): on
 //! restricted column pools the LP-feasible region at a node may be
@@ -837,6 +840,54 @@ mod tests {
         assert_eq!(priced.x.len(), 2, "result must cover the priced column");
         assert_close(2.0 * priced.x[0] + priced.x[1], 3.0);
         assert!(priced.x[1] > 0.5, "the priced column must carry load");
+    }
+
+    /// Branching down on a tree-priced `[0, inf)` column imposes its first
+    /// finite upper bound; the dual engine appends the bound row, so that
+    /// child — like every other non-root node — starts warm.
+    #[test]
+    fn down_branch_on_tree_priced_column_starts_warm() {
+        // 2x + 3y = 5 over integers has the one solution x = y = 1. The
+        // pool starts with x alone (LP x = 2.5); the pricer adds y, whose
+        // lower cost per unit moves the LP to y = 5/3. The up child
+        // y >= 2 is infeasible, the down child y <= 1 lands on (1, 1).
+        let mut m = Model::new();
+        let x = m.add_int_var(1.0, 0.0, f64::INFINITY);
+        m.add_con(&[(x, 2.0)], Eq, 5.0);
+
+        struct CheapColumn {
+            fired: bool,
+        }
+        impl TreePricer for CheapColumn {
+            fn price(&mut self, model: &mut Model, _lp: &LpResult) -> Vec<VarId> {
+                if self.fired {
+                    return vec![];
+                }
+                self.fired = true;
+                let v = model.add_column(1.2, 0.0, f64::INFINITY, &[(0, 3.0)]);
+                model.set_integer(v, true);
+                vec![v]
+            }
+        }
+
+        let solve = |dual_simplex: bool| {
+            let opts = MilpOptions {
+                first_solution: true,
+                price_after_nodes: 0,
+                dual_simplex,
+                ..Default::default()
+            };
+            solve_milp_with(&m, &opts, Some(&mut CheapColumn { fired: false }))
+        };
+        let warm = solve(true);
+        let cold = solve(false);
+        assert_eq!(warm.tree_columns, 1);
+        assert_eq!(warm.status, MilpStatus::Feasible);
+        assert_close(warm.x[1], 1.0);
+        assert!(warm.nodes >= 3, "the down child must be explored ({} nodes)", warm.nodes);
+        assert_eq!(warm.node_warm_starts, warm.nodes - 1, "a non-root node solved cold");
+        assert_eq!(warm.status, cold.status);
+        assert_close(warm.objective, cold.objective);
     }
 
     /// A column priced before the incumbent is part of the result's

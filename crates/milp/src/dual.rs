@@ -19,6 +19,14 @@
 //!   and the variable's own bound row by `-d`;
 //! * lowering `ub` by `d` shifts only the bound row, by `-d`.
 //!
+//! A variable with no finite upper bound has no bound row — every column
+//! the in-tree pricer appends starts `[0, inf)` — so the first down-branch
+//! `x <= floor(v)` on it appends one: the row `x' <= ub - lb` goes below
+//! the existing rows with its slack basic, which keeps the basis square
+//! and dual feasible, and the factorization is rebuilt once. If the
+//! variable sits above its new bound, that slack is negative and the dual
+//! pivots below drive it out like any other infeasible row.
+//!
 //! The deltas are applied to the stored normalized RHS `b0` and the basic
 //! solution is refreshed with one FTRAN. Per dual pivot: the leaving row
 //! is the most primal-infeasible basic, its inverse row `rho = B^-T e_r`
@@ -62,13 +70,16 @@ pub struct DualOutcome {
 /// Re-optimize `model` from a previous optimal basis after variable-bound
 /// changes (and/or appended `[0, inf)` columns / objective edits).
 ///
-/// Returns `None` — leaving `state` in an unspecified but unused-able
-/// state only on the singular path; callers must treat `None` as "discard
-/// the state and solve cold" — when the change cannot be absorbed:
-/// different constraint count, a finite upper bound imposed on a variable
-/// that never had a bound row, a bound *relaxation* to infinity, an
-/// appended column with non-`[0, inf)` bounds, or a numerically singular
-/// dual step.
+/// A first finite upper bound on a variable that had none appends that
+/// variable's bound row to `state` (its slack basic) before the dual
+/// pivots run, so the state grows by one row per such variable.
+///
+/// Returns `None` when the change cannot be absorbed: a different
+/// constraint count, a bound *relaxation* to infinity, an appended column
+/// with non-`[0, inf)` bounds, a singular basis rebuild after appending a
+/// bound row, or a numerically singular dual step. `state` may then be
+/// partly updated, so callers must treat `None` as "discard the state and
+/// solve cold".
 pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Option<DualOutcome> {
     let _span = bagsched_types::obs::Span::enter("milp.dual");
     if model.cons.len() != state.num_cons {
@@ -81,6 +92,7 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         return None;
     }
     let mut changed: Vec<(usize, f64, f64)> = Vec::new(); // (var, d_lb, bound-row rhs delta)
+    let mut new_rows: Vec<(usize, f64)> = Vec::new(); // (var, bound-row rhs)
     for (j, (v, &(lb_old, ub_old))) in model.vars.iter().zip(&state.bounds).enumerate() {
         if v.lb == lb_old && v.ub == ub_old {
             continue;
@@ -96,12 +108,17 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         let d_range = match (ub_old.is_finite(), v.ub.is_finite()) {
             (true, true) => (v.ub - v.lb) - (ub_old - lb_old),
             (false, false) => 0.0,
-            // A newly finite ub needs a bound row the basis does not
-            // have; relaxing a finite ub to infinity would need to delete
-            // one. Neither is a branching move: cold path.
-            _ => return None,
+            // A first finite ub — the down-branch on a `[0, inf)` column —
+            // gets its bound row appended, built at the new range.
+            (false, true) => {
+                new_rows.push((j, (v.ub - v.lb).max(0.0)));
+                0.0
+            }
+            // Relaxing a finite ub to infinity would need to delete a
+            // row. It is not a branching move: cold path.
+            (true, false) => return None,
         };
-        if v.ub.is_finite() && state.bound_row_of_var.get(j).copied().flatten().is_none() {
+        if ub_old.is_finite() && state.bound_row_of_var.get(j).copied().flatten().is_none() {
             return None;
         }
         changed.push((j, d_lb, d_range));
@@ -111,6 +128,9 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         return None;
     }
     let (rf0, eu0) = state.counters();
+    if !simplex::append_bound_rows(state, &new_rows) {
+        return None;
+    }
 
     // ---- Translate bound deltas into RHS deltas on `b0` and refresh
     // the basic solution with one FTRAN. ----
@@ -376,14 +396,55 @@ mod tests {
     }
 
     #[test]
-    fn newly_finite_ub_rejected() {
-        // The variable never had a bound row: the basis cannot encode
-        // the new ub, so the engine must hand back to the cold path.
+    fn newly_finite_ub_absorbed() {
+        // x is basic at 9 and never had a bound row: the engine appends
+        // one (its slack basic at 4 - 9 < 0) and pivots the slack out.
         let mut m = Model::new();
         let x = m.add_var(-1.0, 0.0, f64::INFINITY);
         m.add_con(&[(x, 1.0)], Le, 9.0);
         let mut state = warm_of(&m);
+        let rows = state.c.rows;
         m.set_bounds(x, 0.0, 4.0);
+        let out = reoptimize(&m, 10_000, &mut state).expect("bound row appended: warm path");
+        assert_eq!(out.lp.status, LpStatus::Optimal);
+        let cold = m.solve_lp();
+        assert_close(out.lp.objective, cold.objective);
+        assert_close(out.lp.x[0], 4.0);
+        assert!(out.dual_pivots >= 1, "x sat above its new bound: the slack must pivot out");
+        assert_eq!(state.c.rows, rows + 1, "one bound row appended");
+        assert_eq!(state.bound_row_of_var[0], Some(rows));
+        // The appended row is an ordinary bound row from now on.
+        m.set_bounds(x, 0.0, 2.0);
+        let out = reoptimize(&m, 10_000, &mut state).expect("warm path");
+        assert_close(out.lp.x[0], 2.0);
+        assert_eq!(state.c.rows, rows + 1, "no second row for the same variable");
+    }
+
+    #[test]
+    fn newly_finite_ub_on_nonbasic_var_needs_no_pivot() {
+        // y is nonbasic at 0 (x covers the row more cheaply), so its new
+        // bound row starts feasible: appended, refactorized, 0 pivots.
+        let mut m = Model::new();
+        let x = m.add_var(1.0, 0.0, f64::INFINITY);
+        let y = m.add_var(2.0, 0.0, f64::INFINITY);
+        m.add_con(&[(x, 1.0), (y, 1.0)], Ge, 2.0);
+        let mut state = warm_of(&m);
+        m.set_bounds(y, 0.0, 3.0);
+        let out = reoptimize(&m, 10_000, &mut state).expect("warm path");
+        assert_eq!(out.lp.status, LpStatus::Optimal);
+        assert_close(out.lp.objective, 2.0);
+        assert_eq!(out.dual_pivots, 0, "a nonbasic variable already meets its new bound");
+        assert!(state.bound_row_of_var[y.0].is_some());
+    }
+
+    #[test]
+    fn finite_ub_relaxed_to_infinity_goes_cold() {
+        // Dropping a bound row is not a branching move.
+        let mut m = Model::new();
+        let x = m.add_var(-1.0, 0.0, 4.0);
+        m.add_con(&[(x, 1.0)], Le, 9.0);
+        let mut state = warm_of(&m);
+        m.set_bounds(x, 0.0, f64::INFINITY);
         assert!(reoptimize(&m, 10_000, &mut state).is_none());
     }
 
@@ -488,9 +549,10 @@ mod tests {
         assert_close(out.lp.objective, cold.objective);
     }
 
-    /// Seeded sweep: random bounded LPs, random bound tightenings — the
-    /// warm dual re-solve must agree with a cold solve on status and
-    /// objective every time.
+    /// Seeded sweep: random LPs, random bound tightenings — the warm dual
+    /// re-solve must agree with a cold solve on status and objective
+    /// every time. Some variables start at `ub = inf`, so the sweep also
+    /// imposes first finite bounds (appended bound rows).
     #[test]
     fn random_bound_changes_match_cold() {
         struct Rng(u64);
@@ -505,11 +567,17 @@ mod tests {
                 self.f(lo as f64, hi as f64 + 1.0).floor().min(hi as f64) as usize
             }
         }
+        let mut first_bounds = 0usize;
         for seed in 1..=40u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
             let n = rng.u(3, 6);
             let mut m = Model::new();
-            let vars: Vec<_> = (0..n).map(|_| m.add_var(rng.f(-1.0, 2.0), 0.0, 10.0)).collect();
+            let vars: Vec<_> = (0..n)
+                .map(|_| {
+                    let ub = if rng.f(0.0, 1.0) < 0.4 { f64::INFINITY } else { 10.0 };
+                    m.add_var(rng.f(-1.0, 2.0), 0.0, ub)
+                })
+                .collect();
             for _ in 0..rng.u(2, 5) {
                 let terms: Vec<_> = vars.iter().map(|&v| (v, rng.f(0.1, 1.5))).collect();
                 m.add_con(&terms, if rng.f(0.0, 1.0) < 0.5 { Ge } else { Le }, rng.f(1.0, 12.0));
@@ -520,17 +588,21 @@ mod tests {
             }
             let mut state = state.unwrap();
             for round in 0..4 {
-                // Tighten a random bound the way branching would.
+                // Tighten a random bound the way branching would; an
+                // infinite ub gets its first finite value.
                 let j = rng.u(0, n - 1);
                 let (lb, ub) = m.bounds(vars[j]);
-                if rng.f(0.0, 1.0) < 0.5 {
-                    m.set_bounds(vars[j], lb, (lb + rng.f(0.0, ub - lb)).min(ub));
+                let span = if ub.is_finite() { ub - lb } else { 12.0 };
+                let first = !ub.is_finite() && rng.f(0.0, 1.0) < 0.5;
+                if first || (ub.is_finite() && rng.f(0.0, 1.0) < 0.5) {
+                    m.set_bounds(vars[j], lb, (lb + rng.f(0.0, span)).min(ub));
                 } else {
-                    m.set_bounds(vars[j], (ub - rng.f(0.0, ub - lb)).max(lb), ub);
+                    m.set_bounds(vars[j], (lb + span - rng.f(0.0, span)).max(lb), ub);
                 }
                 let Some(out) = reoptimize(&m, 10_000, &mut state) else {
                     break; // singular step: cold fallback, nothing to check
                 };
+                first_bounds += usize::from(first);
                 let cold = m.solve_lp();
                 assert_eq!(
                     out.lp.status, cold.status,
@@ -551,5 +623,6 @@ mod tests {
                 );
             }
         }
+        assert!(first_bounds >= 5, "only {first_bounds} first finite bounds were absorbed");
     }
 }

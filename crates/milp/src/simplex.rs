@@ -141,12 +141,14 @@ impl Core {
 
     /// Rebuild the factorization off the current basis columns and
     /// recompute `xb` from `b0`. A (numerically) singular rebuild keeps
-    /// the old — still valid — eta file.
-    pub(crate) fn refactor(&mut self) {
-        if self.factor.refactor(&self.cols, &mut self.basis) {
+    /// the old — still valid — eta file and returns `false`.
+    pub(crate) fn refactor(&mut self) -> bool {
+        let ok = self.factor.refactor(&self.cols, &mut self.basis);
+        if ok {
             self.xb.copy_from_slice(&self.b0);
             self.factor.ftran(&mut self.xb);
         }
+        ok
     }
 
     /// Ratio test: leaving row for the transformed entering column `w`,
@@ -282,10 +284,12 @@ pub struct WarmState {
     /// re-solve means the warm basis is stale (the dual engine absorbs
     /// the mismatch instead — see [`crate::dual::reoptimize`]).
     pub(crate) bounds: Vec<(f64, f64)>,
-    /// Per variable seen at build time: the row carrying its
-    /// `x' <= ub - lb` bound row, if the variable had a finite upper
-    /// bound. The dual engine edits these rows' RHS when branching
-    /// tightens bounds. Appended columns (always `[0, inf)`) get `None`.
+    /// Per variable seen so far: the row carrying its `x' <= ub - lb`
+    /// bound row, if the variable has a finite upper bound. The dual
+    /// engine edits these rows' RHS when branching tightens bounds, and
+    /// appends one ([`append_bound_rows`]) when branching first bounds a
+    /// variable that had none — appended columns always start `[0, inf)`
+    /// with `None`.
     pub(crate) bound_row_of_var: Vec<Option<usize>>,
     pub(crate) num_cons: usize,
 }
@@ -594,6 +598,41 @@ pub(crate) fn graft_columns(model: &Model, state: &mut WarmState) -> bool {
         state.bounds.push((0.0, f64::INFINITY));
     }
     true
+}
+
+/// Give each listed variable `(var, ub - lb)` — one that so far had no
+/// upper bound, hence no bound row — its `x' <= ub - lb` row: the row is
+/// appended below the existing ones, the variable's column gains its `+1`
+/// entry, and a fresh slack column enters the basis in the new row, so
+/// the basis stays square and keeps its dual feasibility. The
+/// factorization is then rebuilt and `xb = B^-1 b0` recomputed; a
+/// variable already above its new bound shows up as a negative slack,
+/// which the dual simplex drives out like any other primal infeasibility.
+///
+/// Returns `false` when a variable has no column in the state or the
+/// rebuilt basis is numerically singular; the state is then unusable and
+/// the caller must solve cold.
+pub(crate) fn append_bound_rows(state: &mut WarmState, rows: &[(usize, f64)]) -> bool {
+    if rows.is_empty() {
+        return true;
+    }
+    for &(v, range) in rows {
+        let Some(col) = state.var_of_col.iter().position(|&c| c == Some(v)) else {
+            return false;
+        };
+        let r = state.c.rows;
+        let slack = state.c.ncols();
+        state.c.cols[col].push((r, 1.0));
+        state.c.cols.push(vec![(r, 1.0)]);
+        state.c.in_basis.push(true);
+        state.c.basis.push(slack);
+        state.c.b0.push(range);
+        state.c.xb.push(range);
+        state.c.rows += 1;
+        state.var_of_col.push(None);
+        state.bound_row_of_var[v] = Some(r);
+    }
+    state.c.refactor()
 }
 
 /// Read the optimal solution and duals off a converged warm basis.

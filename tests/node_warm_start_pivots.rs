@@ -50,6 +50,27 @@ fn node_warm_starts_cut_restricted_milp_pivots() {
     );
 }
 
+/// The first `tight-milp` benchmark cell: its one restricted MILP prices
+/// columns inside the tree and branches down on them, and every node but
+/// the root must still start warm — a down-branch on a `[0, inf)` tree
+/// column appends its bound row instead of forcing a cold node LP.
+#[test]
+fn every_non_root_node_starts_warm_on_the_tight_benchmark_cell() {
+    let inst = gen::clustered(300, 100, 100, 5, 2);
+    let r = run(&inst, true);
+    let s = &r.report.stats;
+    assert!(!r.report.fell_back_to_lpt, "the cell must take the priced path");
+    assert_eq!(r.report.guesses_tried, 1, "one guess, hence one restricted MILP");
+    assert!(s.tree_columns_generated > 0, "the tree pricer must engage on this cell");
+    assert_eq!(
+        s.node_warm_starts + 1,
+        s.milp_nodes,
+        "only the root may solve cold ({} warm of {} nodes)",
+        s.node_warm_starts,
+        s.milp_nodes
+    );
+}
+
 /// Warm == cold, semantically: across every generator family and a
 /// seeded sweep, the two paths must reach identical verdicts (LPT
 /// fallback or not, same accepted guess) and byte-identical makespans.
