@@ -69,7 +69,7 @@ impl BagClasses {
     /// Compute *coarse* classes by template-based profile quantization:
     /// each priority bag's `(rounded exponent, job class) -> count`
     /// profile is mapped onto a geometric count grid (buckets of
-    /// relative width `tol`, see [`count_bucket`]) and bags whose
+    /// relative width `tol`, see `count_bucket`) and bags whose
     /// quantized profiles coincide share a class — even when their exact
     /// per-size counts differ by up to a `(1 + tol)` factor.
     ///

@@ -6,8 +6,6 @@
 //! clamping preserves the approximation guarantee — e.g. making *all*
 //! bags priority is strictly more constrained than the paper requires.
 
-use std::time::Duration;
-
 /// Tuning parameters for a [`Solver`](crate::Solver).
 #[derive(Debug, Clone)]
 pub struct EptasConfig {
@@ -25,19 +23,11 @@ pub struct EptasConfig {
     pub priority_cap: Option<usize>,
     /// Branch-and-bound node budget per MILP solve.
     pub milp_max_nodes: usize,
-    /// Wall-clock budget per MILP solve.
-    pub milp_time_limit: Duration,
     /// Generate patterns by column-generation pricing against the master
     /// LP duals instead of eager enumeration (default). Eager enumeration
     /// remains the cross-validation oracle and the fallback when pricing
     /// stalls.
     pub column_generation: bool,
-    /// Pricing rounds (master LP solve + pricing DFS) per guess before
-    /// the loop declares a stall and falls back to eager enumeration.
-    pub pricing_max_rounds: usize,
-    /// DFS node budget per pricing round; exceeding it makes the round
-    /// inexact (no infeasibility proofs, possible stall).
-    pub pricing_dfs_node_budget: usize,
     /// Safety-valve on the pricing master's size. Three gates read it:
     ///
     /// 1. **per-bag engagement** — instances whose *per-bag* symbol
@@ -96,11 +86,6 @@ pub struct EptasConfig {
     /// merge more aggressively and shift more work onto the declass
     /// repair pass.
     pub coarse_tolerance: f64,
-    /// Warm-start master-LP re-solves inside the pricing loop from the
-    /// previous optimal basis instead of a cold two-phase solve
-    /// (default). Per-round pivot work then scales with the newly priced
-    /// columns rather than the whole tableau.
-    pub warm_start: bool,
     /// Eager-enumeration budget used to consult the oracle when the MILP
     /// over the priced pool fails inconclusively. Kept far below
     /// `max_patterns`: on instances where enumeration is cheap this
@@ -135,14 +120,12 @@ pub struct EptasConfig {
     pub solver_threads: usize,
     /// Shards the pricing DFS is partitioned into per round: shard `s`
     /// explores only patterns whose first used item index is `≡ s (mod
-    /// shards)`, each with the full [`pricing_dfs_node_budget`], and
+    /// shards)`, each with the full DFS node budget of a round, and
     /// candidates merge under a deterministic (profit, key) sort.
     /// `1` (the default) is the classic single-DFS path, bit-for-bit.
     /// Note the *shard count* is part of the configuration — different
     /// shard counts may keep different candidates at profit ties — while
     /// the thread count executing the shards never changes the result.
-    ///
-    /// [`pricing_dfs_node_budget`]: EptasConfig::pricing_dfs_node_budget
     pub pricing_shards: usize,
     /// Budget of the speculative binary-search window: up to this many
     /// adjacent guesses (the midpoint plus its predicted successors) are
@@ -171,16 +154,12 @@ impl EptasConfig {
             max_patterns: 20_000,
             priority_cap: None,
             milp_max_nodes: 20_000,
-            milp_time_limit: Duration::from_secs(20),
             column_generation: true,
-            pricing_max_rounds: 400,
-            pricing_dfs_node_budget: 200_000,
             pricing_symbol_budget: 200,
             pricing_fallback_budget: 2000,
             class_aggregation: true,
             class_coarsening: true,
             coarse_tolerance: 0.5,
-            warm_start: true,
             dual_simplex: true,
             column_purge_threshold: 0.1,
             solver_threads: 1,

@@ -10,7 +10,7 @@
 //! the report, zero on the paper path) would repair any residual
 //! conflict.
 //!
-//! The driver is session-aware: [`solve_session_inner`] optionally takes
+//! The driver is session-aware: `solve_session_inner` optionally takes
 //! a [`SolverState`] captured by a previous run on the same rounded
 //! instance shape and *replays* it — the cached winning guess is retried
 //! first with the cached pattern solution, and only on a seed mismatch

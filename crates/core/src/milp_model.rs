@@ -23,7 +23,7 @@
 //!   exclusion.
 //!
 //! The small jobs' `y` is then realized greedily over the solved `x`
-//! ([`greedy_small_y`]): priority pairs per pattern, fractional
+//! (`greedy_small_y`): priority pairs per pattern, fractional
 //! throughout (constraint (7)'s integral `y` is replaced by the
 //! Corollary-1 merge in [`crate::small`], the same `O(eps)` error at
 //! practical constants). Non-priority small jobs enter by area alone,
@@ -61,6 +61,7 @@ use crate::transform::Transformed;
 use bagsched_milp::{solve_milp_with, MilpOptions, MilpResult, MilpStatus, Model, Relation, VarId};
 use bagsched_types::{BagId, JobId};
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// A priority size-restricted bag of small jobs: `B_l^s` with `l` priority.
 #[derive(Debug, Clone)]
@@ -647,10 +648,13 @@ fn record_milp(stats: &mut Stats, res: &bagsched_milp::MilpResult) {
     stats.eta_updates += res.eta_updates as u64;
 }
 
+/// Wall-clock budget per restricted-MILP solve.
+const MILP_TIME_LIMIT: Duration = Duration::from_secs(20);
+
 fn milp_options(cfg: &EptasConfig, cancel: Option<&CancelToken>) -> MilpOptions {
     MilpOptions {
         max_nodes: cfg.milp_max_nodes,
-        time_limit: cfg.milp_time_limit,
+        time_limit: MILP_TIME_LIMIT,
         int_tol: 1e-6,
         first_solution: true,
         dual_simplex: cfg.dual_simplex,

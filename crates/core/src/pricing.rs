@@ -85,9 +85,17 @@ const COLS_PER_ROUND: usize = 4;
 /// *within* a solve).
 const WARM_REFRESH_EVERY: usize = 32;
 
-/// Consecutive feasibility-master re-solves a nonbasic column must price
-/// above [`EptasConfig::column_purge_threshold`] before it is purged.
+/// Consecutive master re-solves a nonbasic column must price above
+/// [`EptasConfig::column_purge_threshold`] before it is purged.
 const PURGE_PATIENCE: u32 = 3;
+
+/// Pricing rounds (master LP solve + pricing DFS) per guess before the
+/// loop declares a stall and falls back to eager enumeration.
+const MAX_ROUNDS: usize = 400;
+
+/// DFS node budget per pricing round (per shard when sharded); exceeding
+/// it makes the round inexact (no infeasibility proofs, possible stall).
+const DFS_NODE_BUDGET: usize = 200_000;
 
 /// Round cap of the enrichment phase (phase B) on **wide** masters —
 /// those carrying more structural columns than
@@ -114,47 +122,75 @@ const TREE_ROUND_CAP: usize = 16;
 /// entries.
 pub(crate) type PatternKey = Vec<(usize, u16)>;
 
-/// The master-LP solver state threaded through the pricing rounds: the
-/// warm-start basis plus the pivot count of the last cold solve (the
-/// baseline that [`Stats::warm_start_pivots_saved`] is estimated
-/// against).
+/// The master LP and its column lifecycle, threaded through the pricing
+/// rounds of both phases.
+///
+/// `cols[i]` is pattern `i`'s current model variable, `None` while purged
+/// (the pattern itself never leaves the pool or the dedup key set, so
+/// pricing cannot re-propose it and the re-admission guard can bring it
+/// back). `streak[i]` counts the consecutive re-solves it spent nonbasic
+/// above the purge threshold. The warm-start basis rides along with the
+/// pivot count of the last cold solve (the baseline that
+/// [`Stats::warm_start_pivots_saved`] is estimated against).
 struct Master {
+    model: Model,
+    pool: Vec<Pattern>,
+    keys: HashSet<PatternKey>,
+    cols: Vec<Option<VarId>>,
+    streak: Vec<u32>,
+    /// Row of the aggregate small-area cut (the last master row).
+    area_row: usize,
+    /// Height bound `T`.
+    t: f64,
+    /// Objective coefficient of a nonempty pattern column: 0 under the
+    /// feasibility objective (phase A), 1 under the machine count
+    /// (phase B).
+    col_cost: f64,
+    purge_threshold: f64,
     warm: Option<WarmState>,
     last_cold_pivots: u64,
     solves_since_refresh: usize,
 }
 
 impl Master {
-    fn new() -> Self {
-        Master { warm: None, last_cold_pivots: 0, solves_since_refresh: 0 }
+    /// The master over `model`'s rows with one column per seed pattern.
+    fn new(mut model: Model, pool: Vec<Pattern>, t: f64, purge_threshold: f64) -> Self {
+        let area_row = model.num_cons() - 1;
+        let cols = pool.iter().map(|p| Some(add_pattern_column(&mut model, p, area_row, t, 0.0)));
+        Master {
+            cols: cols.collect(),
+            keys: pool.iter().map(|p| p.entries.clone()).collect(),
+            streak: vec![0; pool.len()],
+            model,
+            pool,
+            area_row,
+            t,
+            col_cost: 0.0,
+            purge_threshold,
+            warm: None,
+            last_cold_pivots: 0,
+            solves_since_refresh: 0,
+        }
     }
 
-    /// Drop the warm basis (phase transitions change variable bounds,
-    /// which the warm tableau cannot absorb).
+    /// Drop the warm basis and restart the refresh cadence.
     fn invalidate(&mut self) {
         self.warm = None;
         self.solves_since_refresh = 0;
     }
 
-    /// One master solve: warm when enabled and a basis is available,
-    /// cold otherwise, with a periodic cold refresh for numerical
-    /// hygiene. Counts pivots/solves and the warm-start saving estimate.
-    fn solve(&mut self, model: &Model, cfg: &EptasConfig, stats: &mut Stats) -> LpResult {
+    /// One master LP solve: warm when a basis is available, cold
+    /// otherwise, with a periodic cold refresh for numerical hygiene.
+    /// Counts pivots/solves and the warm-start saving estimate.
+    fn solve_once(&mut self, stats: &mut Stats) -> LpResult {
         let _span = obs::Span::enter("pricing.master_lp");
         stats.lp_solves += 1;
-        if !cfg.warm_start {
-            let lp = model.solve_lp();
-            stats.simplex_pivots += lp.iterations as u64;
-            stats.basis_refactorizations += lp.refactorizations as u64;
-            stats.eta_updates += lp.eta_updates as u64;
-            return lp;
-        }
         self.solves_since_refresh += 1;
         if self.solves_since_refresh >= WARM_REFRESH_EVERY {
             self.invalidate();
             self.solves_since_refresh = 1;
         }
-        let (lp, was_warm) = model.solve_lp_with(&mut self.warm);
+        let (lp, was_warm) = self.model.solve_lp_with(&mut self.warm);
         stats.simplex_pivots += lp.iterations as u64;
         stats.basis_refactorizations += lp.refactorizations as u64;
         stats.eta_updates += lp.eta_updates as u64;
@@ -167,6 +203,103 @@ impl Master {
             self.last_cold_pivots = lp.iterations as u64;
         }
         lp
+    }
+
+    /// Solve the master behind the re-admission guard: a purged column
+    /// that prices negative under the new duals would make the optimum
+    /// under-informed (the purge is a restriction, not a relaxation).
+    /// Re-admit and re-solve to a fixpoint, so every optimum acted on — the
+    /// exit tests, the purge decision, the pricing round — is optimal
+    /// over the *full* pool, exactly as if no column had ever been purged.
+    fn solve(&mut self, stats: &mut Stats) -> LpResult {
+        let mut lp = self.solve_once(stats);
+        while lp.status == LpStatus::Optimal {
+            let mut readmitted = false;
+            for (i, pat) in self.pool.iter().enumerate() {
+                if self.cols[i].is_none()
+                    && pattern_rc(pat, &lp.duals, self.area_row, self.t, self.col_cost) < -1e-7
+                {
+                    let v = add_pattern_column(
+                        &mut self.model,
+                        pat,
+                        self.area_row,
+                        self.t,
+                        self.col_cost,
+                    );
+                    self.cols[i] = Some(v);
+                    self.streak[i] = 0;
+                    stats.columns_readmitted += 1;
+                    readmitted = true;
+                }
+            }
+            if !readmitted {
+                break;
+            }
+            lp = self.solve_once(stats);
+        }
+        lp
+    }
+
+    /// Purge decision: a nonbasic column priced above the threshold for
+    /// [`PURGE_PATIENCE`] consecutive re-solves is physically removed from
+    /// the master (pattern and key stay pooled; the re-admission guard
+    /// re-admits it if it ever prices negative again). The empty pattern
+    /// and the singleton seeds are exempt — they are the
+    /// structural-feasibility floor the final pruning also preserves.
+    /// Purging remaps the surviving `VarId`s, so `lp.x` is stale after it.
+    fn purge(&mut self, lp: &LpResult, stats: &mut Stats) {
+        if !self.purge_threshold.is_finite() {
+            return;
+        }
+        let mut victims: Vec<VarId> = Vec::new();
+        let mut victim_idx: Vec<usize> = Vec::new();
+        for (i, pat) in self.pool.iter().enumerate() {
+            let Some(v) = self.cols[i] else { continue };
+            if pat.is_empty() || pat.num_slots() == 1 {
+                continue;
+            }
+            let rc = pattern_rc(pat, &lp.duals, self.area_row, self.t, self.col_cost);
+            if lp.x[v.0] <= 1e-9 && rc > self.purge_threshold {
+                self.streak[i] += 1;
+                if self.streak[i] >= PURGE_PATIENCE {
+                    victims.push(v);
+                    victim_idx.push(i);
+                }
+            } else {
+                self.streak[i] = 0;
+            }
+        }
+        if !victims.is_empty()
+            && bagsched_milp::purge_columns(&mut self.model, self.warm.as_mut(), &victims)
+        {
+            stats.columns_purged += victims.len() as u64;
+            for &i in &victim_idx {
+                self.cols[i] = None;
+            }
+            // Surviving variables shift down past the purged ones.
+            for c in self.cols.iter_mut().flatten() {
+                c.0 -= victims.iter().filter(|w| w.0 < c.0).count();
+            }
+        }
+        // Reset the victims' streaks either way: on a refused purge (a
+        // degenerate basic victim) retrying next solve is fine, but
+        // hot-looping on the same set every solve is not.
+        for &i in &victim_idx {
+            self.streak[i] = 0;
+        }
+    }
+
+    /// Admit priced patterns: each joins the pool, the dedup key set and
+    /// the master model.
+    fn admit(&mut self, cands: Vec<Pattern>, stats: &mut Stats) {
+        for pat in cands {
+            self.keys.insert(pat.entries.clone());
+            let v = add_pattern_column(&mut self.model, &pat, self.area_row, self.t, self.col_cost);
+            self.cols.push(Some(v));
+            self.streak.push(0);
+            self.pool.push(pat);
+            stats.columns_generated += 1;
+        }
     }
 }
 
@@ -205,16 +338,14 @@ pub fn generate_columns(
         .map(|j| trans.tinst.size(JobId(j as u32)))
         .sum();
 
-    let mut pool = seed_pool(trans, symbols, classes);
+    let pool = seed_pool(trans, symbols, classes);
     stats.patterns_enumerated += pool.len() as u64;
-    let mut keys: HashSet<PatternKey> = pool.iter().map(|p| p.entries.clone()).collect();
 
     // Master model. Rows: 0 = machines (1), 1..=S = symbol coverings (2),
     // S+1 = aggregate small area. The overflow variables make the
     // feasibility phase structurally feasible together with the singleton
     // seed columns. Priced columns are appended in place via
     // `Model::add_column`; the model is never rebuilt.
-    let area_row = symbols.len() + 1;
     let mut model = Model::new();
     let z_machines = model.add_var(1.0, 0.0, f64::INFINITY);
     let z_area = model.add_var(1.0, 0.0, f64::INFINITY);
@@ -223,19 +354,9 @@ pub fn generate_columns(
         model.add_con(&[], Relation::Eq, sym.avail as f64);
     }
     model.add_con(&[(z_area, 1.0)], Relation::Ge, small_area);
-    // Master column lifecycle: `cols[i]` is pattern `i`'s current model
-    // variable, `None` while purged (the pattern itself never leaves the
-    // pool or the dedup key set, so pricing cannot re-propose it and the
-    // re-admission guard can bring it back). `streak[i]` counts the
-    // consecutive re-solves it spent nonbasic above the purge threshold.
-    let mut cols: Vec<Option<VarId>> = Vec::with_capacity(pool.len());
-    for pat in &pool {
-        cols.push(Some(add_pattern_column(&mut model, pat, area_row, t, 0.0)));
-    }
-    let mut streak: Vec<u32> = vec![0; pool.len()];
+    let mut master = Master::new(model, pool, t, cfg.column_purge_threshold);
 
     let mut rounds = 0usize;
-    let mut master = Master::new();
     let px = PriceCtx { symbols, classes, t };
 
     // ---- Phase A: feasibility (minimize the overflow). ----
@@ -243,31 +364,7 @@ pub fn generate_columns(
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Pricing::Cancelled;
         }
-        let mut lp = master.solve(&model, cfg, stats);
-        // Re-admission guard: a purged column that prices negative under
-        // the new duals would make this optimum under-informed (the purge
-        // is a restriction, not a relaxation). Re-admit and re-solve to a
-        // fixpoint, so every optimum acted on below — the overflow test,
-        // the purge decision, the pricing round — is optimal over the
-        // *full* pool, exactly as if no column had ever been purged.
-        while lp.status == LpStatus::Optimal {
-            let mut readmitted = false;
-            for i in 0..pool.len() {
-                if cols[i].is_some() {
-                    continue;
-                }
-                if pattern_rc(&pool[i], &lp.duals, area_row, t, 0.0) < -1e-7 {
-                    cols[i] = Some(add_pattern_column(&mut model, &pool[i], area_row, t, 0.0));
-                    streak[i] = 0;
-                    stats.columns_readmitted += 1;
-                    readmitted = true;
-                }
-            }
-            if !readmitted {
-                break;
-            }
-            lp = master.solve(&model, cfg, stats);
-        }
+        let lp = master.solve(stats);
         if lp.status != LpStatus::Optimal {
             // The overflow variables make the master feasible and the
             // objective nonnegative; anything else is numerical distress.
@@ -277,56 +374,13 @@ pub fn generate_columns(
         if overflow <= 1e-7 {
             break;
         }
-        if rounds >= cfg.pricing_max_rounds {
+        if rounds >= MAX_ROUNDS {
             return Pricing::Stalled;
         }
-        // Purge decision: a nonbasic column priced above the threshold for
-        // PURGE_PATIENCE consecutive re-solves is physically removed from
-        // the master (pattern and key stay pooled; the guard above
-        // re-admits it if it ever prices negative again). The empty
-        // pattern and the singleton seeds are exempt — they are the
-        // structural-feasibility floor the final pruning also preserves.
-        if cfg.column_purge_threshold.is_finite() {
-            let mut victims: Vec<VarId> = Vec::new();
-            let mut victim_idx: Vec<usize> = Vec::new();
-            for i in 0..pool.len() {
-                let Some(v) = cols[i] else { continue };
-                if pool[i].is_empty() || pool[i].num_slots() == 1 {
-                    continue;
-                }
-                let rc = pattern_rc(&pool[i], &lp.duals, area_row, t, 0.0);
-                if lp.x[v.0] <= 1e-9 && rc > cfg.column_purge_threshold {
-                    streak[i] += 1;
-                    if streak[i] >= PURGE_PATIENCE {
-                        victims.push(v);
-                        victim_idx.push(i);
-                    }
-                } else {
-                    streak[i] = 0;
-                }
-            }
-            if !victims.is_empty()
-                && bagsched_milp::purge_columns(&mut model, master.warm.as_mut(), &victims)
-            {
-                stats.columns_purged += victims.len() as u64;
-                for &i in &victim_idx {
-                    cols[i] = None;
-                }
-                // Surviving variables shift down past the purged ones.
-                for c in cols.iter_mut().flatten() {
-                    c.0 -= victims.iter().filter(|w| w.0 < c.0).count();
-                }
-            }
-            // Reset the victims' streaks either way: on a refused purge
-            // (a degenerate basic victim) retrying next solve is fine,
-            // but hot-looping on the same set every solve is not.
-            for &i in &victim_idx {
-                streak[i] = 0;
-            }
-        }
+        master.purge(&lp, stats);
         rounds += 1;
         stats.pricing_rounds += 1;
-        let (cands, complete) = price(&px, &lp.duals, 0.0, cfg, stats, &keys);
+        let (cands, complete) = price(&px, &lp.duals, master.col_cost, cfg, stats, &master.keys);
         if cands.is_empty() {
             // With an exhaustive pricing round, "no improving column"
             // certifies the master optimum equals the full-pattern
@@ -342,40 +396,34 @@ pub fn generate_columns(
                 Pricing::Stalled
             };
         }
-        for pat in cands {
-            keys.insert(pat.entries.clone());
-            cols.push(Some(add_pattern_column(&mut model, &pat, area_row, t, 0.0)));
-            streak.push(0);
-            pool.push(pat);
-            stats.columns_generated += 1;
-        }
+        master.admit(cands, stats);
     }
 
     // ---- Phase B: minimize machines used to enrich the pool. ----
     // The overflow variables pin to zero and the pattern columns take the
     // machine-count objective. The mutation is by `VarId`, so it applies
     // to the purge-compacted model exactly as to an untouched one, and
-    // columns purged in phase A stay out — the phase-B re-admission
-    // guard brings any of them back the moment it prices negative under
-    // the new objective's duals. Streaks reset: a reduced cost under the
+    // columns purged in phase A stay out — the re-admission guard brings
+    // any of them back the moment it prices negative under the new
+    // objective's duals (purged columns are never the empty seed, so
+    // their coefficient is 1). Streaks reset: a reduced cost under the
     // feasibility objective says nothing about the machine-count one.
-    model.set_bounds(z_machines, 0.0, 0.0);
-    model.set_bounds(z_area, 0.0, 0.0);
-    model.set_obj(z_machines, 0.0);
-    model.set_obj(z_area, 0.0);
-    for (i, c) in cols.iter().enumerate() {
-        if let Some(v) = c {
-            model.set_obj(*v, if pool[i].is_empty() { 0.0 } else { 1.0 });
+    master.model.set_bounds(z_machines, 0.0, 0.0);
+    master.model.set_bounds(z_area, 0.0, 0.0);
+    master.model.set_obj(z_machines, 0.0);
+    master.model.set_obj(z_area, 0.0);
+    master.col_cost = 1.0;
+    for (pat, c) in master.pool.iter().zip(&master.cols) {
+        if let Some(v) = *c {
+            master.model.set_obj(v, if pat.is_empty() { 0.0 } else { master.col_cost });
         }
     }
-    streak.iter_mut().for_each(|s| *s = 0);
-    // The bound flip on the overflow variables invalidates the warm
-    // basis (their bound rows change shape); phase B cold-starts once and
-    // then warm-starts its own re-solves.
+    master.streak.iter_mut().for_each(|s| *s = 0);
+    // Phase B cold-starts once and then warm-starts its own re-solves.
+    // The dual engine could absorb the bound flip on the overflow
+    // variables, but starting phase B warm changes its pivots and the
+    // pools it grows, so that switch waits for its own measurement.
     master.invalidate();
-    // Every exit below happens right after a master solve of the final,
-    // unmodified model, so the last LP doubles as the pruning input.
-    let final_lp;
     // On *wide* masters enrichment is capped at [`ENRICH_ROUNDS`], not
     // run to convergence: late rounds trade dust-sized master
     // improvements for ever-wider masters (each admitted column raises
@@ -385,99 +433,37 @@ pub fn generate_columns(
     // instead of speculatively at the root. Narrow masters — where a
     // round costs microseconds and a fuller pool gives the restricted
     // MILP more columns to dive on — enrich to natural convergence.
-    let enrich_capped = pool.len() > cfg.pricing_symbol_budget;
+    let enrich_capped = master.pool.len() > cfg.pricing_symbol_budget;
     let mut enrich_rounds = 0usize;
-    loop {
+    // Every exit happens right after a master solve of the final,
+    // unmodified model, so the last LP doubles as the pruning input.
+    let final_lp = loop {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Pricing::Cancelled;
         }
-        let mut lp = master.solve(&model, cfg, stats);
-        // Same re-admission guard as phase A, against the machine-count
-        // objective (purged columns are never the empty seed, so their
-        // coefficient is 1). Every exit from this loop — and hence the
-        // pruning below — therefore sees a full-pool optimum.
-        while lp.status == LpStatus::Optimal {
-            let mut readmitted = false;
-            for i in 0..pool.len() {
-                if cols[i].is_some() {
-                    continue;
-                }
-                if pattern_rc(&pool[i], &lp.duals, area_row, t, 1.0) < -1e-7 {
-                    cols[i] = Some(add_pattern_column(&mut model, &pool[i], area_row, t, 1.0));
-                    streak[i] = 0;
-                    stats.columns_readmitted += 1;
-                    readmitted = true;
-                }
-            }
-            if !readmitted {
-                break;
-            }
-            lp = master.solve(&model, cfg, stats);
-        }
+        let lp = master.solve(stats);
         if lp.status != LpStatus::Optimal
-            || rounds >= cfg.pricing_max_rounds
+            || rounds >= MAX_ROUNDS
             || (enrich_capped && enrich_rounds >= ENRICH_ROUNDS)
         {
             // Stopping the optimality phase early is always safe; it
             // only bounds the enrichment.
-            final_lp = lp;
-            break;
+            break lp;
         }
         enrich_rounds += 1;
         rounds += 1;
         stats.pricing_rounds += 1;
-        let (cands, _) = price(&px, &lp.duals, 1.0, cfg, stats, &keys);
+        let (cands, _) = price(&px, &lp.duals, master.col_cost, cfg, stats, &master.keys);
         if cands.is_empty() {
-            final_lp = lp;
-            break;
+            break lp;
         }
-        // Purge decision, mirroring phase A against the machine-count
-        // objective. Deliberately *after* the exits above: purging remaps
-        // surviving `VarId`s, so it must never sit between computing an
-        // optimum and exiting with it (`final_lp.x` is indexed by the
-        // live column ids).
-        if cfg.column_purge_threshold.is_finite() {
-            let mut victims: Vec<VarId> = Vec::new();
-            let mut victim_idx: Vec<usize> = Vec::new();
-            for i in 0..pool.len() {
-                let Some(v) = cols[i] else { continue };
-                if pool[i].is_empty() || pool[i].num_slots() == 1 {
-                    continue;
-                }
-                let rc = pattern_rc(&pool[i], &lp.duals, area_row, t, 1.0);
-                if lp.x[v.0] <= 1e-9 && rc > cfg.column_purge_threshold {
-                    streak[i] += 1;
-                    if streak[i] >= PURGE_PATIENCE {
-                        victims.push(v);
-                        victim_idx.push(i);
-                    }
-                } else {
-                    streak[i] = 0;
-                }
-            }
-            if !victims.is_empty()
-                && bagsched_milp::purge_columns(&mut model, master.warm.as_mut(), &victims)
-            {
-                stats.columns_purged += victims.len() as u64;
-                for &i in &victim_idx {
-                    cols[i] = None;
-                }
-                for c in cols.iter_mut().flatten() {
-                    c.0 -= victims.iter().filter(|w| w.0 < c.0).count();
-                }
-            }
-            for &i in &victim_idx {
-                streak[i] = 0;
-            }
-        }
-        for pat in cands {
-            keys.insert(pat.entries.clone());
-            cols.push(Some(add_pattern_column(&mut model, &pat, area_row, t, 1.0)));
-            streak.push(0);
-            pool.push(pat);
-            stats.columns_generated += 1;
-        }
-    }
+        // Deliberately *after* the exits above: purging remaps surviving
+        // `VarId`s, so it must never sit between computing an optimum
+        // and exiting with it (`final_lp.x` is indexed by the live
+        // column ids).
+        master.purge(&lp, stats);
+        master.admit(cands, stats);
+    };
 
     // ---- Final pruning: the restricted MILP pays per column. ----
     // On large instances the converged pool carries hundreds of columns
@@ -490,6 +476,7 @@ pub fn generate_columns(
     // pools are passed through untouched — pre-aggregation behaviour.
     // `POOL_CAP` dates from the dense tableau and has not been
     // re-measured on the sparse engine.
+    let Master { pool, cols, .. } = master;
     if pool.len() > POOL_CAP && final_lp.status == LpStatus::Optimal {
         // A column still purged at exit is nonbasic by construction (the
         // guard would have re-admitted a useful one), so it falls to the
@@ -877,7 +864,7 @@ fn price(
         let mut dfs = PriceDfs {
             items: &items,
             needed,
-            budget: cfg.pricing_dfs_node_budget,
+            budget: DFS_NODE_BUDGET,
             nodes: 0,
             complete: true,
             used: vec![0u16; items.len()],

@@ -479,6 +479,27 @@ mod tests {
         assert!(r.assignment.is_empty());
     }
 
+    /// Finite sizes whose sum overflows f64 are refused, not answered
+    /// with an infinite makespan — by cached and uncached solvers alike.
+    #[test]
+    fn wire_solve_rejects_overflowing_total_size() {
+        for solver in
+            [Solver::with_epsilon(0.5), Solver::with_cache(EptasConfig::with_epsilon(0.5), 4)]
+        {
+            for machines in [1, 3] {
+                let r = solver.solve(&SolveRequest {
+                    id: 3,
+                    epsilon: 0.5,
+                    deadline_ms: None,
+                    instance: Instance::new(&[(1.7e308, 0), (1e308, 1)], machines),
+                });
+                assert!(!r.ok, "{machines} machines: answered with makespan {}", r.makespan);
+                assert!(r.error.as_deref().unwrap().contains("overflows"));
+                assert!(r.assignment.is_empty());
+            }
+        }
+    }
+
     #[test]
     fn concurrent_same_shape_requests_coalesce() {
         // Four threads race the same shape: exactly one solves cold, the

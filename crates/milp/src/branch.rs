@@ -10,16 +10,15 @@
 //! child node differs from its parent by one variable-bound change, under
 //! which the parent's optimal basis stays dual feasible. Each node hands
 //! its final basis ([`crate::simplex::WarmState`]) to its children, which
-//! re-optimize with the dual simplex ([`crate::dual::reoptimize`])
-//! instead of a cold phase-1/phase-2 solve. Branching down on a variable
-//! without a finite upper bound — every tree-priced column starts
-//! `[0, inf)` — appends that variable's bound row to the child's basis,
-//! so a node falls back to the cold solve only on a numerically singular
-//! step, an iteration-limited warm re-solve, or a bound relaxation (which
-//! branching never makes). Basis hand-off is by reference count: small
-//! bases are shared with both children, large ones only with the dive
-//! child (the sibling re-solves cold on backtrack) to bound memory by
-//! O(1) bases instead of O(depth).
+//! re-optimize through [`crate::simplex::solve_warm`] (the dual simplex,
+//! [`crate::dual::reoptimize`]) instead of a cold phase-1/phase-2 solve.
+//! Branching down on a variable without a finite upper bound — every
+//! tree-priced column starts `[0, inf)` — appends that variable's bound
+//! row to the child's basis, so a node falls back to the cold solve only
+//! on a numerically singular step or an iteration-limited warm re-solve.
+//! Basis hand-off is by reference count: small bases are shared with both
+//! children, large ones only with the dive child (the sibling re-solves
+//! cold on backtrack) to bound memory by O(1) bases instead of O(depth).
 //!
 //! **In-tree pricing** ([`TreePricer`], [`solve_milp_with`]): on
 //! restricted column pools the LP-feasible region at a node may be
@@ -38,7 +37,6 @@
 //! [`MilpStatus::Feasible`] if an incumbent exists, otherwise
 //! [`MilpStatus::Budget`] — never a silent wrong answer.
 
-use crate::dual;
 use crate::model::{LpResult, LpStatus, Model, VarId};
 use crate::simplex::{self, WarmState};
 use crate::TOL;
@@ -176,6 +174,18 @@ pub struct MilpResult {
     pub eta_updates: usize,
 }
 
+impl MilpResult {
+    /// Add one node-LP (re-)solve to the work counters; `dual_pivots` is
+    /// `Some` when the solve was an accepted warm re-optimization.
+    fn count_lp(&mut self, lp: &LpResult, dual_pivots: Option<usize>) {
+        self.lp_solves += 1;
+        self.lp_iterations += lp.iterations;
+        self.dual_pivots += dual_pivots.unwrap_or(0);
+        self.basis_refactorizations += lp.refactorizations;
+        self.eta_updates += lp.eta_updates;
+    }
+}
+
 /// Warm bases up to this weight (stored nonzeros plus per-row vectors,
 /// see [`WarmState::weight`]) are shared with both children; larger ones
 /// ride only with the dive child, so the stack never holds more than
@@ -224,39 +234,14 @@ pub fn solve_milp(model: &Model, opts: &MilpOptions) -> MilpResult {
 pub fn solve_milp_with(
     model: &Model,
     opts: &MilpOptions,
-    pricer: Option<&mut dyn TreePricer>,
-) -> MilpResult {
-    solve_milp_seeded(model, opts, pricer, None).0
-}
-
-/// Like [`solve_milp_with`], plus a root-basis seam for cross-solve warm
-/// starts: `root_warm` seeds the root node's LP with a basis captured
-/// from a previous solve of a structurally identical model, and the
-/// returned state is the root's final basis for the *next* identical
-/// solve.
-///
-/// Seeding an identical model replays to optimality in zero dual pivots,
-/// so the branch-and-bound tree — and hence the integral solution — is
-/// bit-identical to the unseeded solve; a basis the dual engine cannot
-/// absorb (wrong shape, singular) is discarded for the usual cold solve,
-/// so a stale seed costs pivots, never correctness.
-///
-/// Presolve is skipped whenever a seed is supplied or requested (the
-/// basis addresses the unreduced model's rows and columns), and the
-/// returned state is `None` whenever it could not be replayed against
-/// the caller's model as-is: presolve ran, the in-tree pricer grafted
-/// columns before the root was resolved, or the root LP never reached a
-/// reusable optimal basis.
-pub fn solve_milp_seeded(
-    model: &Model,
-    opts: &MilpOptions,
     mut pricer: Option<&mut dyn TreePricer>,
-    root_warm: Option<&WarmState>,
-) -> (MilpResult, Option<WarmState>) {
+) -> MilpResult {
     let _span = bagsched_types::obs::Span::enter("milp.bnb");
     let start = Instant::now();
-    let fail = |status: MilpStatus| MilpResult {
-        status,
+    // The work counters accumulate here as the search runs; status and
+    // solution are filled in on exit.
+    let mut res = MilpResult {
+        status: MilpStatus::Budget,
         x: vec![],
         objective: f64::INFINITY,
         nodes: 0,
@@ -273,23 +258,20 @@ pub fn solve_milp_seeded(
     // Root presolve: tighten bounds, drop redundant rows, detect trivial
     // infeasibility. Variables are never removed, so indices are stable.
     // Skipped when a pricer is attached (priced columns address
-    // constraint rows by index, and presolve renumbers rows) or when a
-    // root basis is in play (the basis addresses the unreduced model).
-    let presolved = pricer.is_none() && root_warm.is_none();
+    // constraint rows by index, and presolve renumbers rows).
     let reduced;
-    let (presolve_rows_dropped, presolve_bounds_tightened);
-    let model = if !presolved {
-        (presolve_rows_dropped, presolve_bounds_tightened) = (0, 0);
+    let model = if pricer.is_some() {
         model
     } else {
         let _span = bagsched_types::obs::Span::enter("milp.presolve");
         match crate::presolve::presolve(model) {
             crate::presolve::PresolveStatus::Infeasible => {
-                return (fail(MilpStatus::Infeasible), None);
+                res.status = MilpStatus::Infeasible;
+                return res;
             }
             crate::presolve::PresolveStatus::Reduced { model, rows_dropped, bounds_tightened } => {
-                presolve_rows_dropped = rows_dropped;
-                presolve_bounds_tightened = bounds_tightened;
+                res.presolve_rows_dropped = rows_dropped;
+                res.presolve_bounds_tightened = bounds_tightened;
                 reduced = model;
                 &reduced
             }
@@ -299,31 +281,15 @@ pub fn solve_milp_seeded(
         (0..model.num_vars()).filter(|&j| model.is_integer(VarId(j))).collect();
     let iter_limit = simplex::default_iter_limit(model);
 
-    let mut nodes = 0usize;
-    let mut lp_iterations = 0usize;
-    let mut lp_solves = 0usize;
-    let mut dual_pivots = 0usize;
-    let mut node_warm_starts = 0usize;
-    let mut tree_columns = 0usize;
-    let mut basis_refactorizations = 0usize;
-    let mut eta_updates = 0usize;
     let mut incumbent: Option<(Vec<f64>, f64)> = None;
     let mut budget_hit = false;
     let mut unbounded_root = false;
-    // The root's final basis, captured for the next identical solve.
-    let mut root_basis: Option<WarmState> = None;
 
-    let mut stack = vec![Node {
-        bounds: Vec::new(),
-        parent_bound: f64::NEG_INFINITY,
-        // Seed the root from the caller's basis; the dual engine treats
-        // it exactly like a parent hand-off (cold fallback included).
-        warm: if opts.dual_simplex { root_warm.map(|w| Rc::new(w.clone())) } else { None },
-    }];
+    let mut stack = vec![Node { bounds: Vec::new(), parent_bound: f64::NEG_INFINITY, warm: None }];
     let mut work = model.clone();
 
     'search: while let Some(node) = stack.pop() {
-        if nodes >= opts.max_nodes
+        if res.nodes >= opts.max_nodes
             || start.elapsed() > opts.time_limit
             || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled())
         {
@@ -335,7 +301,7 @@ pub fn solve_milp_seeded(
                 continue; // dominated before solving
             }
         }
-        nodes += 1;
+        res.nodes += 1;
         let at_root = node.bounds.is_empty();
 
         // Apply node bounds on the shared work model; restored after the
@@ -354,47 +320,16 @@ pub fn solve_milp_seeded(
 
         let outcome = 'node: {
             // ---- Node LP: warm from the parent basis, cold fallback. ----
-            let mut state: Option<WarmState> = None;
-            let mut lp: Option<LpResult> = None;
-            if opts.dual_simplex {
-                if let Some(rc) = node.warm {
-                    let mut st = Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone());
-                    if let Some(out) = dual::reoptimize(&work, iter_limit, &mut st) {
-                        // An iteration-limited warm re-solve is discarded
-                        // like a singular one: the cold solve of the same
-                        // node may well finish within the identical
-                        // budget, and verdicts must not depend on which
-                        // path ran (warm changes the work, not the
-                        // answers). Its pivots are not counted either —
-                        // counted dual pivots always ship inside an
-                        // accepted result's `iterations`, keeping
-                        // `dual_pivots` a subset of the pivot total.
-                        if out.lp.status != LpStatus::IterLimit {
-                            node_warm_starts += 1;
-                            dual_pivots += out.dual_pivots;
-                            if out.lp.status == LpStatus::Optimal {
-                                state = Some(st);
-                            }
-                            lp = Some(out.lp);
-                        }
-                    }
-                }
+            let mut state =
+                node.warm.map(|rc| Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()));
+            let (mut lp, warm_pivots) = simplex::solve_warm(&work, iter_limit, &mut state);
+            res.node_warm_starts += usize::from(warm_pivots.is_some());
+            res.count_lp(&lp, warm_pivots);
+            if !opts.dual_simplex {
+                // Cold mode: never hand a basis down, so every node solves
+                // cold (the reference the warm path is tested against).
+                state = None;
             }
-            let mut lp = lp.unwrap_or_else(|| {
-                if opts.dual_simplex {
-                    let (l, s) = simplex::solve_with_state(&work, iter_limit);
-                    state = s;
-                    l
-                } else {
-                    // Cold mode: never build (or hand down) a warm state,
-                    // so the A/B baseline pays none of the warm-path cost.
-                    simplex::solve(&work, iter_limit)
-                }
-            });
-            lp_solves += 1;
-            lp_iterations += lp.iterations;
-            basis_refactorizations += lp.refactorizations;
-            eta_updates += lp.eta_updates;
 
             loop {
                 match lp.status {
@@ -434,13 +369,6 @@ pub fn solve_milp_seeded(
                     }
                 }
                 let Some((_, j)) = branch_var else {
-                    // Root exit: keep the final basis for the next
-                    // identical solve — but only if it can be replayed
-                    // against the caller's model as-is (no presolve
-                    // renumbering, no tree-priced extra columns).
-                    if at_root && !presolved && tree_columns == 0 {
-                        root_basis = state.clone();
-                    }
                     break 'node NodeOutcome::Incumbent(lp.x.clone());
                 };
 
@@ -455,47 +383,25 @@ pub fn solve_milp_seeded(
                 // vacuous there).
                 if let Some(p) = pricer
                     .as_deref_mut()
-                    .filter(|_| nodes >= opts.price_after_nodes && incumbent.is_none())
+                    .filter(|_| res.nodes >= opts.price_after_nodes && incumbent.is_none())
                 {
                     let added = p.price(&mut work, &lp);
                     if !added.is_empty() {
-                        tree_columns += added.len();
+                        res.tree_columns += added.len();
                         int_vars.extend(added.iter().filter(|&&v| work.is_integer(v)).map(|v| v.0));
                         // Re-solve with the new columns grafted onto this
                         // node's basis (no bound deltas: the snapshot
-                        // already carries the node bounds). An
-                        // iteration-limited warm graft is discarded and
-                        // retried cold, exactly like at node entry.
-                        let relp = match state.as_mut() {
-                            Some(st) => dual::reoptimize(&work, iter_limit, st)
-                                .filter(|o| o.lp.status != LpStatus::IterLimit)
-                                .map(|o| {
-                                    dual_pivots += o.dual_pivots;
-                                    o.lp
-                                }),
-                            None => None,
-                        };
-                        lp = relp.unwrap_or_else(|| {
-                            if opts.dual_simplex {
-                                let (l, s) = simplex::solve_with_state(&work, iter_limit);
-                                state = s;
-                                l
-                            } else {
-                                simplex::solve(&work, iter_limit)
-                            }
-                        });
-                        lp_solves += 1;
-                        lp_iterations += lp.iterations;
-                        basis_refactorizations += lp.refactorizations;
-                        eta_updates += lp.eta_updates;
+                        // already carries the node bounds).
+                        let warm_pivots;
+                        (lp, warm_pivots) = simplex::solve_warm(&work, iter_limit, &mut state);
+                        res.count_lp(&lp, warm_pivots);
+                        if !opts.dual_simplex {
+                            state = None;
+                        }
                         continue; // statuses and branching var re-derived
                     }
                 }
 
-                // Same capture rule as the integral root exit above.
-                if at_root && !presolved && tree_columns == 0 {
-                    root_basis = state.clone();
-                }
                 let (lb, ub) = work.bounds(VarId(j));
                 break 'node NodeOutcome::Branch {
                     j,
@@ -577,24 +483,11 @@ pub fn solve_milp_seeded(
     }
 
     if unbounded_root {
-        let result = MilpResult {
-            status: MilpStatus::Unbounded,
-            x: vec![],
-            objective: f64::NEG_INFINITY,
-            nodes,
-            lp_iterations,
-            lp_solves,
-            presolve_rows_dropped,
-            presolve_bounds_tightened,
-            dual_pivots,
-            node_warm_starts,
-            tree_columns,
-            basis_refactorizations,
-            eta_updates,
-        };
-        return (result, None);
+        res.status = MilpStatus::Unbounded;
+        res.objective = f64::NEG_INFINITY;
+        return res;
     }
-    let result = match incumbent {
+    match incumbent {
         Some((mut x, objective)) => {
             // Defensive: pricing is gated on `incumbent.is_none()`, so
             // the incumbent already spans every column and this is a
@@ -607,40 +500,14 @@ pub fn solve_milp_seeded(
             // re-opened an already-pruned (dominated or infeasible)
             // subtree, so any tree-priced column degrades the claim to
             // Feasible.
-            let proven = !budget_hit && stack.is_empty() && tree_columns == 0;
-            MilpResult {
-                status: if proven { MilpStatus::Optimal } else { MilpStatus::Feasible },
-                x,
-                objective,
-                nodes,
-                lp_iterations,
-                lp_solves,
-                presolve_rows_dropped,
-                presolve_bounds_tightened,
-                dual_pivots,
-                node_warm_starts,
-                tree_columns,
-                basis_refactorizations,
-                eta_updates,
-            }
+            let proven = !budget_hit && stack.is_empty() && res.tree_columns == 0;
+            res.status = if proven { MilpStatus::Optimal } else { MilpStatus::Feasible };
+            res.x = x;
+            res.objective = objective;
         }
-        None => MilpResult {
-            status: if budget_hit { MilpStatus::Budget } else { MilpStatus::Infeasible },
-            x: vec![],
-            objective: f64::INFINITY,
-            nodes,
-            lp_iterations,
-            lp_solves,
-            presolve_rows_dropped,
-            presolve_bounds_tightened,
-            dual_pivots,
-            node_warm_starts,
-            tree_columns,
-            basis_refactorizations,
-            eta_updates,
-        },
-    };
-    (result, root_basis)
+        None => res.status = if budget_hit { MilpStatus::Budget } else { MilpStatus::Infeasible },
+    }
+    res
 }
 
 #[cfg(test)]
@@ -921,60 +788,6 @@ mod tests {
         assert_eq!(r.status, MilpStatus::Feasible);
         assert_eq!(r.x.len(), 3);
         assert_close(r.x[2], 0.0);
-    }
-
-    /// The root-basis seam: a second, identical solve seeded with the
-    /// first solve's captured root basis must return a bit-identical
-    /// result, with the seed actually engaging at the root.
-    #[test]
-    fn seeded_resolve_is_bit_identical() {
-        let mut m = Model::new();
-        let n = 10;
-        let vars: Vec<_> = (0..n)
-            .map(|j| m.add_int_var(-((j % 4 + 1) as f64) - j as f64 * 1e-9, 0.0, 2.0))
-            .collect();
-        for k in 0..3 {
-            let terms: Vec<_> =
-                vars.iter().enumerate().map(|(j, &v)| (v, ((j + k) % 3 + 1) as f64)).collect();
-            m.add_con(&terms, Le, 11.0 + k as f64);
-        }
-
-        struct NeverPricer;
-        impl TreePricer for NeverPricer {
-            fn price(&mut self, _model: &mut Model, _lp: &LpResult) -> Vec<VarId> {
-                vec![]
-            }
-        }
-
-        let opts = MilpOptions { first_solution: true, ..Default::default() };
-        let mut p1 = NeverPricer;
-        let (cold, basis) = solve_milp_seeded(&m, &opts, Some(&mut p1), None);
-        let basis = basis.expect("root basis must be captured when presolve is skipped");
-        let mut p2 = NeverPricer;
-        let (warm, basis2) = solve_milp_seeded(&m, &opts, Some(&mut p2), Some(&basis));
-        assert_eq!(warm.status, cold.status);
-        assert_eq!(warm.x, cold.x, "seeded solve must be bit-identical");
-        assert_eq!(warm.nodes, cold.nodes, "seeded tree must match the unseeded tree");
-        assert!(
-            warm.node_warm_starts > cold.node_warm_starts,
-            "the root seed never engaged (warm {} vs cold {})",
-            warm.node_warm_starts,
-            cold.node_warm_starts
-        );
-        assert!(basis2.is_some(), "a seeded solve must re-capture the root basis");
-    }
-
-    /// Without a pricer or seed, presolve runs and the root basis is
-    /// withheld (it addresses the reduced model, not the caller's).
-    #[test]
-    fn presolved_solve_withholds_root_basis() {
-        let mut m = Model::new();
-        let x = m.add_int_var(-1.0, 0.0, 5.0);
-        let y = m.add_int_var(-1.0, 0.0, 5.0);
-        m.add_con(&[(x, 2.0), (y, 2.0)], Le, 5.0);
-        let (r, basis) = solve_milp_seeded(&m, &MilpOptions::default(), None, None);
-        assert_eq!(r.status, MilpStatus::Optimal);
-        assert!(basis.is_none());
     }
 
     proptest::proptest! {

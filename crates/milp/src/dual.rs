@@ -9,7 +9,10 @@
 //! basis factorization (`xb = B^-1 b`), and run dual simplex pivots until
 //! primal feasibility is restored. Pivot work then scales with how much
 //! the bound change actually disturbed the optimum — usually a handful of
-//! pivots — instead of with the whole constraint matrix.
+//! pivots — instead of with the whole constraint matrix. Without a bound
+//! change the same entry is the warm re-solve of a column-generation
+//! master: appended columns and objective edits leave the basis primal
+//! feasible, and the primal clean-up pass continues phase 2.
 //!
 //! Representation: the primal engine ([`crate::simplex`]) keeps variable
 //! bounds as shifted variables (`x' = x - lb`) plus explicit
@@ -68,7 +71,9 @@ pub struct DualOutcome {
 }
 
 /// Re-optimize `model` from a previous optimal basis after variable-bound
-/// changes (and/or appended `[0, inf)` columns / objective edits).
+/// changes and/or appended `[0, inf)` columns and objective edits (see
+/// the module docs). Callers go through [`simplex::solve_warm`], which
+/// adds the cold fallback.
 ///
 /// A first finite upper bound on a variable that had none appends that
 /// variable's bound row to `state` (its slack basic) before the dual
@@ -81,7 +86,6 @@ pub struct DualOutcome {
 /// partly updated, so callers must treat `None` as "discard the state and
 /// solve cold".
 pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Option<DualOutcome> {
-    let _span = bagsched_types::obs::Span::enter("milp.dual");
     if model.cons.len() != state.num_cons {
         return None;
     }
@@ -123,6 +127,13 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         }
         changed.push((j, d_lb, d_range));
     }
+    // Timed as a node re-optimization when a bound changed, as a warm
+    // re-solve (appended columns, objective edits) otherwise.
+    let _span = bagsched_types::obs::Span::enter(if changed.is_empty() {
+        "milp.simplex.warm"
+    } else {
+        "milp.dual"
+    });
 
     if !simplex::graft_columns(model, state) {
         return None;

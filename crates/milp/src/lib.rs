@@ -13,16 +13,18 @@
 //! * [`simplex`] — a sparse *revised* two-phase primal simplex: the basis
 //!   is held as an eta-file factorization with
 //!   Forrest–Tomlin-style updates per pivot and periodic
-//!   refactorization, warm-started re-solves for column generation, and
-//!   physical column removal ([`purge_columns`]) for master-pool
-//!   lifecycle management,
-//! * [`dual`] — a dual-simplex engine that re-optimizes a warm basis
-//!   after variable-bound changes (the branch-and-bound child-node case),
+//!   refactorization, one warm re-solve path ([`simplex::solve_warm`])
+//!   shared by column generation and branch & bound, and physical column
+//!   removal ([`purge_columns`]) for master-pool lifecycle management,
+//! * [`dual`] — the dual-simplex engine behind every warm re-solve: it
+//!   re-optimizes a held basis after variable-bound changes (the
+//!   branch-and-bound child-node case), appended columns and objective
+//!   edits,
 //! * [`branch`] — depth-first branch & bound on the LP relaxation, with
 //!   node/iteration budgets, incumbent tracking, parent-basis node warm
 //!   starts, and an optional in-tree pricing hook ([`TreePricer`]),
-//! * [`presolve`] — root-node bound tightening and redundancy
-//!   elimination (singleton rows, activity analysis).
+//! * [`presolve`](mod@presolve) — root-node bound tightening and
+//!   redundancy elimination (singleton rows, activity analysis).
 //!
 //! The solver is exact up to floating-point tolerance ([`TOL`]); budgets
 //! are explicit and exhausting one is reported, never silent.
@@ -35,8 +37,7 @@ pub mod presolve;
 pub mod simplex;
 
 pub use branch::{
-    solve_milp, solve_milp_seeded, solve_milp_with, CancelProbe, MilpOptions, MilpResult,
-    MilpStatus, TreePricer,
+    solve_milp, solve_milp_with, CancelProbe, MilpOptions, MilpResult, MilpStatus, TreePricer,
 };
 pub use dual::DualOutcome;
 pub use model::{LpResult, LpStatus, Model, Relation, VarId};

@@ -251,24 +251,18 @@ impl Model {
         simplex::solve(self, simplex::default_iter_limit(self))
     }
 
-    /// Solve the LP relaxation, reusing (and refreshing) a warm-start
-    /// state across solves. With `Some` state from a previous optimal
-    /// solve of this model — possibly extended by [`Model::add_column`]
-    /// and/or re-weighted by [`Model::set_obj`] since — the re-solve
-    /// continues from the previous basis and skips phase 1 entirely.
-    /// Returns the result and whether the warm path was taken; on the
-    /// cold path the state is replaced (or cleared when the solve did not
-    /// reach optimality).
+    /// Solve the LP relaxation with the default iteration budget, reusing
+    /// (and refreshing) a warm-start state across solves through
+    /// [`simplex::solve_warm`]. With `Some` state from a previous optimal
+    /// solve of this model — possibly extended by [`Model::add_column`],
+    /// re-weighted by [`Model::set_obj`] and/or re-bounded by
+    /// [`Model::set_bounds`] since — the re-solve continues from the
+    /// previous basis and skips phase 1 entirely. Returns the result and
+    /// whether the warm path was taken; the state is kept only when the
+    /// solve reached optimality.
     pub fn solve_lp_with(&self, warm: &mut Option<simplex::WarmState>) -> (LpResult, bool) {
-        let limit = simplex::default_iter_limit(self);
-        if let Some(state) = warm.as_mut() {
-            if let Some(res) = simplex::resolve(self, limit, state) {
-                return (res, true);
-            }
-        }
-        let (res, state) = simplex::solve_with_state(self, limit);
-        *warm = state;
-        (res, false)
+        let (res, dual_pivots) = simplex::solve_warm(self, simplex::default_iter_limit(self), warm);
+        (res, dual_pivots.is_some())
     }
 }
 

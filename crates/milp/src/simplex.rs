@@ -1,9 +1,9 @@
 //! Two-phase primal simplex — *sparse revised* implementation — with
-//! warm-started re-solves for column generation.
+//! warm-started re-solves.
 //!
 //! The basis is never inverted explicitly: an eta-file factorization
-//! ([`crate::factor::Factor`]) carries `B^-1` as a product of per-pivot
-//! eta matrices, rebuilt from the sparse basis columns every
+//! (the crate-private `factor::Factor`) carries `B^-1` as a product of
+//! per-pivot eta matrices, rebuilt from the sparse basis columns every
 //! [`Model::set_refactor_interval`] pivots. Per iteration the engine
 //! computes the simplex multipliers `y = B^-T c_B` (BTRAN), prices the
 //! sparse nonbasic columns against them, transforms the entering column
@@ -22,15 +22,16 @@
 //! factorization: `y = B^-T c_B`, mapped back through the row-sign
 //! normalization.
 //!
-//! **Warm starts** ([`WarmState`], [`resolve`]): an optimal solve can
+//! **Warm starts** ([`WarmState`], [`solve_warm`]): an optimal solve can
 //! return its final basis. After the caller appends columns
-//! ([`Model::add_column`]) and/or changes objective coefficients, the old
-//! basis is still primal feasible, so the re-solve skips phase 1 entirely
-//! and continues phase 2 from the previous optimum. Appending a column is
-//! O(column nonzeros) — the factorization is untouched. Any structural
-//! change the warm path cannot absorb — changed bounds, new constraints,
-//! non-`[0, inf)` bounds on appended variables — is detected and falls
-//! back to a cold solve.
+//! ([`Model::add_column`]), changes objective coefficients and/or changes
+//! variable bounds, the re-solve continues from that basis through the
+//! dual simplex ([`crate::dual::reoptimize`]) and skips phase 1 entirely.
+//! Appending a column is O(column nonzeros) — the factorization is
+//! untouched. A change the warm path cannot absorb — new constraints,
+//! non-`[0, inf)` bounds on appended variables, a numerically singular
+//! step — or an iteration-limited warm attempt falls back to a cold
+//! solve.
 //!
 //! **Column lifecycle** ([`purge_columns`]): a column-generation master
 //! accumulates columns forever; nonbasic columns can be physically
@@ -268,7 +269,7 @@ impl Core {
 /// The reusable outcome of an optimal solve: the factorized basis plus
 /// the bookkeeping needed to graft new columns onto it. Opaque to
 /// callers; obtain one from [`solve_with_state`] and feed it to
-/// [`resolve`].
+/// [`solve_warm`].
 #[derive(Debug, Clone)]
 pub struct WarmState {
     pub(crate) c: Core,
@@ -280,9 +281,9 @@ pub struct WarmState {
     pub(crate) art_end: usize,
     /// Column -> model variable (None for slack/artificial).
     pub(crate) var_of_col: Vec<Option<usize>>,
-    /// Bounds snapshot of every variable seen so far; a mismatch on
-    /// re-solve means the warm basis is stale (the dual engine absorbs
-    /// the mismatch instead — see [`crate::dual::reoptimize`]).
+    /// Bounds snapshot of every variable seen so far; the dual engine
+    /// turns a mismatch on re-solve into right-hand-side deltas (see
+    /// [`crate::dual::reoptimize`]).
     pub(crate) bounds: Vec<(f64, f64)>,
     /// Per variable seen so far: the row carrying its `x' <= ub - lb`
     /// bound row, if the variable has a finite upper bound. The dual
@@ -525,52 +526,40 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
     (res, Some(state))
 }
 
-/// Warm re-solve: continue phase 2 from a previous optimal basis after
-/// the caller appended columns and/or changed objective coefficients.
+/// Solve `model` warm from the basis held in `warm`, cold when there is
+/// none or the warm attempt fails: the one re-solve path of the crate.
 ///
-/// Returns `None` — leaving `state` untouched — when the model changed in
-/// a way the warm basis cannot absorb: different constraint count,
-/// changed bounds on previously-seen variables, or appended variables
-/// whose bounds are not `[0, inf)`. The caller then falls back to a cold
-/// [`solve_with_state`].
-pub fn resolve(model: &Model, iter_limit: usize, state: &mut WarmState) -> Option<LpResult> {
-    let _span = bagsched_types::obs::Span::enter("milp.simplex.warm");
-    if model.cons.len() != state.num_cons {
-        return None;
-    }
-    for (v, &(lb, ub)) in model.vars.iter().zip(&state.bounds) {
-        if v.lb != lb || v.ub != ub {
-            return None;
+/// With `Some` state — the final basis of an earlier optimal solve of this
+/// model, which may since have gained `[0, inf)` columns, objective edits
+/// and/or bound changes — the re-solve runs [`crate::dual::reoptimize`].
+/// An attempt the dual engine refuses, or one that stops at the iteration
+/// limit, is dropped and the same LP is solved cold with
+/// [`solve_with_state`]: the cold solve may well finish within the same
+/// budget, and verdicts must not depend on which path ran. `warm` keeps
+/// the final basis only when the solve reached optimality.
+///
+/// Returns the result and, when the warm attempt was accepted, its dual
+/// pivots (`None` means the LP was solved cold). Dual pivots of a dropped
+/// attempt are not reported: counted dual pivots always ship inside an
+/// accepted result's `iterations`.
+pub fn solve_warm(
+    model: &Model,
+    iter_limit: usize,
+    warm: &mut Option<WarmState>,
+) -> (LpResult, Option<usize>) {
+    if let Some(state) = warm.as_mut() {
+        if let Some(out) = crate::dual::reoptimize(model, iter_limit, state)
+            .filter(|out| out.lp.status != LpStatus::IterLimit)
+        {
+            if out.lp.status != LpStatus::Optimal {
+                *warm = None;
+            }
+            return (out.lp, Some(out.dual_pivots));
         }
     }
-    if !graft_columns(model, state) {
-        return None;
-    }
-    let (rf0, eu0) = state.counters();
-
-    // ---- Phase 2 from the (still primal-feasible) previous basis. ----
-    // Costs are rebuilt from the model each call, so objective edits are
-    // picked up without any dirty-tracking.
-    let mut costs = vec![0.0; state.c.ncols()];
-    for (col, vo) in state.var_of_col.iter().enumerate() {
-        if let Some(v) = *vo {
-            costs[col] = model.vars[v].obj;
-        }
-    }
-    let mut iterations = 0usize;
-    let (art_start, art_end) = (state.art_start, state.art_end);
-    let status =
-        state.c.optimize(&costs, |c| c < art_start || c >= art_end, iter_limit, &mut iterations);
-    let (rf1, eu1) = state.counters();
-    let (rf, eu) = ((rf1 - rf0) as usize, (eu1 - eu0) as usize);
-    if status != LpStatus::Optimal {
-        return Some(LpResult {
-            refactorizations: rf,
-            eta_updates: eu,
-            ..lp_fail(status, iterations)
-        });
-    }
-    Some(extract_optimal(model, state, iterations, rf, eu))
+    let (lp, state) = solve_with_state(model, iter_limit);
+    *warm = state;
+    (lp, None)
 }
 
 /// Append the model's new columns (relative to the state's snapshot) onto
@@ -1120,17 +1109,31 @@ mod tests {
     }
 
     #[test]
-    fn warm_state_rejects_bound_changes() {
+    fn warm_state_absorbs_bound_changes() {
         let mut m = Model::new();
         let x = m.add_var(1.0, 0.0, f64::INFINITY);
         m.add_con(&[(x, 1.0)], Ge, 2.0);
         let mut warm = None;
         let _ = m.solve_lp_with(&mut warm);
         assert!(warm.is_some());
-        m.set_bounds(x, 0.0, 1.5); // stale basis: must fall back cold
-        let (r, was_warm) = m.solve_lp_with(&mut warm);
-        assert!(!was_warm);
+        // x <= 1.5 contradicts the row: the warm re-solve appends x's
+        // bound row and reaches the cold verdict.
+        let mut tight = m.clone();
+        tight.set_bounds(x, 0.0, 1.5);
+        let mut spent = warm.clone();
+        let (r, was_warm) = tight.solve_lp_with(&mut spent);
+        assert!(was_warm, "a bound change must re-solve warm");
         assert_eq!(r.status, LpStatus::Infeasible);
+        assert_eq!(r.status, tight.solve_lp().status);
+        assert!(spent.is_none(), "a non-optimal re-solve keeps no state");
+        // A feasible tightening moves the optimum to the new bound.
+        m.set_bounds(x, 2.5, f64::INFINITY);
+        let (r, was_warm) = m.solve_lp_with(&mut warm);
+        assert!(was_warm, "a bound change must re-solve warm");
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.objective, m.solve_lp().objective);
+        assert_close(r.objective, 2.5);
+        assert!(warm.is_some(), "an optimal re-solve keeps its state");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Everything here is observational — nothing feeds back into solving,
 //! so the daemon's answers are byte-identical with metrics on or off.
 //! Latencies go into the shared log2-bucketed
-//! [`Histogram`](bagsched_types::obs::Histogram) (O(1) record, fixed
+//! [`Histogram`] (O(1) record, fixed
 //! footprint), one per op, guarded by uncontended mutexes: a worker
 //! only touches them once per request, after the reply is built.
 //!

@@ -3,7 +3,7 @@
 //! One acceptor thread hands accepted connections to a fixed pool of
 //! worker threads over an mpsc channel; each worker owns a connection
 //! for its lifetime and loops frames through the shared
-//! [`Solver`](bagsched_core::Solver). The solver's state cache is the
+//! [`Solver`]. The solver's state cache is the
 //! whole point of staying resident: repeat traffic replays cached
 //! pattern solutions instead of re-searching (see
 //! `bagsched_core::solver`).

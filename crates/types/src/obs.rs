@@ -16,7 +16,7 @@
 //!   call counts, which are a function of the algorithm alone and can
 //!   be gated as strictly as any other counter.
 //! * **Thread-aware.** Contexts do not leak across thread spawns;
-//!   the parallel seams ([`bagsched_core::par`], the speculative
+//!   the parallel seams (`bagsched_core::par`, the speculative
 //!   guess window) capture an [`ObsHandle`] and install it explicitly
 //!   in each worker, so every OS thread gets its own track and its
 //!   own span stack. Self-time is per-thread: a span's `self_ns`

@@ -8,7 +8,8 @@ use crate::instance::{BagId, Instance, JobId};
 use crate::schedule::Schedule;
 use std::fmt;
 
-/// Why an instance admits no feasible schedule at all.
+/// Why an instance is rejected: it admits no feasible schedule at all, or
+/// its schedules cannot be represented.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InstanceError {
     /// Some bag has more jobs than there are machines; since each of its
@@ -16,6 +17,9 @@ pub enum InstanceError {
     BagLargerThanMachines { bag: BagId, bag_size: usize, machines: usize },
     /// The instance has no machines but at least one job.
     NoMachines,
+    /// The job sizes sum past the largest finite `f64`, so makespans and
+    /// bounds of the instance cannot be represented.
+    TotalSizeNotFinite,
 }
 
 impl fmt::Display for InstanceError {
@@ -27,6 +31,9 @@ impl fmt::Display for InstanceError {
                 bag.0, bag_size, machines
             ),
             InstanceError::NoMachines => write!(f, "instance has jobs but zero machines"),
+            InstanceError::TotalSizeNotFinite => {
+                write!(f, "total job size overflows f64; rescale the sizes")
+            }
         }
     }
 }
@@ -62,7 +69,8 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Check that an instance admits *some* feasible schedule.
+/// Check that an instance admits *some* feasible schedule, and that the
+/// makespan of every schedule is a finite `f64`.
 pub fn validate_instance(inst: &Instance) -> Result<(), InstanceError> {
     if inst.num_machines() == 0 && inst.num_jobs() > 0 {
         return Err(InstanceError::NoMachines);
@@ -75,6 +83,9 @@ pub fn validate_instance(inst: &Instance) -> Result<(), InstanceError> {
                 machines: inst.num_machines(),
             });
         }
+    }
+    if !inst.total_size().is_finite() {
+        return Err(InstanceError::TotalSizeNotFinite);
     }
     Ok(())
 }
@@ -117,6 +128,19 @@ mod tests {
     fn instance_zero_machines_rejected() {
         let inst = Instance::new(&[(1.0, 0)], 0);
         assert_eq!(validate_instance(&inst), Err(InstanceError::NoMachines));
+    }
+
+    /// Each size is finite but the sum is not: one machine would carry an
+    /// infinite makespan, and on three machines the area bound is
+    /// infinite too.
+    #[test]
+    fn instance_with_overflowing_total_size_rejected() {
+        for machines in [1, 3] {
+            let inst = Instance::new(&[(1.7e308, 0), (1e308, 1)], machines);
+            assert_eq!(validate_instance(&inst), Err(InstanceError::TotalSizeNotFinite));
+        }
+        let fits = Instance::new(&[(8e307, 0), (8e307, 1)], 3);
+        assert!(validate_instance(&fits).is_ok());
     }
 
     #[test]
