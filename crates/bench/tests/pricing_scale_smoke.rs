@@ -10,10 +10,10 @@ use bagsched_core::{EptasConfig, Solver};
 use bagsched_types::{gen, validate_schedule};
 use std::time::Instant;
 
-/// Optimized CI runs this under ~1s — the PR-6 factorized basis cut the
-/// cell to ~0.08s measured (from ~0.16s on the dense tableau), so 1s
-/// leaves an order of magnitude of headroom for slower CI machines while
-/// still catching a regression to even the PR-5 dense-tableau cost.
+/// Optimized CI runs this under ~1s — the cell measures ~0.02-0.03s
+/// (2-core Xeon; ~0.16s on the dense tableau), so 1s leaves well over an
+/// order of magnitude of headroom for slower CI machines while still
+/// catching a regression to even the dense-tableau cost.
 /// Unoptimized tier-1 runs get a proportionally looser ceiling so the
 /// guard still catches order-of-magnitude regressions.
 fn ceiling_secs() -> f64 {
@@ -76,8 +76,9 @@ fn n3200_tight_clustered_solves_via_milp_under_the_ceiling() {
         return;
     }
     const PAR_THREADS: usize = 4;
-    // Sequential measured ~2.9s (2-core Xeon), and this sharded
-    // configuration ~2.7s pinned to one core and ~3.2s on two. The
+    // Sequential measures ~1.5s pinned to one core (2-core Xeon), and
+    // this sharded configuration ~2.3-2.5s pinned to one core and
+    // ~2.3-2.8s on two. The
     // ceilings date from ~5.7s sequential and ~12.5s sharded on one core,
     // before every non-root node LP started warm; they are left as they
     // were, loose against today's times.

@@ -31,7 +31,7 @@ use bagsched_types::{
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Opaque per-shape solver state: everything needed to replay a solve of
@@ -162,6 +162,27 @@ pub struct Solver {
 /// A leader-completion gate: `true` once the leading solve finished
 /// (successfully or not) and removed itself from the in-flight map.
 type Gate = Arc<(Mutex<bool>, Condvar)>;
+
+/// The coalescing leader's hold on its gate. Dropping it removes the
+/// gate from the in-flight map, opens it and wakes every follower, on
+/// the normal path and while a panicking solve unwinds alike, so no
+/// follower waits on a leader that is gone. Both locks are taken
+/// poison-tolerant: a release that panicked during an unwind would
+/// abort the process.
+struct GateRelease<'a> {
+    inflight: &'a Mutex<HashMap<u64, Gate>>,
+    key: u64,
+}
+
+impl Drop for GateRelease<'_> {
+    fn drop(&mut self) {
+        let gate = self.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.key);
+        if let Some(gate) = gate {
+            *gate.0.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            gate.1.notify_all();
+        }
+    }
+}
 
 impl Solver {
     /// A solver without a state cache: every solve is cold.
@@ -297,7 +318,7 @@ impl Solver {
         // A leader that publishes nothing (LPT shortcut, error) simply
         // leaves the next waiter to elect itself — progress, never a
         // livelock.
-        let mut leader = false;
+        let mut release = None;
         let cached = loop {
             if let Some(state) = cache.lock().unwrap().get(key) {
                 break Some(state);
@@ -319,7 +340,7 @@ impl Solver {
                     }
                 }
                 None => {
-                    leader = true;
+                    release = Some(GateRelease { inflight: &self.inflight, key });
                     // Double-check: a leader may have published between
                     // our cache miss and taking leadership.
                     break cache.lock().unwrap().get(key);
@@ -356,16 +377,11 @@ impl Solver {
             }
             res
         });
-        if leader {
-            // Publish-then-release order matters: the state is in the
-            // cache (above) before any waiter wakes, so followers hit.
-            // Open the gate on the error path too — waiters must never
-            // hang on a failed leader.
-            if let Some(gate) = self.inflight.lock().unwrap().remove(&key) {
-                *gate.0.lock().unwrap() = true;
-                gate.1.notify_all();
-            }
-        }
+        // Publish-then-release order matters: the state is in the cache
+        // (above) before any waiter wakes, so followers hit. The gate
+        // opens on the error path and on a panic's unwind too — waiters
+        // must never hang on a failed leader.
+        drop(release);
         outcome
     }
 }
@@ -519,6 +535,42 @@ mod tests {
         assert_eq!(c.misses, 1, "one leader solves cold");
         assert_eq!(c.hits, 3, "followers replay the leader's state");
         assert!(c.coalesced_waits <= 3, "at most the three followers wait");
+    }
+
+    #[test]
+    fn panicking_leader_still_opens_its_gate() {
+        // A leader whose solve panics releases its gate while unwinding:
+        // the waiting follower wakes, leads a solve of its own, and the
+        // in-flight map ends empty.
+        use std::time::{Duration, Instant};
+        let solver = Arc::new(Solver::with_cache(EptasConfig::with_epsilon(0.5), 4));
+        let key = fingerprint(&inst(0), 0.5);
+        // A leader mid-solve: its gate sits closed in the in-flight map.
+        solver.inflight.lock().unwrap().insert(key, Arc::new((Mutex::new(false), Condvar::new())));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let follower = Arc::clone(&solver);
+        // Not scoped: a hung follower must fail the test, not hang it, so
+        // the join waits until the follower has answered.
+        let handle = std::thread::spawn(move || {
+            tx.send(follower.solve_instance(&inst(0)).is_ok()).unwrap();
+        });
+        let start = Instant::now();
+        while solver.cache_counters().coalesced_waits == 0 {
+            assert!(start.elapsed() < Duration::from_secs(5), "follower never reached the gate");
+            std::thread::yield_now();
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _release = GateRelease { inflight: &solver.inflight, key };
+            panic!("leader solve failed");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(true),
+            "the follower must wake, lead and solve"
+        );
+        handle.join().unwrap();
+        assert!(solver.inflight.lock().unwrap().is_empty());
     }
 
     #[test]

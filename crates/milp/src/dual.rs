@@ -259,7 +259,8 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         }
         if min_ratio.is_infinite() {
             // Candidates exist but every usable pivot element is tiny:
-            // numerically singular step, let the caller refactorize.
+            // numerically singular step; refuse, and `solve_warm` solves
+            // the LP cold.
             return None;
         }
         let slack = min_ratio + 1e-9;

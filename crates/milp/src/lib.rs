@@ -12,7 +12,7 @@
 //!   column storage,
 //! * [`simplex`] — a sparse *revised* two-phase primal simplex: the basis
 //!   is held as an eta-file factorization with
-//!   Forrest–Tomlin-style updates per pivot and periodic
+//!   product-form (PFI) eta updates per pivot and periodic sparse
 //!   refactorization, one warm re-solve path ([`simplex::solve_warm`])
 //!   shared by column generation and branch & bound, and physical column
 //!   removal ([`purge_columns`]) for master-pool lifecycle management,
