@@ -3,8 +3,9 @@
 //! only in the experiment sweep — must solve via the MILP path under a
 //! hard wall-clock ceiling. The dense tableau paid ~9.4s here; the
 //! factorized basis with eta updates paid ~3.4s, and with every non-root
-//! node LP warm-started and a sparse basis refactorization ~1.0-1.3s is
-//! measured (release, 1 thread, 2-core Xeon). The cell's restricted MILP
+//! node LP warm-started, a sparse basis refactorization and node LPs
+//! that carry only branching's bound rows ~0.4-0.5s is measured
+//! (release, 1 thread, 2-core Xeon). The cell's restricted MILP
 //! branches down on tree-priced columns, so it also pins that only the
 //! root node LP solves cold.
 //!
@@ -28,7 +29,7 @@ use std::time::Instant;
 /// *configuration*, threads only place their work).
 const PAR_THREADS: usize = 4;
 
-/// Release measured ~1.0-1.3s (1 thread, 2-core Xeon); 5s still fails well
+/// Release measured ~0.4-0.5s (1 thread, 2-core Xeon); 5s still fails well
 /// short of the ~9.4s dense-tableau cost while tolerating CI-runner
 /// slowdown.
 const RELEASE_CEILING_SECS: f64 = 5.0;

@@ -76,12 +76,11 @@ fn n3200_tight_clustered_solves_via_milp_under_the_ceiling() {
         return;
     }
     const PAR_THREADS: usize = 4;
-    // Sequential measures ~1.5s pinned to one core (2-core Xeon), and
-    // this sharded configuration ~2.3-2.5s pinned to one core and
-    // ~2.3-2.8s on two. The
-    // ceilings date from ~5.7s sequential and ~12.5s sharded on one core,
-    // before every non-root node LP started warm; they are left as they
-    // were, loose against today's times.
+    // Sequential measures ~1.4-1.8s pinned to one core (2-core Xeon),
+    // and this sharded configuration ~2.2-2.4s, pinned to one core or on
+    // two. The ceilings date from ~5.7s sequential and ~12.5s sharded on
+    // one core, before every non-root node LP started warm; they are left
+    // as they were, loose against today's times.
     const PAR_CEILING_SECS: f64 = 8.0;
     const RELAXED_CEILING_SECS: f64 = 20.0;
     let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

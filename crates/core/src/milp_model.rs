@@ -510,13 +510,18 @@ fn solve_restricted(
     let mut model = Model::new();
     let mut rows: Vec<MilpRow> = Vec::new();
 
-    // x_p: integer in [0, m]; empty pattern costs nothing. The tiny
-    // index-dependent perturbation breaks the column symmetry of
+    // x_p: integer in [0, inf); empty pattern costs nothing. Row (1)
+    // already caps every x_p at m, so the variables carry no upper bound
+    // of their own: the LP engine would turn each finite one into an
+    // explicit row of every node LP. Only branching adds bound rows. The
+    // tiny index-dependent perturbation breaks the column symmetry of
     // bag-symmetric patterns — without it the simplex stalls in degenerate
     // pivots on the covering equalities and the B&B dive cannot reach an
     // incumbent within budget.
     let x: Vec<VarId> = (0..np)
-        .map(|p| model.add_int_var(if p == 0 { 0.0 } else { 1.0 + p as f64 * 1e-9 }, 0.0, m))
+        .map(|p| {
+            model.add_int_var(if p == 0 { 0.0 } else { 1.0 + p as f64 * 1e-9 }, 0.0, f64::INFINITY)
+        })
         .collect();
 
     // (1)

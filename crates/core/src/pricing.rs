@@ -73,7 +73,8 @@ pub enum Pricing {
 /// Warm starts make extra re-solves cheap, while every admitted column
 /// stays in the master for good: on the sparse revised simplex it is one
 /// more column to price at every pivot, and if it survives into the
-/// restricted MILP one more bound row in every node LP. K = 4 beat the
+/// restricted MILP one more integer column in every node LP (with a bound
+/// row only below a down-branch on it). K = 4 beat the
 /// old 16 on n=400 tight clustered (~20% fewer total pivots), measured
 /// on the dense tableau the sparse engine replaced; it has not been
 /// re-measured since.
@@ -468,9 +469,10 @@ pub fn generate_columns(
     // ---- Final pruning: the restricted MILP pays per column. ----
     // On large instances the converged pool carries hundreds of columns
     // that the master's optimum never uses; in the restricted MILP every
-    // one of them is an integer variable with a finite upper bound, so
-    // it adds a bound row to *each* branch-and-bound node LP downstream
-    // and one more column to price at every pivot there. Keep the LP
+    // one of them is an integer variable, one more column to price at
+    // every pivot of *each* branch-and-bound node LP downstream, and a
+    // candidate to branch on (a down-branch appends its bound row to
+    // the subtree below). Keep the LP
     // support (the columns that matter), the empty pattern and the
     // singleton seeds (structural feasibility); drop the rest. Small
     // pools are passed through untouched — pre-aggregation behaviour.

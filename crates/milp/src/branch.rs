@@ -13,9 +13,11 @@
 //! re-optimize through [`crate::simplex::solve_warm`] (the dual simplex,
 //! [`crate::dual::reoptimize`]) instead of a cold phase-1/phase-2 solve.
 //! Branching down on a variable without a finite upper bound — every
-//! tree-priced column starts `[0, inf)` — appends that variable's bound
-//! row to the child's basis, so a node falls back to the cold solve only
-//! on a numerically singular step or an iteration-limited warm re-solve.
+//! column of the EPTAS's restricted MILP, tree-priced or not, starts
+//! `[0, inf)` — appends that variable's bound row to the child's basis
+//! and at most one eta to its factorization, with no rebuild, so a node
+//! falls back to the cold solve only on a numerically singular step or
+//! an iteration-limited warm re-solve.
 //! Basis hand-off is by reference count: small bases are shared with both
 //! children, large ones only with the dive child (the sibling re-solves
 //! cold on backtrack) to bound memory by O(1) bases instead of O(depth).

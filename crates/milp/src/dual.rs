@@ -22,13 +22,16 @@
 //!   and the variable's own bound row by `-d`;
 //! * lowering `ub` by `d` shifts only the bound row, by `-d`.
 //!
-//! A variable with no finite upper bound has no bound row — every column
-//! the in-tree pricer appends starts `[0, inf)` — so the first down-branch
-//! `x <= floor(v)` on it appends one: the row `x' <= ub - lb` goes below
-//! the existing rows with its slack basic, which keeps the basis square
-//! and dual feasible, and the factorization is rebuilt once. If the
-//! variable sits above its new bound, that slack is negative and the dual
-//! pivots below drive it out like any other infeasible row.
+//! A variable with no finite upper bound has no bound row — the EPTAS's
+//! restricted MILP declares every pattern count `[0, inf)`, and so does
+//! the in-tree pricer for each column it appends — so the first
+//! down-branch `x <= floor(v)` on it appends one: the row `x' <= ub - lb`
+//! goes below the existing rows with its slack basic, which keeps the
+//! basis square and dual feasible, and the factorization grows by one
+//! exact eta when the variable is basic and by none when it is not
+//! (`simplex::append_bound_rows`). If the variable sits above its new
+//! bound, that slack is negative and the dual pivots below drive it out
+//! like any other infeasible row.
 //!
 //! The deltas are applied to the stored normalized RHS `b0` and the basic
 //! solution is refreshed with one FTRAN. Per dual pivot: the leaving row
@@ -81,10 +84,9 @@ pub struct DualOutcome {
 ///
 /// Returns `None` when the change cannot be absorbed: a different
 /// constraint count, a bound *relaxation* to infinity, an appended column
-/// with non-`[0, inf)` bounds, a singular basis rebuild after appending a
-/// bound row, or a numerically singular dual step. `state` may then be
-/// partly updated, so callers must treat `None` as "discard the state and
-/// solve cold".
+/// with non-`[0, inf)` bounds, or a numerically singular dual step.
+/// `state` may then be partly updated, so callers must treat `None` as
+/// "discard the state and solve cold".
 pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Option<DualOutcome> {
     if model.cons.len() != state.num_cons {
         return None;
@@ -435,7 +437,7 @@ mod tests {
     #[test]
     fn newly_finite_ub_on_nonbasic_var_needs_no_pivot() {
         // y is nonbasic at 0 (x covers the row more cheaply), so its new
-        // bound row starts feasible: appended, refactorized, 0 pivots.
+        // bound row starts feasible: appended with no eta, 0 pivots.
         let mut m = Model::new();
         let x = m.add_var(1.0, 0.0, f64::INFINITY);
         let y = m.add_var(2.0, 0.0, f64::INFINITY);

@@ -114,6 +114,19 @@ impl Factor {
         self.eta_updates += 1;
     }
 
+    /// Append the eta of a row append: the variable basic in row `k`
+    /// gains a `+1` entry in the new row `r`, whose slack is basic there.
+    /// Reading the file as identity on row `r`, the grown basis is
+    /// `B E` with `E` the identity with column `k` replaced by
+    /// `e_k + e_r`: the eta [`Factor::update`] stores for that `w`,
+    /// built in O(1) and exact in floating point. It counts like a pivot
+    /// eta, toward the refactorization interval too.
+    pub(crate) fn append_row(&mut self, k: usize, r: usize) {
+        self.etas.push(Eta { r: k, inv: 1.0, nz: vec![(r, 1.0)] });
+        self.updates += 1;
+        self.eta_updates += 1;
+    }
+
     /// Rebuild the eta file from scratch off the current basis columns:
     /// Gaussian elimination in product form. `cols[basis[k]]` is the
     /// sparse matrix column of the variable basic in row `k`; columns are
@@ -388,6 +401,21 @@ mod tests {
         assert!(f.refactor(&cols, &mut basis2));
         assert_eq!(f.refactorizations, 2);
         assert_eq!(f.updates_since_refactor(), 0);
+    }
+
+    /// The O(1) row-append eta is the pivot eta of `w = e_k + e_r`, bit
+    /// for bit, with the same counters.
+    #[test]
+    fn append_row_is_the_update_of_a_unit_sum() {
+        let (k, r) = (1, 3);
+        let mut w = vec![0.0; r + 1];
+        w[k] = 1.0;
+        w[r] = 1.0;
+        let (mut a, mut b) = (Factor::identity(), Factor::identity());
+        a.update(&w, k);
+        b.append_row(k, r);
+        assert_eq!(file_bits(&b), file_bits(&a));
+        assert_eq!((b.updates, b.eta_updates), (a.updates, a.eta_updates));
     }
 
     /// The dense elimination `Factor::refactor` replaced, kept as its

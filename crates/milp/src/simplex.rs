@@ -142,14 +142,12 @@ impl Core {
 
     /// Rebuild the factorization off the current basis columns and
     /// recompute `xb` from `b0`. A (numerically) singular rebuild keeps
-    /// the old — still valid — eta file and returns `false`.
-    pub(crate) fn refactor(&mut self) -> bool {
-        let ok = self.factor.refactor(&self.cols, &mut self.basis);
-        if ok {
+    /// the old — still valid — eta file.
+    fn refactor(&mut self) {
+        if self.factor.refactor(&self.cols, &mut self.basis) {
             self.xb.copy_from_slice(&self.b0);
             self.factor.ftran(&mut self.xb);
         }
-        ok
     }
 
     /// Ratio test: leaving row for the transformed entering column `w`,
@@ -301,9 +299,7 @@ impl WarmState {
     /// count. Branch & bound uses it to decide whether a node basis is
     /// cheap enough to share with both children. A refactorized eta file
     /// stores no identity etas, so unit slacks weigh only their column
-    /// and row entries; the largest weight on a measured cell (86.7k at
-    /// tight n=6400, counted with identity etas) sits far below the
-    /// 250k sharing budget, so dropping them changes no sharing decision.
+    /// and row entries.
     pub(crate) fn weight(&self) -> usize {
         let col_nnz: usize = self.c.cols.iter().map(|c| c.len()).sum();
         col_nnz + self.c.factor.nnz() + 6 * self.c.rows
@@ -597,35 +593,44 @@ pub(crate) fn graft_columns(model: &Model, state: &mut WarmState) -> bool {
 /// upper bound, hence no bound row — its `x' <= ub - lb` row: the row is
 /// appended below the existing ones, the variable's column gains its `+1`
 /// entry, and a fresh slack column enters the basis in the new row, so
-/// the basis stays square and keeps its dual feasibility. The
-/// factorization is then rebuilt and `xb = B^-1 b0` recomputed; a
-/// variable already above its new bound shows up as a negative slack,
-/// which the dual simplex drives out like any other primal infeasibility.
+/// the basis stays square and keeps its dual feasibility.
 ///
-/// Returns `false` when a variable has no column in the state or the
-/// rebuilt basis is numerically singular; the state is then unusable and
-/// the caller must solve cold.
+/// The factorization grows by at most one eta per row, with no rebuild.
+/// A nonbasic variable's new entry lies outside the basis, so the row
+/// belongs to its slack alone and needs no eta. A variable basic in row
+/// `k` makes the grown basis `B E`, where `E` is the identity with
+/// column `k` replaced by `e_k + e_r` (`Factor::append_row`); the slack
+/// then reads `range - x'`. A variable already above its new bound shows
+/// up as a negative slack, which the dual simplex drives out like any
+/// other primal infeasibility.
+///
+/// Returns `false` when a variable has no column in the state; the state
+/// is then unusable and the caller must solve cold.
 pub(crate) fn append_bound_rows(state: &mut WarmState, rows: &[(usize, f64)]) -> bool {
-    if rows.is_empty() {
-        return true;
-    }
     for &(v, range) in rows {
         let Some(col) = state.var_of_col.iter().position(|&c| c == Some(v)) else {
             return false;
         };
-        let r = state.c.rows;
-        let slack = state.c.ncols();
-        state.c.cols[col].push((r, 1.0));
-        state.c.cols.push(vec![(r, 1.0)]);
-        state.c.in_basis.push(true);
-        state.c.basis.push(slack);
-        state.c.b0.push(range);
-        state.c.xb.push(range);
-        state.c.rows += 1;
+        let c = &mut state.c;
+        let r = c.rows;
+        let slack = c.ncols();
+        let mut slack_value = range;
+        if c.in_basis[col] {
+            let k = c.basis.iter().position(|&b| b == col).expect("a basic column has a row");
+            slack_value -= c.xb[k];
+            c.factor.append_row(k, r);
+        }
+        c.cols[col].push((r, 1.0));
+        c.cols.push(vec![(r, 1.0)]);
+        c.in_basis.push(true);
+        c.basis.push(slack);
+        c.b0.push(range);
+        c.xb.push(slack_value);
+        c.rows += 1;
         state.var_of_col.push(None);
         state.bound_row_of_var[v] = Some(r);
     }
-    state.c.refactor()
+    true
 }
 
 /// Read the optimal solution and duals off a converged warm basis.
@@ -1158,6 +1163,66 @@ mod tests {
         assert!(!was_warm);
         assert_eq!(r.status, LpStatus::Optimal);
         assert_close(r.objective, 1.0); // cover the >= 2 with the cheap column
+    }
+
+    /// Appending bound rows extends the eta file instead of rebuilding
+    /// it: one eta for a basic variable's row, none for a nonbasic one's,
+    /// and the grown file solves with the grown basis like a fresh
+    /// factorization of it.
+    #[test]
+    fn appended_bound_row_extends_the_eta_file() {
+        // min -2x - y + z s.t. x + y + z <= 4, x - y <= 1: x = 2.5 and
+        // y = 1.5 are basic, z is nonbasic at 0.
+        let mut m = Model::new();
+        let x = m.add_var(-2.0, 0.0, f64::INFINITY);
+        let y = m.add_var(-1.0, 0.0, f64::INFINITY);
+        let z = m.add_var(1.0, 0.0, f64::INFINITY);
+        m.add_con(&[(x, 1.0), (y, 1.0), (z, 1.0)], Le, 4.0);
+        m.add_con(&[(x, 1.0), (y, -1.0)], Le, 1.0);
+        let (lp, state) = solve_with_state(&m, 10_000);
+        assert_eq!(lp.status, LpStatus::Optimal);
+        let mut state = state.unwrap();
+        assert!(state.c.in_basis[x.0] && state.c.in_basis[y.0] && !state.c.in_basis[z.0]);
+        let refactorizations = state.c.factor.refactorizations;
+        let updates = state.c.factor.updates_since_refactor();
+
+        assert!(append_bound_rows(&mut state, &[(x.0, 2.0), (z.0, 3.0)]));
+        let c = &state.c;
+        assert_eq!(c.rows, 4);
+        assert_eq!(c.factor.refactorizations, refactorizations, "no rebuild");
+        assert_eq!(c.factor.updates_since_refactor(), updates + 1, "one eta, for x's row");
+        // x sits above its new bound: its slack starts at 2 - 2.5.
+        assert!((c.xb[2] + 0.5).abs() < 1e-9 && (c.xb[3] - 3.0).abs() < 1e-9);
+
+        // B xb = b0 over the grown basis.
+        let mut bx = vec![0.0; c.rows];
+        for (&b, &v) in c.basis.iter().zip(&c.xb) {
+            for &(i, a) in &c.cols[b] {
+                bx[i] += a * v;
+            }
+        }
+        for (i, (&got, &want)) in bx.iter().zip(&c.b0).enumerate() {
+            assert!((got - want).abs() < 1e-9, "row {i}: B xb = {got}, b0 = {want}");
+        }
+
+        // Every column transforms as through a fresh factorization.
+        let mut fresh = c.clone();
+        fresh.factor = Factor::identity();
+        assert!(fresh.factor.refactor(&fresh.cols, &mut fresh.basis));
+        let (mut w, mut w_fresh) = (Vec::new(), Vec::new());
+        for j in 0..c.ncols() {
+            c.ftran_col(j, &mut w);
+            fresh.ftran_col(j, &mut w_fresh);
+            for (r, &b) in c.basis.iter().enumerate() {
+                let r2 = fresh.basis.iter().position(|&b2| b2 == b).expect("same basis set");
+                assert!(
+                    (w[r] - w_fresh[r2]).abs() < 1e-9,
+                    "column {j}, basic {b}: eta file {} vs fresh {}",
+                    w[r],
+                    w_fresh[r2]
+                );
+            }
+        }
     }
 
     #[test]

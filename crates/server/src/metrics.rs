@@ -20,7 +20,7 @@ use crate::protocol::{OpLatency, SlowPhase, SlowRequest};
 use bagsched_types::obs::{Histogram, PhaseProfile};
 use bagsched_types::CacheTag;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -69,6 +69,7 @@ pub struct Metrics {
     pub slow_threshold_us: u64,
     histograms: [Mutex<Histogram>; 3],
     inflight: AtomicI64,
+    solver_panics: AtomicU64,
     slow: Mutex<VecDeque<SlowEntry>>,
 }
 
@@ -84,6 +85,7 @@ impl Metrics {
                 Mutex::new(Histogram::new()),
             ],
             inflight: AtomicI64::new(0),
+            solver_panics: AtomicU64::new(0),
             slow: Mutex::new(VecDeque::with_capacity(SLOW_RING_CAPACITY)),
         }
     }
@@ -108,6 +110,16 @@ impl Metrics {
     /// Solves currently being worked on.
     pub fn inflight(&self) -> u64 {
         self.inflight.load(Ordering::Relaxed).max(0) as u64
+    }
+
+    /// Count one solve that panicked (and was answered with an error).
+    pub fn count_solver_panic(&self) {
+        self.solver_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Solves that panicked since the daemon started.
+    pub fn solver_panics(&self) -> u64 {
+        self.solver_panics.load(Ordering::Relaxed)
     }
 
     /// Record one request's latency under its op.

@@ -412,6 +412,9 @@ pub struct StatsReply {
     pub near_hits: u64,
     /// Solves being worked on right now (gauge, not a counter).
     pub inflight: u64,
+    /// Solves that panicked; each was answered with an error and its
+    /// worker kept serving.
+    pub solver_panics: u64,
     /// Seconds since the daemon started.
     pub uptime_secs: u64,
     /// Per-op latency summaries; ops with no traffic are omitted.
@@ -432,6 +435,7 @@ impl Serialize for StatsReply {
             ("coalesced_waits".into(), self.coalesced_waits.to_value()),
             ("near_hits".into(), self.near_hits.to_value()),
             ("inflight".into(), self.inflight.to_value()),
+            ("solver_panics".into(), self.solver_panics.to_value()),
             ("uptime_secs".into(), self.uptime_secs.to_value()),
             ("ops".into(), self.ops.to_value()),
             ("slow".into(), self.slow.to_value()),
@@ -451,6 +455,7 @@ impl Deserialize for StatsReply {
             coalesced_waits: u64::from_value(v.field("coalesced_waits")?)?,
             near_hits: u64::from_value(v.field("near_hits")?)?,
             inflight: u64::from_value(v.field("inflight")?)?,
+            solver_panics: u64::from_value(v.field("solver_panics")?)?,
             uptime_secs: u64::from_value(v.field("uptime_secs")?)?,
             ops: Vec::<OpLatency>::from_value(v.field("ops")?)?,
             slow: Vec::<SlowRequest>::from_value(v.field("slow")?)?,
@@ -634,6 +639,7 @@ mod tests {
             coalesced_waits: 6,
             near_hits: 2,
             inflight: 1,
+            solver_panics: 4,
             uptime_secs: 99,
             ops: vec![OpLatency {
                 op: "solve".into(),

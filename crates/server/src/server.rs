@@ -6,7 +6,9 @@
 //! [`Solver`]. The solver's state cache is the
 //! whole point of staying resident: repeat traffic replays cached
 //! pattern solutions instead of re-searching (see
-//! `bagsched_core::solver`).
+//! `bagsched_core::solver`). A solve that panics is answered with an
+//! error and counted in the `stats` op's `solver_panics`; its worker
+//! keeps serving.
 //!
 //! Shutdown is cooperative: the `shutdown` op (or
 //! [`ServerHandle::shutdown`]) raises a flag and pokes the listener with
@@ -18,8 +20,10 @@ use crate::protocol::{
     decode, encode, read_frame_polled, write_frame, Ack, ProtocolError, Request, StatsReply,
 };
 use bagsched_core::{obs, EptasConfig, Solver};
+use bagsched_types::{CacheTag, SolveResponse};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -226,10 +230,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 // can say where its time went. With it disabled nothing
                 // is installed and spans stay no-ops.
                 let recorder = shared.metrics.profiling().then(obs::Recorder::new);
-                let resp = {
+                let resp = solve_isolated(req.id, &shared.metrics, || {
                     let _obs = recorder.as_ref().map(|r| r.install("server-worker"));
                     shared.solver.solve(&req)
-                };
+                });
                 shared.metrics.record(Op::Solve, resp.elapsed_us);
                 if let Some(r) = &recorder {
                     shared.metrics.offer_slow(SlowEntry {
@@ -253,6 +257,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                     coalesced_waits: c.coalesced_waits,
                     near_hits: c.near_hits,
                     inflight: shared.metrics.inflight(),
+                    solver_panics: shared.metrics.solver_panics(),
                     uptime_secs: shared.metrics.uptime_secs(),
                     ops: shared.metrics.op_latencies(),
                     slow: shared.metrics.slow_requests(),
@@ -274,5 +279,77 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         if write_frame(&mut stream, &reply).is_err() {
             return;
         }
+    }
+}
+
+/// Run one solve with its panic contained: a panicking `solve` becomes an
+/// `ok: false` answer to request `id` that names the panic, counted in
+/// `solver_panics`, and the worker lives on to serve its connection. The
+/// solver opens a coalescing leader's gate while the panic unwinds, so no
+/// follower waits on the dead solve either.
+fn solve_isolated(
+    id: u64,
+    metrics: &Metrics,
+    solve: impl FnOnce() -> SolveResponse,
+) -> SolveResponse {
+    let start = Instant::now();
+    panic::catch_unwind(AssertUnwindSafe(solve)).unwrap_or_else(|payload| {
+        metrics.count_solver_panic();
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        SolveResponse {
+            id,
+            ok: false,
+            error: Some(match msg {
+                Some(msg) => format!("solver panicked: {msg}"),
+                None => "solver panicked".into(),
+            }),
+            makespan: 0.0,
+            assignment: Vec::new(),
+            cache: CacheTag::Miss,
+            elapsed_us: start.elapsed().as_micros() as u64,
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn answer(id: u64) -> SolveResponse {
+        SolveResponse {
+            id,
+            ok: true,
+            error: None,
+            makespan: 2.5,
+            assignment: vec![0, 1],
+            cache: CacheTag::Hit,
+            elapsed_us: 42,
+        }
+    }
+
+    #[test]
+    fn a_panicking_solve_becomes_an_error_answer() {
+        let metrics = Metrics::new(0);
+        let resp = solve_isolated(7, &metrics, || panic!("pivot {} went singular", 3));
+        assert_eq!((resp.id, resp.ok), (7, false));
+        assert_eq!(resp.error.as_deref(), Some("solver panicked: pivot 3 went singular"));
+        assert!(resp.assignment.is_empty());
+        assert_eq!(metrics.solver_panics(), 1);
+
+        let resp = solve_isolated(8, &metrics, || panic!("static message"));
+        assert_eq!(resp.error.as_deref(), Some("solver panicked: static message"));
+        let resp = solve_isolated(9, &metrics, || std::panic::panic_any(17u32));
+        assert_eq!(resp.error.as_deref(), Some("solver panicked"));
+        assert_eq!(metrics.solver_panics(), 3);
+    }
+
+    #[test]
+    fn a_normal_solve_passes_through_untouched() {
+        let metrics = Metrics::new(0);
+        assert_eq!(solve_isolated(5, &metrics, || answer(5)), answer(5));
+        assert_eq!(metrics.solver_panics(), 0);
     }
 }

@@ -68,6 +68,7 @@ fn stats_op_serves_latency_metrics_and_slow_ring() {
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.inflight, 0, "nothing in flight between requests");
+    assert_eq!(stats.solver_panics, 0, "no solve panicked");
     // Both ops that ran have a latency summary; quantiles are ordered.
     let solve = stats.ops.iter().find(|o| o.op == "solve").expect("solve op summary");
     assert_eq!(solve.count, 2);

@@ -5,11 +5,12 @@
 //! Two claims are pinned:
 //!
 //! 1. **Work:** on the tight clustered witness the dual engine must cut
-//!    the simplex+dual pivot total of the restricted MILP by a wide
-//!    margin (measured ~2.7x on the winning guess, ~14x against the
-//!    PR-4 enriched-pool baseline; the pin asserts ≥2x so scheduler and
-//!    pool-composition noise cannot flake it), and the run-wide pivot
-//!    total must drop too.
+//!    the simplex+dual pivots per node LP of the restricted MILP by a
+//!    wide margin (measured ~3.7x on the winning guess; the pin asserts
+//!    ≥2x so scheduler and pool-composition noise cannot flake it), and
+//!    the run-wide pivot total must drop too. The warm and cold runs
+//!    explore different trees, so the pin compares pivots per node, not
+//!    per tree.
 //! 2. **Semantics:** warm-starting changes the work, not the answers —
 //!    verdicts and makespans must be byte-identical to the cold-node
 //!    path across a seeded sweep of every generator family.
@@ -37,11 +38,18 @@ fn node_warm_starts_cut_restricted_milp_pivots() {
     assert_eq!(cold.report.stats.node_warm_starts, 0, "cold runs must not warm-start");
     assert_eq!(cold.report.stats.dual_pivots, 0, "cold runs must not dual-pivot");
 
-    // ...and pay off: the restricted MILP of the winning guess (simplex +
-    // dual pivots combined) at least halves, and the run-wide total drops.
-    let wi = warm.report.last_success.as_ref().expect("warm run succeeded").lp_iterations;
-    let ci = cold.report.last_success.as_ref().expect("cold run succeeded").lp_iterations;
-    assert!(2 * wi <= ci, "restricted-MILP pivots {wi} (warm) not at least 2x below {ci} (cold)");
+    // ...and pay off: per node LP of the winning guess's restricted MILP
+    // (simplex + dual pivots combined) the pivots at least halve, and the
+    // run-wide total drops.
+    let per_node = |r: &EptasResult| {
+        let s = r.report.last_success.as_ref().expect("run succeeded");
+        s.lp_iterations as f64 / s.milp_nodes as f64
+    };
+    let (wi, ci) = (per_node(&warm), per_node(&cold));
+    assert!(
+        2.0 * wi <= ci,
+        "pivots per node LP {wi:.1} (warm) not at least 2x below {ci:.1} (cold)"
+    );
     assert!(
         ws.simplex_pivots < cold.report.stats.simplex_pivots,
         "total pivots {} (warm) not below {} (cold)",
@@ -74,9 +82,10 @@ fn every_non_root_node_starts_warm_on_the_tight_benchmark_cell() {
 /// Warm == cold, semantically: across every generator family and a
 /// seeded sweep, the two paths must reach identical verdicts (LPT
 /// fallback or not, same accepted guess) and byte-identical makespans.
-/// The MILP objective perturbations make every node-LP optimum unique,
-/// so the warm re-solve lands on the same vertex as the cold solve and
-/// the search trees coincide.
+/// The search trees need not coincide: a warm re-solve may stop at a
+/// different optimal vertex than the cold solve (the witness above
+/// explores different trees on the two paths), so only the answers are
+/// pinned.
 #[test]
 fn warm_and_cold_node_paths_agree_across_families() {
     for family in gen::Family::ALL {
