@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the substrates: simplex LP, MILP branch
-//! and bound, Dinic max-flow.
+//! and bound, the branch-and-bound node hand-off of a warm basis, Dinic
+//! max-flow.
 
 use bagsched_flow::{max_flow, FlowNetwork, NodeId};
-use bagsched_milp::{solve_milp, MilpOptions, Model, Relation};
+use bagsched_milp::simplex::{solve_warm, solve_with_state};
+use bagsched_milp::{solve_milp, LpStatus, MilpOptions, Model, Relation, VarId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -51,6 +53,64 @@ fn bench_milp(c: &mut Criterion) {
     group.finish();
 }
 
+/// A covering LP shaped like the EPTAS pattern master: row `i < rows - 1`
+/// asks for `2..=5` copies of job class `i`, each column is a machine
+/// pattern holding 1-3 copies of up to three classes, and the last row
+/// caps the machine count. Every column is `[0, inf)`.
+fn pattern_lp(rows: usize, cols: usize) -> Model {
+    let classes = rows - 1;
+    let mut terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); rows];
+    let mut m = Model::new();
+    for p in 0..cols {
+        let v = m.add_var(1.0 + (p % 7) as f64 * 0.01, 0.0, f64::INFINITY);
+        let mut held = [p % classes, (p * 7 + 3) % classes, (p * 13 + 5) % classes];
+        held.sort_unstable();
+        for (k, &i) in held.iter().enumerate() {
+            if k == 0 || held[k - 1] != i {
+                terms[i].push((v, (1 + (p + k) % 3) as f64));
+            }
+        }
+        terms[classes].push((v, 1.0));
+    }
+    for (i, row) in terms[..classes].iter().enumerate() {
+        m.add_con(row, Relation::Ge, (2 + i % 4) as f64);
+    }
+    m.add_con(&terms[classes], Relation::Le, (2 * rows) as f64);
+    m
+}
+
+/// The node hand-off of branch and bound: a parent's optimal basis
+/// cloned for a child, and that clone re-solved warm after the
+/// down-branch `x_j <= floor(v)` on the most fractional variable.
+fn bench_warm_state(c: &mut Criterion) {
+    let mut group = c.benchmark_group("warm_state");
+    let model = pattern_lp(120, 400);
+    let iter_limit = 100_000;
+    let (lp, state) = solve_with_state(&model, iter_limit);
+    assert_eq!(lp.status, LpStatus::Optimal, "the pattern LP must solve");
+    let state = state.expect("an optimal solve returns its basis");
+    let frac = |x: f64| 0.5 - (x.fract() - 0.5).abs();
+    let j = (0..model.num_vars())
+        .max_by(|&a, &b| frac(lp.x[a]).total_cmp(&frac(lp.x[b])))
+        .expect("the LP has columns");
+    let v = lp.x[j];
+    assert!(v.fract() > 1e-6, "the pattern LP must have a fractional variable");
+    let mut down = model.clone();
+    down.set_bounds(VarId(j), 0.0, v.floor());
+    group.bench_function(BenchmarkId::from_parameter("clone"), |b| {
+        b.iter(|| black_box(state.clone()))
+    });
+    group.bench_function(BenchmarkId::from_parameter("clone_down_branch_solve"), |b| {
+        b.iter(|| {
+            let mut warm = Some(state.clone());
+            let (lp, dual_pivots) = solve_warm(&down, iter_limit, &mut warm);
+            assert!(dual_pivots.is_some(), "the down-branch must re-solve warm");
+            black_box(lp)
+        })
+    });
+    group.finish();
+}
+
 fn bench_dinic(c: &mut Criterion) {
     let mut group = c.benchmark_group("dinic");
     for &layers in &[10usize, 30, 60] {
@@ -83,5 +143,5 @@ fn bench_dinic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simplex, bench_milp, bench_dinic);
+criterion_group!(benches, bench_simplex, bench_milp, bench_warm_state, bench_dinic);
 criterion_main!(benches);

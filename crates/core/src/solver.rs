@@ -31,7 +31,7 @@ use bagsched_types::{
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Opaque per-shape solver state: everything needed to replay a solve of
@@ -140,6 +140,24 @@ impl Lru {
     fn len(&self) -> usize {
         self.map.len()
     }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.near.clear();
+    }
+}
+
+/// Lock the state cache. A solve that panicked while holding the lock
+/// may have left the maps half-updated, so a poisoned cache is emptied
+/// and its poison cleared rather than trusted: the next requests solve
+/// cold and refill it.
+fn lock_cache(cache: &Mutex<Lru>) -> MutexGuard<'_, Lru> {
+    cache.lock().unwrap_or_else(|poisoned| {
+        let mut lru = poisoned.into_inner();
+        lru.clear();
+        cache.clear_poison();
+        lru
+    })
 }
 
 /// The session-oriented EPTAS solver. Cheap to share behind an `Arc`:
@@ -176,12 +194,18 @@ struct GateRelease<'a> {
 
 impl Drop for GateRelease<'_> {
     fn drop(&mut self) {
-        let gate = self.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.key);
+        let gate = lock(self.inflight).remove(&self.key);
         if let Some(gate) = gate {
-            *gate.0.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            *lock(&gate.0) = true;
             gate.1.notify_all();
         }
     }
+}
+
+/// Take a lock whose data stays consistent even if a holder panicked
+/// (single map operations, a flag): poison is ignored.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Solver {
@@ -230,7 +254,7 @@ impl Solver {
 
     /// Number of states currently cached.
     pub fn cached_states(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.lock().unwrap().len())
+        self.cache.as_ref().map_or(0, |c| lock_cache(c).len())
     }
 
     /// One-shot solve through the shared cache. With a cache attached,
@@ -320,10 +344,10 @@ impl Solver {
         // livelock.
         let mut release = None;
         let cached = loop {
-            if let Some(state) = cache.lock().unwrap().get(key) {
+            if let Some(state) = lock_cache(cache).get(key) {
                 break Some(state);
             }
-            let gate = match self.inflight.lock().unwrap().entry(key) {
+            let gate = match lock(&self.inflight).entry(key) {
                 Entry::Occupied(e) => Some(e.get().clone()),
                 Entry::Vacant(v) => {
                     v.insert(Arc::new((Mutex::new(false), Condvar::new())));
@@ -333,17 +357,17 @@ impl Solver {
             match gate {
                 Some(gate) => {
                     self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-                    let (lock, cv) = &*gate;
-                    let mut done = lock.lock().unwrap();
+                    let (gate_lock, cv) = &*gate;
+                    let mut done = lock(gate_lock);
                     while !*done {
-                        done = cv.wait(done).unwrap();
+                        done = cv.wait(done).unwrap_or_else(PoisonError::into_inner);
                     }
                 }
                 None => {
                     release = Some(GateRelease { inflight: &self.inflight, key });
                     // Double-check: a leader may have published between
                     // our cache miss and taking leadership.
-                    break cache.lock().unwrap().get(key);
+                    break lock_cache(cache).get(key);
                 }
             }
         };
@@ -353,7 +377,7 @@ impl Solver {
         // A hint is advisory — bisection stays correct from any starting
         // midpoint — so a stale neighbour costs probes, never
         // correctness.
-        let hint = if cached.is_none() { cache.lock().unwrap().get_near(near_key) } else { None };
+        let hint = if cached.is_none() { lock_cache(cache).get_near(near_key) } else { None };
         let solved = solve_session_inner(cfg, inst, cached.as_ref(), hint);
         let outcome = solved.map(|(mut res, state)| {
             if res.report.replayed {
@@ -368,7 +392,7 @@ impl Solver {
                 }
             }
             if let Some(state) = state {
-                let mut lru = cache.lock().unwrap();
+                let mut lru = lock_cache(cache);
                 lru.put_near(near_key, state.chosen_guess);
                 if lru.put(key, state) {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -571,6 +595,33 @@ mod tests {
         );
         handle.join().unwrap();
         assert!(solver.inflight.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn poisoned_cache_is_emptied_and_keeps_serving() {
+        // A thread panics while holding the cache lock. The solver must
+        // not turn that into a panic on every later request: the next
+        // lock empties the half-trusted cache, clears the poison, and
+        // repeat and new shapes both solve.
+        let solver = Solver::with_cache(EptasConfig::with_epsilon(0.5), 4);
+        let repeat = inst(0);
+        solver.solve_instance(&repeat).unwrap();
+        assert_eq!(solver.cached_states(), 1);
+        let cache = solver.cache.as_ref().unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = cache.lock().unwrap();
+            panic!("panic while holding the cache lock");
+        }));
+        assert!(unwound.is_err() && cache.is_poisoned());
+        let again = solver.solve_instance(&repeat).unwrap();
+        validate_schedule(&repeat, &again.schedule).unwrap();
+        assert!(!again.report.replayed, "a poisoned cache is emptied, not replayed from");
+        assert!(!cache.is_poisoned());
+        let fresh = inst(1);
+        let r = solver.solve_instance(&fresh).unwrap();
+        validate_schedule(&fresh, &r.schedule).unwrap();
+        assert_eq!(solver.cached_states(), 2);
+        assert!(solver.solve_instance(&repeat).unwrap().report.replayed);
     }
 
     #[test]

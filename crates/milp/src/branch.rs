@@ -457,8 +457,12 @@ pub fn solve_milp_with(
 
         // Hand the node basis to the children: both when the tableau is
         // small, only the dive child when it is large (the sibling then
-        // re-solves cold on backtrack, trading pivots for memory).
-        let rc = state.map(|boxed| Rc::new(*boxed));
+        // re-solves cold on backtrack, trading pivots for memory). A
+        // parked basis keeps no spare arena capacity.
+        let rc = state.map(|mut boxed| {
+            boxed.shrink_to_fit();
+            Rc::new(*boxed)
+        });
         let share_both = rc.as_ref().is_some_and(|s| s.weight() <= SHARE_CELL_BUDGET);
         let (warm_dive, warm_other) = if share_both { (rc.clone(), rc) } else { (rc, None) };
 

@@ -194,6 +194,8 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
     let mut rho: Vec<f64> = Vec::new();
     let mut y: Vec<f64> = Vec::new();
     let mut w: Vec<f64> = Vec::new();
+    // (col, |alpha|, ratio) for every usable candidate of the leaving row.
+    let mut cands: Vec<(usize, f64, f64)> = Vec::new();
     let fail = |status: LpStatus, iterations: usize, dual_pivots: usize, st: &WarmState| {
         let (rf1, eu1) = st.counters();
         Some(DualOutcome {
@@ -230,8 +232,7 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         state.c.btran_costs(&costs, &mut y);
         let mut has_candidate = false;
         let mut min_ratio = f64::INFINITY;
-        // (col, |alpha|, ratio) for every usable candidate of this row.
-        let mut cands: Vec<(usize, f64, f64)> = Vec::new();
+        cands.clear();
         for (j, col) in state.c.cols.iter().enumerate() {
             if state.c.in_basis[j] || !allowed(j) {
                 continue;

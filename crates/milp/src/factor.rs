@@ -23,16 +23,24 @@
 //! only the rows its elimination fills, and a column that eliminates to
 //! a bare `+1` (a unit slack) stores no eta at all, since applying an
 //! identity eta is an exact no-op.
+//!
+//! Storage is two flat arrays: one header per eta (pivot row, `1/pivot`,
+//! end offset) and one entries array holding every eta's off-pivot
+//! nonzeros back to back, in file order. FTRAN and BTRAN walk slices of
+//! it, a pivot or a row append pushes onto its end, and cloning the
+//! file is two copies however many etas it holds.
 
-/// One eta matrix: identity with column `r` replaced by a sparse column.
-#[derive(Debug, Clone)]
-struct Eta {
+/// One eta matrix: identity with column `r` replaced by a sparse column
+/// whose off-pivot nonzeros are the file's entries ending at `end`.
+#[derive(Debug, Clone, Copy)]
+struct EtaHead {
     /// Pivot row.
     r: usize,
     /// `1 / w[r]` — stored inverted so applications multiply.
     inv: f64,
-    /// Off-pivot nonzeros `(row, w[row])`, `row != r`.
-    nz: Vec<(usize, f64)>,
+    /// One past this eta's last entry; its first entry is the previous
+    /// eta's `end` (0 for the first eta).
+    end: usize,
 }
 
 /// Entries below this magnitude are dropped from stored eta columns;
@@ -46,7 +54,11 @@ const PIVOT_TOL: f64 = 1e-10;
 /// An eta-file factorization of the current simplex basis.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Factor {
-    etas: Vec<Eta>,
+    /// One header per eta, in file order.
+    heads: Vec<EtaHead>,
+    /// Off-pivot nonzeros `(row, w[row])`, `row != r`, of every eta back
+    /// to back in file order.
+    entries: Vec<(usize, f64)>,
     /// Etas appended by pivots since the last successful refactorization
     /// (refactorization etas do not count — they *are* the fresh start).
     updates: usize,
@@ -67,49 +79,47 @@ impl Factor {
         self.updates
     }
 
-    /// Total stored nonzeros (memory-weight proxy). A refactorization
-    /// stores no identity etas, so unit slacks count nothing here.
+    /// Total stored nonzeros (memory-weight proxy): every entry plus one
+    /// per eta for its pivot. A refactorization stores no identity etas,
+    /// so unit slacks count nothing here.
     pub(crate) fn nnz(&self) -> usize {
-        self.etas.iter().map(|e| e.nz.len() + 1).sum()
+        self.entries.len() + self.heads.len()
+    }
+
+    /// Release the spare capacity of both arrays.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.heads.shrink_to_fit();
+        self.entries.shrink_to_fit();
     }
 
     /// FTRAN: overwrite `x` with `B^-1 x` by applying every eta in file
     /// order.
     pub(crate) fn ftran(&self, x: &mut [f64]) {
-        for eta in &self.etas {
-            let t = x[eta.r] * eta.inv;
-            if t == 0.0 {
-                continue;
-            }
-            x[eta.r] = t;
-            for &(i, v) in &eta.nz {
-                x[i] -= v * t;
-            }
-        }
+        ftran_with(&self.heads, &self.entries, x, |_| {});
     }
 
     /// BTRAN: overwrite `y` with `B^-T y` by applying every eta in
     /// reverse file order.
     pub(crate) fn btran(&self, y: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            let mut acc = y[eta.r];
-            for &(i, v) in &eta.nz {
+        for (k, h) in self.heads.iter().enumerate().rev() {
+            let start = if k == 0 { 0 } else { self.heads[k - 1].end };
+            let mut acc = y[h.r];
+            for &(i, v) in &self.entries[start..h.end] {
                 acc -= v * y[i];
             }
-            y[eta.r] = acc * eta.inv;
+            y[h.r] = acc * h.inv;
         }
     }
 
     /// Append the pivot eta for entering column `w = B^-1 a_j` at pivot
     /// row `r` (the basis change `B <- B E`).
     pub(crate) fn update(&mut self, w: &[f64], r: usize) {
-        let nz: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v.abs() > DROP_TOL)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta { r, inv: 1.0 / w[r], nz });
+        for (i, &v) in w.iter().enumerate() {
+            if i != r && v.abs() > DROP_TOL {
+                self.entries.push((i, v));
+            }
+        }
+        self.heads.push(EtaHead { r, inv: 1.0 / w[r], end: self.entries.len() });
         self.updates += 1;
         self.eta_updates += 1;
     }
@@ -122,13 +132,14 @@ impl Factor {
     /// built in O(1) and exact in floating point. It counts like a pivot
     /// eta, toward the refactorization interval too.
     pub(crate) fn append_row(&mut self, k: usize, r: usize) {
-        self.etas.push(Eta { r: k, inv: 1.0, nz: vec![(r, 1.0)] });
+        self.entries.push((r, 1.0));
+        self.heads.push(EtaHead { r: k, inv: 1.0, end: self.entries.len() });
         self.updates += 1;
         self.eta_updates += 1;
     }
 
     /// Rebuild the eta file from scratch off the current basis columns:
-    /// Gaussian elimination in product form. `cols[basis[k]]` is the
+    /// Gaussian elimination in product form. `col(basis[k])` is the
     /// sparse matrix column of the variable basic in row `k`; columns are
     /// processed smallest-nonzero-count first (slacks and artificials
     /// come first) with partial pivoting over still-unassigned rows: the
@@ -138,25 +149,27 @@ impl Factor {
     /// The elimination is sparse. The work column is a dense array whose
     /// support is tracked in a touched-row list, so loading, pivot search,
     /// eta extraction and clearing cost the column's fill, not `rows`.
-    /// A column that eliminates to `+1` at its pivot row with nothing
-    /// else (a unit slack) assigns its row and stores no eta.
+    /// Each eta's entries go straight onto the fresh file's entries array
+    /// and are sorted by row there. A column that eliminates to `+1` at
+    /// its pivot row with nothing else (a unit slack) assigns its row and
+    /// stores no eta.
     ///
     /// On success the row assignment in `basis` is permuted to match the
     /// chosen pivot rows and `true` is returned; on a numerically
     /// singular column the old file and `basis` are kept untouched and
     /// `false` is returned (the solver just keeps growing the eta file
     /// until the next trigger).
-    pub(crate) fn refactor(&mut self, cols: &[Vec<(usize, f64)>], basis: &mut [usize]) -> bool {
+    pub(crate) fn refactor<'a>(
+        &mut self,
+        col: impl Fn(usize) -> &'a [(usize, f64)],
+        basis: &mut [usize],
+    ) -> bool {
         let m = basis.len();
         let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&k| cols[basis[k]].len());
+        order.sort_by_key(|&k| col(basis[k]).len());
 
-        let mut fresh = Factor {
-            etas: Vec::new(),
-            updates: 0,
-            refactorizations: self.refactorizations,
-            eta_updates: self.eta_updates,
-        };
+        let mut heads: Vec<EtaHead> = Vec::with_capacity(m);
+        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(self.entries.len());
         let mut assigned = vec![false; m];
         let mut new_basis = vec![usize::MAX; m];
         let mut w = vec![0.0f64; m];
@@ -164,7 +177,7 @@ impl Factor {
         let mut touched: Vec<usize> = Vec::new();
         for &k in &order {
             let j = basis[k];
-            for &(r, c) in &cols[j] {
+            for &(r, c) in col(j) {
                 w[r] = c;
                 if !seen[r] {
                     seen[r] = true;
@@ -172,20 +185,12 @@ impl Factor {
                 }
             }
             // FTRAN through the fresh file, recording fill-in rows.
-            for eta in &fresh.etas {
-                let t = w[eta.r] * eta.inv;
-                if t == 0.0 {
-                    continue;
+            ftran_with(&heads, &entries, &mut w, |i| {
+                if !seen[i] {
+                    seen[i] = true;
+                    touched.push(i);
                 }
-                w[eta.r] = t;
-                for &(i, v) in &eta.nz {
-                    if !seen[i] {
-                        seen[i] = true;
-                        touched.push(i);
-                    }
-                    w[i] -= v * t;
-                }
-            }
+            });
             // Partial pivoting over the rows no earlier column claimed.
             let mut prow = usize::MAX;
             let mut pmag = PIVOT_TOL;
@@ -200,15 +205,14 @@ impl Factor {
                 return false; // singular: keep the old (still valid) file
             }
             // BTRAN sums an eta's entries in stored order: keep row order.
-            let mut nz: Vec<(usize, f64)> = touched
-                .iter()
-                .filter(|&&i| i != prow && w[i].abs() > DROP_TOL)
-                .map(|&i| (i, w[i]))
-                .collect();
-            nz.sort_unstable_by_key(|&(i, _)| i);
+            let start = entries.len();
+            entries.extend(
+                touched.iter().filter(|&&i| i != prow && w[i].abs() > DROP_TOL).map(|&i| (i, w[i])),
+            );
+            entries[start..].sort_unstable_by_key(|&(i, _)| i);
             let inv = 1.0 / w[prow];
-            if inv != 1.0 || !nz.is_empty() {
-                fresh.etas.push(Eta { r: prow, inv, nz });
+            if inv != 1.0 || entries.len() > start {
+                heads.push(EtaHead { r: prow, inv, end: entries.len() });
             }
             assigned[prow] = true;
             new_basis[prow] = j;
@@ -218,10 +222,37 @@ impl Factor {
             }
             touched.clear();
         }
-        fresh.refactorizations += 1;
-        *self = fresh;
+        self.heads = heads;
+        self.entries = entries;
+        self.updates = 0;
+        self.refactorizations += 1;
         basis.copy_from_slice(&new_basis);
         true
+    }
+}
+
+/// Apply the etas `heads` (entries in `entries`) to `x` in file order,
+/// reporting every row an eta writes off its pivot to `fill` first.
+#[inline]
+fn ftran_with(
+    heads: &[EtaHead],
+    entries: &[(usize, f64)],
+    x: &mut [f64],
+    mut fill: impl FnMut(usize),
+) {
+    let mut start = 0;
+    for h in heads {
+        let nz = &entries[start..h.end];
+        start = h.end;
+        let t = x[h.r] * h.inv;
+        if t == 0.0 {
+            continue;
+        }
+        x[h.r] = t;
+        for &(i, v) in nz {
+            fill(i);
+            x[i] -= v * t;
+        }
     }
 }
 
@@ -238,6 +269,12 @@ mod tests {
             self.0 ^= self.0 << 17;
             lo + (self.0 >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
         }
+    }
+
+    /// Column accessor over per-column vectors, the shape
+    /// [`Factor::refactor`] reads columns in.
+    fn by_col<'a>(cols: &'a [Vec<(usize, f64)>]) -> impl Fn(usize) -> &'a [(usize, f64)] {
+        move |j| &cols[j]
     }
 
     /// Dense multiply `B x` where column of row `r`'s basic variable is
@@ -276,7 +313,7 @@ mod tests {
             let cols = random_cols(&mut rng, m);
             let mut basis: Vec<usize> = (0..m).collect();
             let mut f = Factor::identity();
-            assert!(f.refactor(&cols, &mut basis), "seed {seed}: refactor failed");
+            assert!(f.refactor(by_col(&cols), &mut basis), "seed {seed}: refactor failed");
             let b: Vec<f64> = (0..m).map(|_| rng.f(-2.0, 2.0)).collect();
             let mut x = b.clone();
             f.ftran(&mut x);
@@ -295,7 +332,7 @@ mod tests {
             let cols = random_cols(&mut rng, m);
             let mut basis: Vec<usize> = (0..m).collect();
             let mut f = Factor::identity();
-            assert!(f.refactor(&cols, &mut basis));
+            assert!(f.refactor(by_col(&cols), &mut basis));
             let c: Vec<f64> = (0..m).map(|_| rng.f(-1.0, 1.0)).collect();
             let mut y = c.clone();
             f.btran(&mut y);
@@ -331,7 +368,7 @@ mod tests {
             }
             let mut basis: Vec<usize> = (0..m).collect();
             let mut f = Factor::identity();
-            assert!(f.refactor(&cols, &mut basis));
+            assert!(f.refactor(by_col(&cols), &mut basis));
             // k random (valid) pivots via eta updates.
             let mut w = vec![0.0; m];
             let mut pivots = 0;
@@ -367,7 +404,7 @@ mod tests {
             f.ftran(&mut x_eta);
             let mut fresh = Factor::identity();
             let mut basis2 = basis.clone();
-            assert!(fresh.refactor(&cols, &mut basis2));
+            assert!(fresh.refactor(by_col(&cols), &mut basis2));
             let mut x_fresh = b.clone();
             fresh.ftran(&mut x_fresh);
             // The refactor may permute the row assignment; compare by
@@ -390,7 +427,7 @@ mod tests {
         let cols = vec![vec![(0, 2.0)], vec![(1, 1.0)], vec![(0, 1.0), (1, 1.0)]];
         let mut basis = vec![0, 1];
         let mut f = Factor::identity();
-        assert!(f.refactor(&cols, &mut basis));
+        assert!(f.refactor(by_col(&cols), &mut basis));
         assert_eq!(f.refactorizations, 1);
         let mut w = vec![1.0, 1.0];
         f.ftran(&mut w);
@@ -398,7 +435,7 @@ mod tests {
         assert_eq!(f.eta_updates, 1);
         assert_eq!(f.updates_since_refactor(), 1);
         let mut basis2 = vec![2, 1];
-        assert!(f.refactor(&cols, &mut basis2));
+        assert!(f.refactor(by_col(&cols), &mut basis2));
         assert_eq!(f.refactorizations, 2);
         assert_eq!(f.updates_since_refactor(), 0);
     }
@@ -418,20 +455,78 @@ mod tests {
         assert_eq!((b.updates, b.eta_updates), (a.updates, a.eta_updates));
     }
 
+    /// One eta the way the file stored it before it became flat arrays:
+    /// `(r, inv, off-pivot entries)`.
+    type VecEta = (usize, f64, Vec<(usize, f64)>);
+
+    /// An eta file with one vector per eta: the test-side oracle the
+    /// flat file is compared against, with its own FTRAN and BTRAN.
+    #[derive(Default)]
+    struct VecFile {
+        etas: Vec<VecEta>,
+    }
+
+    impl VecFile {
+        fn ftran(&self, x: &mut [f64]) {
+            for (r, inv, nz) in &self.etas {
+                let t = x[*r] * inv;
+                if t == 0.0 {
+                    continue;
+                }
+                x[*r] = t;
+                for &(i, v) in nz {
+                    x[i] -= v * t;
+                }
+            }
+        }
+
+        fn btran(&self, y: &mut [f64]) {
+            for (r, inv, nz) in self.etas.iter().rev() {
+                let mut acc = y[*r];
+                for &(i, v) in nz {
+                    acc -= v * y[i];
+                }
+                y[*r] = acc * inv;
+            }
+        }
+
+        /// The pivot eta [`Factor::update`] appends, as its own vector.
+        fn update(&mut self, w: &[f64], r: usize) {
+            let nz = w
+                .iter()
+                .enumerate()
+                .filter(|&(i, &v)| i != r && v.abs() > DROP_TOL)
+                .map(|(i, &v)| (i, v))
+                .collect();
+            self.etas.push((r, 1.0 / w[r], nz));
+        }
+    }
+
+    /// One eta of a flat file: `(r, inv, off-pivot entries)`.
+    type EtaRef<'a> = (usize, f64, &'a [(usize, f64)]);
+
+    /// The etas of a flat file, in file order.
+    fn etas(f: &Factor) -> Vec<EtaRef<'_>> {
+        let mut start = 0;
+        f.heads
+            .iter()
+            .map(|h| {
+                let nz = &f.entries[start..h.end];
+                start = h.end;
+                (h.r, h.inv, nz)
+            })
+            .collect()
+    }
+
     /// The dense elimination `Factor::refactor` replaced, kept as its
     /// bitwise oracle: every pass over the work column costs `rows`, and
     /// every column stores its eta, identity etas included.
-    fn dense_refactor(f: &mut Factor, cols: &[Vec<(usize, f64)>], basis: &mut [usize]) -> bool {
+    fn dense_refactor(f: &mut VecFile, cols: &[Vec<(usize, f64)>], basis: &mut [usize]) -> bool {
         let m = basis.len();
         let mut order: Vec<usize> = (0..m).collect();
         order.sort_by_key(|&k| cols[basis[k]].len());
 
-        let mut fresh = Factor {
-            etas: Vec::with_capacity(m),
-            updates: 0,
-            refactorizations: f.refactorizations,
-            eta_updates: f.eta_updates,
-        };
+        let mut fresh = VecFile { etas: Vec::with_capacity(m) };
         let mut assigned = vec![false; m];
         let mut new_basis = vec![usize::MAX; m];
         let mut w = vec![0.0f64; m];
@@ -453,17 +548,10 @@ mod tests {
             if prow == usize::MAX {
                 return false;
             }
-            let nz: Vec<(usize, f64)> = w
-                .iter()
-                .enumerate()
-                .filter(|&(i, &v)| i != prow && v.abs() > DROP_TOL)
-                .map(|(i, &v)| (i, v))
-                .collect();
-            fresh.etas.push(Eta { r: prow, inv: 1.0 / w[prow], nz });
+            fresh.update(&w, prow);
             assigned[prow] = true;
             new_basis[prow] = j;
         }
-        fresh.refactorizations += 1;
         *f = fresh;
         basis.copy_from_slice(&new_basis);
         true
@@ -472,20 +560,24 @@ mod tests {
     /// An eta as comparable bits: `(r, inv, [(row, value)])`.
     type EtaBits = (usize, u64, Vec<(usize, u64)>);
 
-    fn eta_bits(e: &Eta) -> EtaBits {
-        (e.r, e.inv.to_bits(), e.nz.iter().map(|&(i, v)| (i, v.to_bits())).collect())
+    fn eta_bits((r, inv, nz): EtaRef<'_>) -> EtaBits {
+        (r, inv.to_bits(), nz.iter().map(|&(i, v)| (i, v.to_bits())).collect())
     }
 
     fn file_bits(f: &Factor) -> Vec<EtaBits> {
-        f.etas.iter().map(eta_bits).collect()
+        etas(f).into_iter().map(eta_bits).collect()
+    }
+
+    fn vec_file_bits(f: &VecFile) -> Vec<EtaBits> {
+        f.etas.iter().map(|(r, inv, nz)| eta_bits((*r, *inv, nz))).collect()
     }
 
     fn vec_bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn is_identity(e: &Eta) -> bool {
-        e.inv == 1.0 && e.nz.is_empty()
+    fn is_identity((_, inv, nz): &VecEta) -> bool {
+        *inv == 1.0 && nz.is_empty()
     }
 
     fn pick(rng: &mut Rng, n: usize) -> usize {
@@ -553,10 +645,10 @@ mod tests {
             let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
             let m = 2 + pick(&mut rng, 30);
             let (cols, basis) = random_basis(&mut rng, m);
-            let (mut dense, mut sparse) = (Factor::identity(), Factor::identity());
+            let (mut dense, mut sparse) = (VecFile::default(), Factor::identity());
             let (mut bd, mut bs) = (basis.clone(), basis.clone());
             let ok = dense_refactor(&mut dense, &cols, &mut bd);
-            assert_eq!(sparse.refactor(&cols, &mut bs), ok, "seed {seed}: verdict");
+            assert_eq!(sparse.refactor(by_col(&cols), &mut bs), ok, "seed {seed}: verdict");
             assert_eq!(bs, bd, "seed {seed}: row assignment");
             if !ok {
                 assert_eq!(bs, basis, "seed {seed}: singular rebuild moved the basis");
@@ -565,22 +657,74 @@ mod tests {
             }
             nonsingular += 1;
             identities += dense.etas.iter().filter(|e| is_identity(e)).count();
-            let want: Vec<_> =
-                dense.etas.iter().filter(|e| !is_identity(e)).map(eta_bits).collect();
-            assert_eq!(file_bits(&sparse), want, "seed {seed}: eta file");
+            let want =
+                VecFile { etas: dense.etas.iter().filter(|e| !is_identity(e)).cloned().collect() };
+            assert_eq!(file_bits(&sparse), vec_file_bits(&want), "seed {seed}: eta file");
             let v: Vec<f64> = (0..m).map(|_| rng.f(-2.0, 2.0)).collect();
-            let solves: [fn(&Factor, &mut [f64]); 2] = [Factor::ftran, Factor::btran];
-            for solve in solves {
-                let (mut a, mut b) = (v.clone(), v.clone());
-                solve(&dense, &mut a);
-                solve(&sparse, &mut b);
-                assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed}: solve");
-            }
+            let (mut a, mut b) = (v.clone(), v.clone());
+            dense.ftran(&mut a);
+            sparse.ftran(&mut b);
+            assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed}: ftran");
+            let (mut a, mut b) = (v.clone(), v);
+            dense.btran(&mut a);
+            sparse.btran(&mut b);
+            assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed}: btran");
         }
         assert!(
             nonsingular >= 100 && singular >= 100 && identities > 0,
             "{nonsingular} nonsingular, {singular} singular, {identities} identity etas"
         );
+    }
+
+    /// The flat file solves like a file of one vector per eta, bit for
+    /// bit, while it grows past a rebuild by pivot etas of every length
+    /// (none included) and by row appends.
+    #[test]
+    fn flat_file_matches_a_vec_file_through_updates_and_row_appends() {
+        let mut grown = 0;
+        for seed in 1..=60u64 {
+            let mut rng = Rng(seed.wrapping_mul(0xD1B54A32D192ED03) | 1);
+            let m = 2 + pick(&mut rng, 20);
+            let (cols, basis) = random_basis(&mut rng, m);
+            let (mut flat, mut vecs) = (Factor::identity(), VecFile::default());
+            let (mut bf, mut bv) = (basis.clone(), basis);
+            if !dense_refactor(&mut vecs, &cols, &mut bv) {
+                continue;
+            }
+            assert!(flat.refactor(by_col(&cols), &mut bf));
+            vecs.etas.retain(|e| !is_identity(e));
+            let mut rows = m;
+            for step in 0..10 {
+                if rng.f(0.0, 1.0) < 0.3 {
+                    let k = pick(&mut rng, rows);
+                    flat.append_row(k, rows);
+                    vecs.etas.push((k, 1.0, vec![(rows, 1.0)]));
+                    rows += 1;
+                } else {
+                    let density = rng.f(0.0, 0.6);
+                    let mut w: Vec<f64> = (0..rows)
+                        .map(|_| if rng.f(0.0, 1.0) < density { rng.f(-2.0, 2.0) } else { 0.0 })
+                        .collect();
+                    let r = pick(&mut rng, rows);
+                    w[r] = rng.f(0.5, 2.0);
+                    flat.update(&w, r);
+                    vecs.update(&w, r);
+                }
+                assert_eq!(file_bits(&flat), vec_file_bits(&vecs), "seed {seed} step {step}");
+                let v: Vec<f64> = (0..rows).map(|_| rng.f(-2.0, 2.0)).collect();
+                let (mut a, mut b) = (v.clone(), v.clone());
+                vecs.ftran(&mut a);
+                flat.ftran(&mut b);
+                assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed} step {step}: ftran");
+                let (mut a, mut b) = (v.clone(), v);
+                vecs.btran(&mut a);
+                flat.btran(&mut b);
+                assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed} step {step}: btran");
+            }
+            assert_eq!(flat.nnz(), vecs.etas.iter().map(|e| e.2.len() + 1).sum::<usize>());
+            grown += 1;
+        }
+        assert!(grown >= 20, "only {grown} files grown");
     }
 
     /// A singular rebuild on top of a grown file returns `false` and
@@ -593,7 +737,7 @@ mod tests {
         cols.push(cols[2].clone());
         let mut basis: Vec<usize> = (0..m).collect();
         let mut f = Factor::identity();
-        assert!(f.refactor(&cols, &mut basis));
+        assert!(f.refactor(by_col(&cols), &mut basis));
         for r in 0..3 {
             let mut w: Vec<f64> = (0..m).map(|_| rng.f(-1.0, 1.0)).collect();
             w[r] = 2.0;
@@ -604,7 +748,7 @@ mod tests {
         let slot = basis.iter().position(|&j| j != 2).unwrap();
         singular[slot] = m; // column 2 twice
         let kept = singular.clone();
-        assert!(!f.refactor(&cols, &mut singular));
+        assert!(!f.refactor(by_col(&cols), &mut singular));
         assert_eq!(singular, kept);
         assert_eq!(file_bits(&f), before);
         assert_eq!(f.updates_since_refactor(), 3);
@@ -617,13 +761,13 @@ mod tests {
     fn pivot_tolerance_is_strict_and_ties_go_low() {
         let mut basis = vec![0, 1];
         let tiny = vec![vec![(0, PIVOT_TOL), (1, -PIVOT_TOL)], vec![(1, 1.0)]];
-        assert!(!Factor::identity().refactor(&tiny, &mut basis));
+        assert!(!Factor::identity().refactor(by_col(&tiny), &mut basis));
         // Column 0 reads magnitude 2 on both rows and lists row 1 first,
         // so its touched list is out of row order; row 0 must still win.
         // Had row 1 won, column 1 would land on row 0 instead.
         let tied = vec![vec![(1, -2.0), (0, 2.0)], vec![(0, 1.0), (1, 3.0)]];
         let mut basis = vec![0, 1];
-        assert!(Factor::identity().refactor(&tied, &mut basis));
+        assert!(Factor::identity().refactor(by_col(&tied), &mut basis));
         assert_eq!(basis, vec![0, 1]);
     }
 }

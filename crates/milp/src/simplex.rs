@@ -12,6 +12,13 @@
 //! dimension, not with `rows x columns` like the dense tableau this
 //! replaced.
 //!
+//! Storage is flat: the columns live in one entries array with a span
+//! per column (the crate-private `Columns`), and the eta file in one
+//! entries array with a header per eta. Pricing, FTRAN, BTRAN and the
+//! rebuild walk slices of these arrays, no column or eta holds a vector
+//! of its own, and a [`WarmState`] clones in a handful of copies, which
+//! is what a branch-and-bound node hands its children.
+//!
 //! Method: variables are shifted to `x' = x - lb >= 0`; finite upper
 //! bounds become explicit `x' <= ub - lb` rows. Inequalities get slack /
 //! surplus variables, rows are sign-normalized to `rhs >= 0`, and rows
@@ -52,14 +59,100 @@ pub fn default_iter_limit(model: &Model) -> usize {
     (500 * (model.num_vars() + model.num_cons()) + 2000).min(60_000)
 }
 
+/// The sparse matrix columns over the normalized rows, stored in one
+/// entries array with a `[start, end)` span per column. Column `j` lists
+/// its `(row, coefficient)` entries, after sign normalization, in the
+/// order they were built: model rows first, then the bound-row entry.
+///
+/// New columns go at the end. A column that gains an entry while another
+/// column lies behind it is first copied to the end, in order; the old
+/// copy stays behind as dead space, which a compaction drops once it
+/// outweighs the live entries.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Columns {
+    /// Every column's entries, column after column (plus dead space).
+    entries: Vec<(usize, f64)>,
+    /// Per column: the `[start, end)` range of its entries.
+    spans: Vec<(usize, usize)>,
+    /// Entries inside some column's span: `entries.len()` minus the dead
+    /// space.
+    live: usize,
+}
+
+impl Columns {
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Column `j`'s entries.
+    #[inline]
+    pub(crate) fn col(&self, j: usize) -> &[(usize, f64)] {
+        let (start, end) = self.spans[j];
+        &self.entries[start..end]
+    }
+
+    /// Every column's entries, in column order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+        self.spans.iter().map(|&(start, end)| &self.entries[start..end])
+    }
+
+    /// Stored entries of the live columns (dead space excluded).
+    pub(crate) fn nnz(&self) -> usize {
+        self.live
+    }
+
+    /// Append a column.
+    pub(crate) fn push(&mut self, col: impl IntoIterator<Item = (usize, f64)>) {
+        let start = self.entries.len();
+        self.entries.extend(col);
+        self.live += self.entries.len() - start;
+        self.spans.push((start, self.entries.len()));
+    }
+
+    /// Append `entry` to column `j`, after its other entries.
+    pub(crate) fn push_entry(&mut self, j: usize, entry: (usize, f64)) {
+        if self.spans[j].1 != self.entries.len() {
+            if self.entries.len() > 2 * self.live {
+                self.retain(|_| true);
+            }
+            let (start, end) = self.spans[j];
+            if end != self.entries.len() {
+                self.entries.extend_from_within(start..end);
+                self.spans[j] = (self.entries.len() - (end - start), self.entries.len());
+            }
+        }
+        self.entries.push(entry);
+        self.spans[j].1 += 1;
+        self.live += 1;
+    }
+
+    /// Keep the columns `j` with `keep(j)`, in order, and drop the dead
+    /// space.
+    pub(crate) fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        let mut kept = Columns {
+            entries: Vec::with_capacity(self.live),
+            spans: Vec::with_capacity(self.len()),
+            live: 0,
+        };
+        for j in (0..self.len()).filter(|&j| keep(j)) {
+            kept.push(self.col(j).iter().copied());
+        }
+        *self = kept;
+    }
+
+    /// Release the spare capacity of both arrays.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+        self.spans.shrink_to_fit();
+    }
+}
+
 /// The revised-simplex working state: sparse columns over the normalized
 /// rows, the basis with its eta-file factorization, and the current
 /// basic solution.
 #[derive(Debug, Clone)]
 pub(crate) struct Core {
-    /// Sparse matrix columns over normalized rows: `cols[j]` lists
-    /// `(row, coefficient)` after sign normalization.
-    pub(crate) cols: Vec<Vec<(usize, f64)>>,
+    pub(crate) cols: Columns,
     pub(crate) rows: usize,
     /// Basic column of each (pivot) row.
     pub(crate) basis: Vec<usize>,
@@ -90,7 +183,7 @@ impl Core {
     pub(crate) fn ftran_col(&self, j: usize, w: &mut Vec<f64>) {
         w.clear();
         w.resize(self.rows, 0.0);
-        for &(r, c) in &self.cols[j] {
+        for &(r, c) in self.cols.col(j) {
             w[r] = c;
         }
         self.factor.ftran(w);
@@ -144,7 +237,7 @@ impl Core {
     /// recompute `xb` from `b0`. A (numerically) singular rebuild keeps
     /// the old — still valid — eta file.
     fn refactor(&mut self) {
-        if self.factor.refactor(&self.cols, &mut self.basis) {
+        if self.factor.refactor(|j| self.cols.col(j), &mut self.basis) {
             self.xb.copy_from_slice(&self.b0);
             self.factor.ftran(&mut self.xb);
         }
@@ -279,6 +372,9 @@ pub struct WarmState {
     pub(crate) art_end: usize,
     /// Column -> model variable (None for slack/artificial).
     pub(crate) var_of_col: Vec<Option<usize>>,
+    /// Model variable -> column: the inverse of `var_of_col`, one entry
+    /// per variable seen so far.
+    pub(crate) col_of_var: Vec<usize>,
     /// Bounds snapshot of every variable seen so far; the dual engine
     /// turns a mismatch on re-solve into right-hand-side deltas (see
     /// [`crate::dual::reoptimize`]).
@@ -297,12 +393,20 @@ impl WarmState {
     /// Memory-weight proxy (stored nonzeros plus per-row vectors), the
     /// sparse replacement for the dense tableau's `rows * cols` cell
     /// count. Branch & bound uses it to decide whether a node basis is
-    /// cheap enough to share with both children. A refactorized eta file
-    /// stores no identity etas, so unit slacks weigh only their column
-    /// and row entries.
+    /// cheap enough to share with both children. It counts the entries
+    /// of live columns only, never the dead space a relocated column
+    /// leaves in the column arena. A refactorized eta file stores no
+    /// identity etas, so unit slacks weigh only their column and row
+    /// entries.
     pub(crate) fn weight(&self) -> usize {
-        let col_nnz: usize = self.c.cols.iter().map(|c| c.len()).sum();
-        col_nnz + self.c.factor.nnz() + 6 * self.c.rows
+        self.c.cols.nnz() + self.c.factor.nnz() + 6 * self.c.rows
+    }
+
+    /// Release the spare capacity of the column and eta arenas, for a
+    /// state parked while its children wait to be explored.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.c.cols.shrink_to_fit();
+        self.c.factor.shrink_to_fit();
     }
 
     /// Counter snapshot `(refactorizations, eta_updates)` for computing
@@ -390,43 +494,33 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
     // (surplus rows, equalities, sign-flipped rows) get an artificial.
     let num_slacks = rel.iter().filter(|&&r| r != Relation::Eq).count();
     let art_start = n + num_slacks;
-    let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(art_start);
+    let mut cols = Columns::default();
     for (terms, &bound_row) in model.col_terms[..n].iter().zip(&bound_row_of_var) {
-        let mut col: Vec<(usize, f64)> = terms.iter().map(|&(r, c)| (r, sign[r] * c)).collect();
-        if let Some(br) = bound_row {
-            col.push((br, 1.0));
-        }
-        cols.push(col);
+        cols.push(
+            terms.iter().map(|&(r, c)| (r, sign[r] * c)).chain(bound_row.map(|br| (br, 1.0))),
+        );
     }
-    cols.resize(art_start, Vec::new());
     let mut basis = vec![usize::MAX; m];
-    let mut next_slack = n;
-    let mut art_of_row: Vec<Option<usize>> = vec![None; m];
+    let mut art_rows: Vec<usize> = Vec::new();
     for (r, &rl) in rel.iter().enumerate() {
-        let slack_coef = match rl {
-            Relation::Le => {
-                let s = next_slack;
-                next_slack += 1;
-                cols[s] = vec![(r, sign[r])];
-                Some((s, sign[r]))
+        let coef = match rl {
+            Relation::Le => sign[r],
+            Relation::Ge => -sign[r],
+            Relation::Eq => {
+                art_rows.push(r);
+                continue;
             }
-            Relation::Ge => {
-                let s = next_slack;
-                next_slack += 1;
-                cols[s] = vec![(r, -sign[r])];
-                Some((s, -sign[r]))
-            }
-            Relation::Eq => None,
         };
-        match slack_coef {
-            Some((s, coef)) if coef > 0.0 => basis[r] = s,
-            _ => {
-                let a = cols.len();
-                cols.push(vec![(r, 1.0)]);
-                basis[r] = a;
-                art_of_row[r] = Some(a);
-            }
+        if coef > 0.0 {
+            basis[r] = cols.len();
+        } else {
+            art_rows.push(r);
         }
+        cols.push([(r, coef)]);
+    }
+    for r in art_rows {
+        basis[r] = cols.len();
+        cols.push([(r, 1.0)]);
     }
     let art_end = cols.len();
     let num_arts = art_end - art_start;
@@ -484,7 +578,7 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
             let Some(r) = core.basis.iter().position(|&b| b == a) else { continue };
             core.btran_unit(r, &mut rho);
             let pivot_col = (0..art_start)
-                .find(|&j| !core.in_basis[j] && Core::dot(&core.cols[j], &rho).abs() > 1e-6);
+                .find(|&j| !core.in_basis[j] && Core::dot(core.cols.col(j), &rho).abs() > 1e-6);
             if let Some(j) = pivot_col {
                 core.ftran_col(j, &mut w);
                 core.pivot(r, j, &w);
@@ -517,6 +611,7 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
         art_start,
         art_end,
         var_of_col,
+        col_of_var: (0..n).collect(),
         bounds: model.vars.iter().map(|v| (v.lb, v.ub)).collect(),
         bound_row_of_var,
         num_cons: ncons,
@@ -578,9 +673,9 @@ pub(crate) fn graft_columns(model: &Model, state: &mut WarmState) -> bool {
         return false;
     }
     for j in n_old..n_new {
-        let col: Vec<(usize, f64)> =
-            model.col_terms[j].iter().map(|&(r, c)| (r, state.row_sign[r] * c)).collect();
-        state.c.cols.push(col);
+        state.col_of_var.push(state.c.ncols());
+        let row_sign = &state.row_sign;
+        state.c.cols.push(model.col_terms[j].iter().map(|&(r, c)| (r, row_sign[r] * c)));
         state.c.in_basis.push(false);
         state.var_of_col.push(Some(j));
         state.bound_row_of_var.push(None);
@@ -608,7 +703,7 @@ pub(crate) fn graft_columns(model: &Model, state: &mut WarmState) -> bool {
 /// is then unusable and the caller must solve cold.
 pub(crate) fn append_bound_rows(state: &mut WarmState, rows: &[(usize, f64)]) -> bool {
     for &(v, range) in rows {
-        let Some(col) = state.var_of_col.iter().position(|&c| c == Some(v)) else {
+        let Some(&col) = state.col_of_var.get(v) else {
             return false;
         };
         let c = &mut state.c;
@@ -620,8 +715,8 @@ pub(crate) fn append_bound_rows(state: &mut WarmState, rows: &[(usize, f64)]) ->
             slack_value -= c.xb[k];
             c.factor.append_row(k, r);
         }
-        c.cols[col].push((r, 1.0));
-        c.cols.push(vec![(r, 1.0)]);
+        c.cols.push_entry(col, (r, 1.0));
+        c.cols.push([(r, 1.0)]);
         c.in_basis.push(true);
         c.basis.push(slack);
         c.b0.push(range);
@@ -748,8 +843,7 @@ pub fn purge_columns(model: &mut Model, warm: Option<&mut WarmState>, victims: &
             next += 1;
         }
     }
-    let mut keep = kill_col.iter().map(|&k| !k);
-    state.c.cols.retain(|_| keep.next().unwrap());
+    state.c.cols.retain(|c| !kill_col[c]);
     let mut keep = kill_col.iter().map(|&k| !k);
     state.c.in_basis.retain(|_| keep.next().unwrap());
     for b in &mut state.c.basis {
@@ -763,6 +857,11 @@ pub fn purge_columns(model: &mut Model, warm: Option<&mut WarmState>, victims: &
     state.var_of_col.retain(|_| keep.next().unwrap());
     for v in state.var_of_col.iter_mut().flatten() {
         *v = new_var[*v];
+    }
+    let mut keep = kill_var.iter().map(|&k| !k);
+    state.col_of_var.retain(|_| keep.next().unwrap());
+    for c in &mut state.col_of_var {
+        *c = new_col[*c];
     }
     let mut keep = kill_var.iter().map(|&k| !k);
     state.bounds.retain(|_| keep.next().unwrap());
@@ -1197,7 +1296,7 @@ mod tests {
         // B xb = b0 over the grown basis.
         let mut bx = vec![0.0; c.rows];
         for (&b, &v) in c.basis.iter().zip(&c.xb) {
-            for &(i, a) in &c.cols[b] {
+            for &(i, a) in c.cols.col(b) {
                 bx[i] += a * v;
             }
         }
@@ -1208,7 +1307,7 @@ mod tests {
         // Every column transforms as through a fresh factorization.
         let mut fresh = c.clone();
         fresh.factor = Factor::identity();
-        assert!(fresh.factor.refactor(&fresh.cols, &mut fresh.basis));
+        assert!(fresh.factor.refactor(|j| fresh.cols.col(j), &mut fresh.basis));
         let (mut w, mut w_fresh) = (Vec::new(), Vec::new());
         for j in 0..c.ncols() {
             c.ftran_col(j, &mut w);
@@ -1223,6 +1322,128 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Variable `v`'s column as the state should hold it: its model
+    /// entries sign-normalized, in model order, then its bound-row entry.
+    fn expected_col(m: &Model, st: &WarmState, v: usize) -> Vec<(usize, u64)> {
+        let mut col: Vec<(usize, f64)> =
+            m.col_terms[v].iter().map(|&(r, c)| (r, st.row_sign[r] * c)).collect();
+        col.extend(st.bound_row_of_var[v].map(|br| (br, 1.0)));
+        col.iter().map(|&(r, c)| (r, c.to_bits())).collect()
+    }
+
+    fn col_bits(st: &WarmState, j: usize) -> Vec<(usize, u64)> {
+        st.c.cols.col(j).iter().map(|&(r, c)| (r, c.to_bits())).collect()
+    }
+
+    /// A covering LP whose columns are all `[0, inf)`: `x0..x3` cover
+    /// three rows, `x4` is too expensive to ever be basic.
+    fn arena_model() -> (Model, WarmState) {
+        let mut m = Model::new();
+        let v: Vec<_> =
+            [1.0, 1.2, 1.5, 0.9, 50.0].iter().map(|&c| m.add_var(c, 0.0, f64::INFINITY)).collect();
+        m.add_con(&[(v[0], 1.0), (v[1], 2.0), (v[4], 1.0)], Ge, 3.0);
+        m.add_con(&[(v[1], 1.0), (v[2], 1.0), (v[4], 1.0)], Ge, 2.0);
+        m.add_con(&[(v[0], 1.0), (v[2], 3.0), (v[3], 1.0), (v[4], 1.0)], Ge, 4.0);
+        let (lp, state) = solve_with_state(&m, 10_000);
+        assert_eq!(lp.status, LpStatus::Optimal);
+        (m, state.unwrap())
+    }
+
+    /// A column that gains its bound-row entry while other columns lie
+    /// behind it in the arena moves to the end with its entries in
+    /// order and `(r, 1.0)` last; every other column keeps its entries.
+    #[test]
+    fn bound_entry_moves_a_column_to_the_arena_end_in_order() {
+        let (m, mut state) = arena_model();
+        for v in [0, 2, 1] {
+            let col = state.col_of_var[v];
+            assert_ne!(state.c.cols.spans[col].1, state.c.cols.entries.len(), "premise: not last");
+            let others: Vec<_> =
+                (0..state.c.ncols()).filter(|&j| j != col).map(|j| col_bits(&state, j)).collect();
+            let r = state.c.rows;
+            assert!(append_bound_rows(&mut state, &[(v, 1.0)]));
+            assert_eq!(state.bound_row_of_var[v], Some(r));
+            let got = col_bits(&state, col);
+            assert_eq!(got.last(), Some(&(r, 1.0f64.to_bits())));
+            assert_eq!(got, expected_col(&m, &state, v), "variable {v}");
+            let after: Vec<_> = (0..state.c.ncols() - 1)
+                .filter(|&j| j != col)
+                .map(|j| col_bits(&state, j))
+                .collect();
+            assert_eq!(after, others, "variable {v}: another column moved");
+            assert_eq!(col_bits(&state, state.c.ncols() - 1), vec![(r, 1.0f64.to_bits())]);
+        }
+        assert!(state.c.cols.entries.len() > state.c.cols.nnz(), "moves leave dead space");
+    }
+
+    /// A purge after such moves keeps every surviving column intact and
+    /// drops the dead space; the basis weight counts live entries only,
+    /// before and after.
+    #[test]
+    fn purge_after_moves_keeps_columns_and_counts_live_weight() {
+        let (mut m, mut state) = arena_model();
+        assert!(append_bound_rows(&mut state, &[(0, 2.0), (2, 1.0), (1, 3.0)]));
+        let live_weight = |st: &WarmState| {
+            let nnz: usize = st.c.cols.iter().map(|c| c.len()).sum();
+            nnz + st.c.factor.nnz() + 6 * st.c.rows
+        };
+        assert!(state.c.cols.entries.len() > state.c.cols.nnz());
+        assert_eq!(state.weight(), live_weight(&state));
+        let survivors: Vec<_> = (0..state.c.ncols())
+            .filter(|&j| state.var_of_col[j] != Some(4))
+            .map(|j| col_bits(&state, j))
+            .collect();
+        assert!(!state.c.in_basis[state.col_of_var[4]], "premise: x4 is nonbasic");
+        assert!(purge_columns(&mut m, Some(&mut state), &[VarId(4)]));
+        let kept: Vec<_> = (0..state.c.ncols()).map(|j| col_bits(&state, j)).collect();
+        assert_eq!(kept, survivors);
+        for v in 0..m.num_vars() {
+            assert_eq!(state.var_of_col[state.col_of_var[v]], Some(v));
+            assert_eq!(col_bits(&state, state.col_of_var[v]), expected_col(&m, &state, v));
+        }
+        assert_eq!(state.c.cols.entries.len(), state.c.cols.nnz(), "no dead space left");
+        assert_eq!(state.weight(), live_weight(&state));
+    }
+
+    /// A clone owns its storage: appending a bound row to the clone and
+    /// pivoting it past a rebuild leaves the original's solves bit for
+    /// bit as they were.
+    #[test]
+    fn a_grown_clone_leaves_its_original_alone() {
+        let (m, state) = arena_model();
+        let solves = |st: &WarmState| {
+            let mut costs = vec![0.0; st.c.ncols()];
+            for (c, v) in st.var_of_col.iter().enumerate() {
+                costs[c] = v.map_or(0.0, |v| m.vars[v].obj);
+            }
+            let (mut w, mut y) = (Vec::new(), Vec::new());
+            let mut bits: Vec<Vec<u64>> = (0..st.c.ncols())
+                .map(|j| {
+                    st.c.ftran_col(j, &mut w);
+                    w.iter().map(|x| x.to_bits()).collect()
+                })
+                .collect();
+            st.c.btran_costs(&costs, &mut y);
+            bits.push(y.iter().map(|x| x.to_bits()).collect());
+            bits
+        };
+        let before = solves(&state);
+        let mut clone = state.clone();
+        clone.c.refactor_interval = 1;
+        // Pick a basic structural variable and cut it below its value.
+        let (lp, _) = solve_with_state(&m, 10_000);
+        let v = (0..m.num_vars())
+            .find(|&v| state.c.in_basis[state.col_of_var[v]] && lp.x[v] > 0.5)
+            .expect("a basic variable above 0.5");
+        let mut tight = m.clone();
+        tight.set_bounds(VarId(v), 0.0, (lp.x[v] - 0.5).floor().max(0.0));
+        let out = crate::dual::reoptimize(&tight, 10_000, &mut clone).expect("warm path");
+        assert!(out.dual_pivots >= 1, "the cut must pivot");
+        assert!(clone.c.factor.refactorizations > state.c.factor.refactorizations);
+        assert_eq!(clone.c.rows, state.c.rows + 1);
+        assert_eq!(solves(&state), before);
     }
 
     #[test]
