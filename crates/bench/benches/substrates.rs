@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the substrates: simplex LP, MILP branch
-//! and bound, the branch-and-bound node hand-off of a warm basis, Dinic
-//! max-flow.
+//! and bound, the branch-and-bound node hand-off of a warm basis, a cold
+//! pattern-LP solve, Dinic max-flow.
 
 use bagsched_flow::{max_flow, FlowNetwork, NodeId};
 use bagsched_milp::simplex::{solve_warm, solve_with_state};
@@ -111,6 +111,21 @@ fn bench_warm_state(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cold solve of the same pattern LP: phase 1 over the artificials of
+/// its covering rows, phase 2, and the eta-file rebuilds on the way.
+fn bench_cold_pattern_lp(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cold_lp");
+    let model = pattern_lp(120, 400);
+    let iter_limit = 100_000;
+    let (lp, _) = solve_with_state(&model, iter_limit);
+    assert_eq!(lp.status, LpStatus::Optimal, "the pattern LP must solve");
+    assert!(lp.refactorizations >= 2, "the cold solve must rebuild its eta file");
+    group.bench_function(BenchmarkId::from_parameter("pattern_120x400"), |b| {
+        b.iter(|| black_box(solve_with_state(&model, iter_limit)))
+    });
+    group.finish();
+}
+
 fn bench_dinic(c: &mut Criterion) {
     let mut group = c.benchmark_group("dinic");
     for &layers in &[10usize, 30, 60] {
@@ -143,5 +158,12 @@ fn bench_dinic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simplex, bench_milp, bench_warm_state, bench_dinic);
+criterion_group!(
+    benches,
+    bench_simplex,
+    bench_milp,
+    bench_warm_state,
+    bench_cold_pattern_lp,
+    bench_dinic
+);
 criterion_main!(benches);

@@ -106,6 +106,26 @@ pub(crate) fn solve_session_inner(
     }
 
     let lb = lower_bounds(inst).combined();
+
+    // A machine per job: the k-th job in LPT order goes on machine k.
+    // That is the schedule `greedy_upper_bound` builds for such an
+    // instance, and it is optimal, since its makespan (the largest job)
+    // is a lower bound. Built here in O(n) space, without the
+    // per-machine tables that a request naming billions of machines
+    // could not allocate.
+    if inst.num_machines() >= inst.num_jobs() {
+        let mut schedule = Schedule::unassigned(inst.num_jobs(), inst.num_machines());
+        for (k, j) in lpt_order(inst).into_iter().enumerate() {
+            schedule.assign(j, MachineId(k as u32));
+        }
+        let makespan = inst.jobs().iter().map(|j| j.size).fold(0.0, f64::max);
+        report.lower_bound = lb;
+        report.lpt_upper_bound = makespan;
+        report.chosen_guess = Some(makespan);
+        report.elapsed = start.elapsed();
+        return Ok((EptasResult { schedule, makespan, report }, None));
+    }
+
     let ub_sched = greedy_upper_bound(inst);
     let ub = ub_sched.makespan(inst);
     report.lower_bound = lb;
@@ -631,12 +651,10 @@ fn try_guess(
 /// fully featured version).
 fn greedy_upper_bound(inst: &Instance) -> Schedule {
     let m = inst.num_machines();
-    let mut order: Vec<JobId> = inst.jobs().iter().map(|j| j.id).collect();
-    order.sort_by(|&a, &b| inst.size(b).total_cmp(&inst.size(a)).then(a.cmp(&b)));
     let mut loads = vec![0.0f64; m];
     let mut has_bag = vec![vec![false; inst.num_bags()]; m];
     let mut sched = Schedule::unassigned(inst.num_jobs(), m);
-    for j in order {
+    for j in lpt_order(inst) {
         let bag = inst.bag_of(j).idx();
         let best = (0..m)
             .filter(|&i| !has_bag[i][bag])
@@ -647,6 +665,14 @@ fn greedy_upper_bound(inst: &Instance) -> Schedule {
         has_bag[best][bag] = true;
     }
     sched
+}
+
+/// The jobs by size, largest first, ties by id: the order LPT places
+/// them in.
+fn lpt_order(inst: &Instance) -> Vec<JobId> {
+    let mut order: Vec<JobId> = inst.jobs().iter().map(|j| j.id).collect();
+    order.sort_by(|&a, &b| inst.size(b).total_cmp(&inst.size(a)).then(a.cmp(&b)));
+    order
 }
 
 /// Move conflicting jobs to the least-loaded conflict-free machine until
@@ -739,6 +765,29 @@ mod tests {
             let r = Solver::with_epsilon(0.4).solve_instance(&inst).unwrap();
             let lpt = greedy_upper_bound(&inst).makespan(&inst);
             assert!(r.makespan <= lpt + 1e-9, "seed {seed}: {} > {lpt}", r.makespan);
+        }
+    }
+
+    /// With a machine per job the driver answers without the LPT tables,
+    /// and its answer is the schedule, makespan and report the LPT path
+    /// gives such an instance.
+    #[test]
+    fn machine_per_job_answer_is_the_lpt_schedule() {
+        for family in gen::Family::ALL {
+            for extra in [0, 7] {
+                let base = family.generate(24, 3, 5);
+                let inst = base.with_machines(base.num_jobs() + extra);
+                let r = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
+                let lpt = greedy_upper_bound(&inst);
+                assert_eq!(r.schedule.assignment(), lpt.assignment(), "{}", family.name());
+                let ms = lpt.makespan(&inst);
+                assert_eq!(r.makespan.to_bits(), ms.to_bits(), "{}", family.name());
+                assert_eq!(r.report.lpt_upper_bound.to_bits(), ms.to_bits());
+                assert_eq!(r.report.chosen_guess, Some(ms));
+                assert_eq!(r.report.lower_bound, lower_bounds(&inst).combined());
+                assert!(r.report.lower_bound >= ms, "{}: not optimal", family.name());
+                assert!(!r.report.fell_back_to_lpt && r.report.guesses_tried == 0);
+            }
         }
     }
 

@@ -519,6 +519,24 @@ mod tests {
         assert!(r.assignment.is_empty());
     }
 
+    /// A request naming `u32::MAX` machines for two jobs is answered
+    /// (one job per machine) instead of allocating per-machine tables
+    /// that abort the process.
+    #[test]
+    fn wire_solve_answers_a_machine_count_at_the_u32_limit() {
+        let solver = Solver::with_cache(EptasConfig::with_epsilon(0.5), 4);
+        let r = solver.solve(&SolveRequest {
+            id: 4,
+            epsilon: 0.5,
+            deadline_ms: None,
+            instance: Instance::new(&[(2.0, 0), (1.0, 1)], u32::MAX as usize),
+        });
+        assert!(r.ok, "{:?}", r.error);
+        assert_eq!(r.makespan, 2.0);
+        assert_eq!(r.assignment.len(), 2);
+        assert_ne!(r.assignment[0], r.assignment[1]);
+    }
+
     /// Finite sizes whose sum overflows f64 are refused, not answered
     /// with an infinite makespan — by cached and uncached solvers alike.
     #[test]

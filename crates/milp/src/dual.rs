@@ -35,9 +35,11 @@
 //!
 //! The deltas are applied to the stored normalized RHS `b0` and the basic
 //! solution is refreshed with one FTRAN. Per dual pivot: the leaving row
-//! is the most primal-infeasible basic, its inverse row `rho = B^-T e_r`
-//! prices every nonbasic column's pivot element `alpha_j = rho . a_j` in
-//! one sparse pass, and the entering column is chosen by a **Harris-style
+//! is the most primal-infeasible basic; one sweep over the eta file
+//! computes both its inverse row `rho = B^-T e_r` and the multipliers
+//! `y = B^-T c_B`, which price every nonbasic column's pivot element
+//! `alpha_j = rho . a_j` and reduced cost in one sparse pass; and the
+//! entering column is chosen by a **Harris-style
 //! two-pass ratio test**: pass one finds the minimum dual ratio within a
 //! small tolerance, pass two picks the numerically largest pivot element
 //! among the near-ties. A candidate set whose best pivot element is still
@@ -226,10 +228,10 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         }
         let Some((_, _, prow)) = leave else { break };
 
-        // One BTRAN pair prices the whole row: `alpha_j = rho . a_j` is
-        // the pivot element, `costs_j - y . a_j` the reduced cost.
-        state.c.btran_unit(prow, &mut rho);
-        state.c.btran_costs(&costs, &mut y);
+        // One sweep over the eta file computes both vectors that price
+        // the whole row: `alpha_j = rho . a_j` is the pivot element,
+        // `costs_j - y . a_j` the reduced cost.
+        state.c.btran_unit_and_costs(prow, &mut rho, &costs, &mut y);
         let mut has_candidate = false;
         let mut min_ratio = f64::INFINITY;
         cands.clear();
@@ -302,7 +304,7 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
 
     // ---- Primal clean-up: objective edits or grafted columns may have
     // left dual-infeasible (negative reduced cost) columns. ----
-    let status = state.c.optimize(&costs, allowed, iter_limit, &mut iterations);
+    let status = state.c.optimize(&costs, allowed, iter_limit, &mut iterations, &mut y);
     if status != LpStatus::Optimal {
         return fail(status, iterations, dual_pivots, state);
     }
@@ -311,6 +313,7 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         lp: simplex::extract_optimal(
             model,
             state,
+            &y,
             iterations,
             (rf1 - rf0) as usize,
             (eu1 - eu0) as usize,

@@ -19,10 +19,11 @@
 //! pivoting — and the solver triggers it every
 //! [`crate::model::Model::set_refactor_interval`] pivots (default 32,
 //! the same cadence the column-generation master already used for its
-//! cold refreshes). The rebuild is sparse: each column's work touches
-//! only the rows its elimination fills, and a column that eliminates to
-//! a bare `+1` (a unit slack) stores no eta at all, since applying an
-//! identity eta is an exact no-op.
+//! cold refreshes). The rebuild is sparse: two bitsets track the rows a
+//! column's elimination touches and the fresh etas that pivot on those
+//! rows, so each column's work visits only them, and a column that
+//! eliminates to a bare `+1` (a unit slack) stores no eta at all, since
+//! applying an identity eta is an exact no-op.
 //!
 //! Storage is two flat arrays: one header per eta (pivot row, `1/pivot`,
 //! end offset) and one entries array holding every eta's off-pivot
@@ -50,6 +51,9 @@ const DROP_TOL: f64 = 1e-12;
 /// Pivot elements below this magnitude make a refactorization attempt
 /// numerically singular; the old eta file is kept instead.
 const PIVOT_TOL: f64 = 1e-10;
+
+/// `eta_of_row` entry of a row no fresh eta pivots on.
+const NO_ETA: usize = usize::MAX;
 
 /// An eta-file factorization of the current simplex basis.
 #[derive(Debug, Clone, Default)]
@@ -95,7 +99,19 @@ impl Factor {
     /// FTRAN: overwrite `x` with `B^-1 x` by applying every eta in file
     /// order.
     pub(crate) fn ftran(&self, x: &mut [f64]) {
-        ftran_with(&self.heads, &self.entries, x, |_| {});
+        let mut start = 0;
+        for h in &self.heads {
+            let nz = &self.entries[start..h.end];
+            start = h.end;
+            let t = x[h.r] * h.inv;
+            if t == 0.0 {
+                continue;
+            }
+            x[h.r] = t;
+            for &(i, v) in nz {
+                x[i] -= v * t;
+            }
+        }
     }
 
     /// BTRAN: overwrite `y` with `B^-T y` by applying every eta in
@@ -111,12 +127,41 @@ impl Factor {
         }
     }
 
+    /// Two BTRANs in one sweep over the file: overwrite `a` with
+    /// `B^-T a` and `b` with `B^-T b`. Each vector sees the operations of
+    /// a lone [`Factor::btran`] in the same order, so both results are
+    /// bit for bit what two separate calls give.
+    pub(crate) fn btran_pair(&self, a: &mut [f64], b: &mut [f64]) {
+        for (k, h) in self.heads.iter().enumerate().rev() {
+            let start = if k == 0 { 0 } else { self.heads[k - 1].end };
+            let (mut acc_a, mut acc_b) = (a[h.r], b[h.r]);
+            for &(i, v) in &self.entries[start..h.end] {
+                acc_a -= v * a[i];
+                acc_b -= v * b[i];
+            }
+            a[h.r] = acc_a * h.inv;
+            b[h.r] = acc_b * h.inv;
+        }
+    }
+
     /// Append the pivot eta for entering column `w = B^-1 a_j` at pivot
     /// row `r` (the basis change `B <- B E`).
     pub(crate) fn update(&mut self, w: &[f64], r: usize) {
+        self.update_with(w, r, |_, _| {});
+    }
+
+    /// [`Factor::update`] that also hands every nonzero `(i, w[i])` of
+    /// `w`, the pivot row's included, to `nonzero` in row order, so a
+    /// caller that needs its own pass over `w` rides along with the eta
+    /// extraction.
+    #[inline]
+    pub(crate) fn update_with(&mut self, w: &[f64], r: usize, mut nonzero: impl FnMut(usize, f64)) {
         for (i, &v) in w.iter().enumerate() {
-            if i != r && v.abs() > DROP_TOL {
-                self.entries.push((i, v));
+            if v != 0.0 {
+                nonzero(i, v);
+                if i != r && v.abs() > DROP_TOL {
+                    self.entries.push((i, v));
+                }
             }
         }
         self.heads.push(EtaHead { r, inv: 1.0 / w[r], end: self.entries.len() });
@@ -147,10 +192,21 @@ impl Factor {
     /// row.
     ///
     /// The elimination is sparse. The work column is a dense array whose
-    /// support is tracked in a touched-row list, so loading, pivot search,
-    /// eta extraction and clearing cost the column's fill, not `rows`.
-    /// Each eta's entries go straight onto the fresh file's entries array
-    /// and are sorted by row there. A column that eliminates to `+1` at
+    /// support is a bitset of touched rows, so loading, pivot search, eta
+    /// extraction and clearing cost the column's fill (plus one pass over
+    /// the bitset's words), not `rows`. Every row of the fresh file is
+    /// the pivot row of at most one of its etas, and a second bitset
+    /// holds the etas still to apply to the column: those whose pivot row
+    /// the column has touched. They are applied in file order, which is
+    /// what FTRAN through the whole file does, since an eta whose pivot
+    /// row is untouched when FTRAN reaches it multiplies a zero and is
+    /// skipped. A row that an applied eta fills marks its own eta only
+    /// when that eta comes later in the file: an earlier one was passed
+    /// while the row still read zero.
+    ///
+    /// Pivot search and eta extraction walk the touched rows in
+    /// increasing order, so each eta's entries come out sorted by row,
+    /// the order BTRAN sums them in. A column that eliminates to `+1` at
     /// its pivot row with nothing else (a unit slack) assigns its row and
     /// stores no eta.
     ///
@@ -170,57 +226,66 @@ impl Factor {
 
         let mut heads: Vec<EtaHead> = Vec::with_capacity(m);
         let mut entries: Vec<(usize, f64)> = Vec::with_capacity(self.entries.len());
-        let mut assigned = vec![false; m];
         let mut new_basis = vec![usize::MAX; m];
         let mut w = vec![0.0f64; m];
-        let mut seen = vec![false; m];
-        let mut touched: Vec<usize> = Vec::new();
+        // Row -> the fresh eta pivoting on it.
+        let mut eta_of_row = vec![NO_ETA; m];
+        let mut assigned = BitSet::new(m);
+        let mut touched = BitSet::new(m);
+        let mut pending = BitSet::new(m);
         for &k in &order {
             let j = basis[k];
             for &(r, c) in col(j) {
                 w[r] = c;
-                if !seen[r] {
-                    seen[r] = true;
-                    touched.push(r);
+                if touched.insert(r) && eta_of_row[r] != NO_ETA {
+                    pending.insert(eta_of_row[r]);
                 }
             }
-            // FTRAN through the fresh file, recording fill-in rows.
-            ftran_with(&heads, &entries, &mut w, |i| {
-                if !seen[i] {
-                    seen[i] = true;
-                    touched.push(i);
+            // FTRAN through the etas that can act on the column.
+            let mut cursor = 0;
+            while let Some(e) = pending.pop_first(&mut cursor) {
+                let h = heads[e];
+                let t = w[h.r] * h.inv;
+                if t == 0.0 {
+                    continue;
                 }
-            });
-            // Partial pivoting over the rows no earlier column claimed.
+                w[h.r] = t;
+                let start = if e == 0 { 0 } else { heads[e - 1].end };
+                for &(i, v) in &entries[start..h.end] {
+                    if touched.insert(i) && eta_of_row[i] != NO_ETA && eta_of_row[i] > e {
+                        pending.insert(eta_of_row[i]);
+                    }
+                    w[i] -= v * t;
+                }
+            }
+            // Partial pivoting over the rows no earlier column claimed:
+            // the strict `>` in row order sends ties to the lowest row.
             let mut prow = usize::MAX;
             let mut pmag = PIVOT_TOL;
-            for &r in &touched {
+            touched.for_each_outside(&assigned, |r| {
                 let a = w[r].abs();
-                if !assigned[r] && (a > pmag || (a == pmag && prow != usize::MAX && r < prow)) {
+                if a > pmag {
                     pmag = a;
                     prow = r;
                 }
-            }
+            });
             if prow == usize::MAX {
                 return false; // singular: keep the old (still valid) file
             }
-            // BTRAN sums an eta's entries in stored order: keep row order.
-            let start = entries.len();
-            entries.extend(
-                touched.iter().filter(|&&i| i != prow && w[i].abs() > DROP_TOL).map(|&i| (i, w[i])),
-            );
-            entries[start..].sort_unstable_by_key(|&(i, _)| i);
             let inv = 1.0 / w[prow];
+            let start = entries.len();
+            touched.drain(|i| {
+                if i != prow && w[i].abs() > DROP_TOL {
+                    entries.push((i, w[i]));
+                }
+                w[i] = 0.0;
+            });
             if inv != 1.0 || entries.len() > start {
+                eta_of_row[prow] = heads.len();
                 heads.push(EtaHead { r: prow, inv, end: entries.len() });
             }
-            assigned[prow] = true;
+            assigned.insert(prow);
             new_basis[prow] = j;
-            for &i in &touched {
-                w[i] = 0.0;
-                seen[i] = false;
-            }
-            touched.clear();
         }
         self.heads = heads;
         self.entries = entries;
@@ -231,27 +296,64 @@ impl Factor {
     }
 }
 
-/// Apply the etas `heads` (entries in `entries`) to `x` in file order,
-/// reporting every row an eta writes off its pivot to `fill` first.
-#[inline]
-fn ftran_with(
-    heads: &[EtaHead],
-    entries: &[(usize, f64)],
-    x: &mut [f64],
-    mut fill: impl FnMut(usize),
-) {
-    let mut start = 0;
-    for h in heads {
-        let nz = &entries[start..h.end];
-        start = h.end;
-        let t = x[h.r] * h.inv;
-        if t == 0.0 {
-            continue;
+/// A set of indices below a fixed bound, one bit each in 64-bit words.
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    fn new(n: usize) -> Self {
+        BitSet { words: vec![0; n.div_ceil(64)] }
+    }
+
+    /// Add `i`; `true` when it was not in the set yet.
+    #[inline]
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Remove and return the smallest member, searching from word
+    /// `*cursor` on and leaving the cursor at the member's word. Members
+    /// below the cursor's word are not seen, so a caller that only ever
+    /// inserts above the last popped member walks the set in order.
+    #[inline]
+    fn pop_first(&mut self, cursor: &mut usize) -> Option<usize> {
+        while let Some(word) = self.words.get_mut(*cursor) {
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(*cursor * 64 + bit);
+            }
+            *cursor += 1;
         }
-        x[h.r] = t;
-        for &(i, v) in nz {
-            fill(i);
-            x[i] -= v * t;
+        None
+    }
+
+    /// Call `f` on every member that is not in `other`, in increasing
+    /// order.
+    #[inline]
+    fn for_each_outside(&self, other: &BitSet, mut f: impl FnMut(usize)) {
+        for (k, (&word, &skip)) in self.words.iter().zip(&other.words).enumerate() {
+            let mut bits = word & !skip;
+            while bits != 0 {
+                f(k * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Call `f` on every member in increasing order and empty the set.
+    #[inline]
+    fn drain(&mut self, mut f: impl FnMut(usize)) {
+        for (k, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                f(k * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
         }
     }
 }
@@ -635,50 +737,79 @@ mod tests {
         (cols, basis)
     }
 
+    /// Rebuild one random basis of `m` rows both ways and require the
+    /// sparse rebuild to match the dense elimination bit for bit.
+    /// Returns `None` for a singular basis, else the number of stored
+    /// etas and of identity etas the sparse rebuild skipped.
+    fn check_sparse_against_dense(seed: u64, rng: &mut Rng, m: usize) -> Option<(usize, usize)> {
+        let (cols, basis) = random_basis(rng, m);
+        let (mut dense, mut sparse) = (VecFile::default(), Factor::identity());
+        let (mut bd, mut bs) = (basis.clone(), basis.clone());
+        let ok = dense_refactor(&mut dense, &cols, &mut bd);
+        assert_eq!(sparse.refactor(by_col(&cols), &mut bs), ok, "seed {seed}: verdict");
+        assert_eq!(bs, bd, "seed {seed}: row assignment");
+        if !ok {
+            assert_eq!(bs, basis, "seed {seed}: singular rebuild moved the basis");
+            return None;
+        }
+        let identities = dense.etas.iter().filter(|e| is_identity(e)).count();
+        let want =
+            VecFile { etas: dense.etas.iter().filter(|e| !is_identity(e)).cloned().collect() };
+        assert_eq!(file_bits(&sparse), vec_file_bits(&want), "seed {seed}: eta file");
+        let v: Vec<f64> = (0..m).map(|_| rng.f(-2.0, 2.0)).collect();
+        let (mut a, mut b) = (v.clone(), v.clone());
+        dense.ftran(&mut a);
+        sparse.ftran(&mut b);
+        assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed}: ftran");
+        let (mut a, mut b) = (v.clone(), v);
+        dense.btran(&mut a);
+        sparse.btran(&mut b);
+        assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed}: btran");
+        Some((want.etas.len(), identities))
+    }
+
     /// The sparse rebuild must reproduce the dense elimination bit for
     /// bit: same verdict, same row assignment, the same non-identity etas
-    /// entry for entry, and therefore the same FTRAN and BTRAN.
+    /// entry for entry, and therefore the same FTRAN and BTRAN. Bases of
+    /// up to 31 rows keep the rebuild's bitsets in one word; bases of 65
+    /// to 200 rows spread them over several and number etas past 64.
     #[test]
     fn sparse_refactor_matches_dense_bitwise() {
         let (mut nonsingular, mut singular, mut identities) = (0, 0, 0);
         for seed in 1..=400u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
             let m = 2 + pick(&mut rng, 30);
-            let (cols, basis) = random_basis(&mut rng, m);
-            let (mut dense, mut sparse) = (VecFile::default(), Factor::identity());
-            let (mut bd, mut bs) = (basis.clone(), basis.clone());
-            let ok = dense_refactor(&mut dense, &cols, &mut bd);
-            assert_eq!(sparse.refactor(by_col(&cols), &mut bs), ok, "seed {seed}: verdict");
-            assert_eq!(bs, bd, "seed {seed}: row assignment");
-            if !ok {
-                assert_eq!(bs, basis, "seed {seed}: singular rebuild moved the basis");
-                singular += 1;
-                continue;
+            match check_sparse_against_dense(seed, &mut rng, m) {
+                Some((_, skipped)) => {
+                    nonsingular += 1;
+                    identities += skipped;
+                }
+                None => singular += 1,
             }
-            nonsingular += 1;
-            identities += dense.etas.iter().filter(|e| is_identity(e)).count();
-            let want =
-                VecFile { etas: dense.etas.iter().filter(|e| !is_identity(e)).cloned().collect() };
-            assert_eq!(file_bits(&sparse), vec_file_bits(&want), "seed {seed}: eta file");
-            let v: Vec<f64> = (0..m).map(|_| rng.f(-2.0, 2.0)).collect();
-            let (mut a, mut b) = (v.clone(), v.clone());
-            dense.ftran(&mut a);
-            sparse.ftran(&mut b);
-            assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed}: ftran");
-            let (mut a, mut b) = (v.clone(), v);
-            dense.btran(&mut a);
-            sparse.btran(&mut b);
-            assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed}: btran");
         }
         assert!(
             nonsingular >= 100 && singular >= 100 && identities > 0,
             "{nonsingular} nonsingular, {singular} singular, {identities} identity etas"
         );
+        let (mut wide, mut wide_singular) = (0, 0);
+        for seed in 401..=500u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+            let m = 65 + pick(&mut rng, 136);
+            match check_sparse_against_dense(seed, &mut rng, m) {
+                Some((etas, _)) => wide += usize::from(etas > 64),
+                None => wide_singular += 1,
+            }
+        }
+        assert!(
+            wide >= 25 && wide_singular >= 10,
+            "{wide} files past 64 etas, {wide_singular} singular"
+        );
     }
 
     /// The flat file solves like a file of one vector per eta, bit for
     /// bit, while it grows past a rebuild by pivot etas of every length
-    /// (none included) and by row appends.
+    /// (none included, dust dropped) and by row appends; and one sweep of
+    /// the BTRAN pair equals two lone BTRANs.
     #[test]
     fn flat_file_matches_a_vec_file_through_updates_and_row_appends() {
         let mut grown = 0;
@@ -703,7 +834,17 @@ mod tests {
                 } else {
                     let density = rng.f(0.0, 0.6);
                     let mut w: Vec<f64> = (0..rows)
-                        .map(|_| if rng.f(0.0, 1.0) < density { rng.f(-2.0, 2.0) } else { 0.0 })
+                        .map(|_| {
+                            let u = rng.f(0.0, 1.0);
+                            if u < density {
+                                rng.f(-2.0, 2.0)
+                            } else if u < density + 0.1 {
+                                // Dust below `DROP_TOL`, which no eta keeps.
+                                rng.f(-1.0, 1.0) * DROP_TOL
+                            } else {
+                                0.0
+                            }
+                        })
                         .collect();
                     let r = pick(&mut rng, rows);
                     w[r] = rng.f(0.5, 2.0);
@@ -716,10 +857,21 @@ mod tests {
                 vecs.ftran(&mut a);
                 flat.ftran(&mut b);
                 assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed} step {step}: ftran");
-                let (mut a, mut b) = (v.clone(), v);
+                let (mut a, mut b) = (v.clone(), v.clone());
                 vecs.btran(&mut a);
                 flat.btran(&mut b);
                 assert_eq!(vec_bits(&b), vec_bits(&a), "seed {seed} step {step}: btran");
+                // One sweep for a unit vector and a dense one, as the dual
+                // pivot prices its row, equals two lone BTRANs.
+                let mut unit = vec![0.0; rows];
+                unit[pick(&mut rng, rows)] = 1.0;
+                let (mut lone_unit, mut lone_v) = (unit.clone(), v.clone());
+                flat.btran(&mut lone_unit);
+                flat.btran(&mut lone_v);
+                let (mut pair_unit, mut pair_v) = (unit, v);
+                flat.btran_pair(&mut pair_unit, &mut pair_v);
+                assert_eq!(vec_bits(&pair_unit), vec_bits(&lone_unit), "seed {seed} step {step}");
+                assert_eq!(vec_bits(&pair_v), vec_bits(&lone_v), "seed {seed} step {step}");
             }
             assert_eq!(flat.nnz(), vecs.etas.iter().map(|e| e.2.len() + 1).sum::<usize>());
             grown += 1;

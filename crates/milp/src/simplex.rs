@@ -25,9 +25,9 @@
 //! without a natural slack basis get artificial variables. Phase 1
 //! minimizes the artificial sum (infeasible iff positive), phase 2 the
 //! shifted objective. Dantzig pricing with a switch to Bland's rule after
-//! a degeneracy threshold guards against cycling. Duals are read off the
-//! factorization: `y = B^-T c_B`, mapped back through the row-sign
-//! normalization.
+//! a degeneracy threshold guards against cycling. Duals are the simplex
+//! multipliers `y = B^-T c_B` of the pricing pass that found the basis
+//! optimal, mapped back through the row-sign normalization.
 //!
 //! **Warm starts** ([`WarmState`], [`solve_warm`]): an optimal solve can
 //! return its final basis. After the caller appends columns
@@ -191,20 +191,35 @@ impl Core {
 
     /// `y = B^-T c_B` into the provided scratch vector.
     pub(crate) fn btran_costs(&self, costs: &[f64], y: &mut Vec<f64>) {
-        y.clear();
-        y.resize(self.rows, 0.0);
-        for (yr, &b) in y.iter_mut().zip(&self.basis) {
-            *yr = costs[b];
-        }
+        self.basic_costs(costs, y);
         self.factor.btran(y);
+    }
+
+    /// `c_B`, the costs of the basic columns by row, into `y`.
+    fn basic_costs(&self, costs: &[f64], y: &mut Vec<f64>) {
+        y.clear();
+        y.extend(self.basis.iter().map(|&b| costs[b]));
     }
 
     /// `rho = B^-T e_r` into the provided scratch vector.
     pub(crate) fn btran_unit(&self, r: usize, rho: &mut Vec<f64>) {
-        rho.clear();
-        rho.resize(self.rows, 0.0);
-        rho[r] = 1.0;
+        unit(self.rows, r, rho);
         self.factor.btran(rho);
+    }
+
+    /// `rho = B^-T e_r` and `y = B^-T c_B` in one sweep over the eta
+    /// file, each bit for bit what [`Core::btran_unit`] and
+    /// [`Core::btran_costs`] give.
+    pub(crate) fn btran_unit_and_costs(
+        &self,
+        r: usize,
+        rho: &mut Vec<f64>,
+        costs: &[f64],
+        y: &mut Vec<f64>,
+    ) {
+        unit(self.rows, r, rho);
+        self.basic_costs(costs, y);
+        self.factor.btran_pair(rho, y);
     }
 
     fn objective(&self, costs: &[f64]) -> f64 {
@@ -216,18 +231,17 @@ impl Core {
     /// refactorization when the file has grown past the interval.
     pub(crate) fn pivot(&mut self, prow: usize, j: usize, w: &[f64]) {
         let theta = self.xb[prow] / w[prow];
+        // One pass over `w` steps `xb` and extracts the pivot eta.
         if theta != 0.0 {
-            for (xi, &wi) in self.xb.iter_mut().zip(w) {
-                if wi != 0.0 {
-                    *xi -= theta * wi;
-                }
-            }
+            let xb = &mut self.xb;
+            self.factor.update_with(w, prow, |i, wi| xb[i] -= theta * wi);
+        } else {
+            self.factor.update(w, prow);
         }
         self.xb[prow] = theta;
         self.in_basis[self.basis[prow]] = false;
         self.in_basis[j] = true;
         self.basis[prow] = j;
-        self.factor.update(w, prow);
         if self.factor.updates_since_refactor() >= self.refactor_interval {
             self.refactor();
         }
@@ -284,12 +298,18 @@ impl Core {
 
     /// One optimization run under the given cost vector. Only nonbasic
     /// columns `c` with `allowed(c)` may enter.
+    ///
+    /// `y` is scratch for the simplex multipliers `B^-T c_B` of each
+    /// pricing pass. An `Optimal` return comes from a pass that found no
+    /// entering column, so `y` then holds the optimal basis's
+    /// multipliers under `costs`.
     pub(crate) fn optimize(
         &mut self,
         costs: &[f64],
         allowed: impl Fn(usize) -> bool,
         iter_limit: usize,
         iterations: &mut usize,
+        y: &mut Vec<f64>,
     ) -> LpStatus {
         // Dantzig pricing stalls on massively degenerate bases (ties upon
         // ties re-enter the same columns without moving the objective).
@@ -299,19 +319,18 @@ impl Core {
         let mut stalled = 0usize;
         let mut bland = false;
         let mut last_obj = self.objective(costs);
-        let mut y: Vec<f64> = Vec::new();
         let mut w: Vec<f64> = Vec::new();
         loop {
             if *iterations >= iter_limit {
                 return LpStatus::IterLimit;
             }
-            self.btran_costs(costs, &mut y);
+            self.btran_costs(costs, y);
             // Entering column: reduced cost `c_j - y . a_j` below -TOL.
             let mut entering: Option<usize> = None;
             if bland {
                 // Bland: smallest index with negative reduced cost.
                 for (j, col) in self.cols.iter().enumerate() {
-                    if !self.in_basis[j] && allowed(j) && costs[j] - Self::dot(col, &y) < -TOL {
+                    if !self.in_basis[j] && allowed(j) && costs[j] - Self::dot(col, y) < -TOL {
                         entering = Some(j);
                         break;
                     }
@@ -323,7 +342,7 @@ impl Core {
                     if self.in_basis[j] || !allowed(j) {
                         continue;
                     }
-                    let rc = costs[j] - Self::dot(col, &y);
+                    let rc = costs[j] - Self::dot(col, y);
                     if rc < best {
                         best = rc;
                         entering = Some(j);
@@ -355,6 +374,13 @@ impl Core {
             }
         }
     }
+}
+
+/// `v = e_r` of length `rows`.
+fn unit(rows: usize, r: usize, v: &mut Vec<f64>) {
+    v.clear();
+    v.resize(rows, 0.0);
+    v[r] = 1.0;
 }
 
 /// The reusable outcome of an optimal solve: the factorized basis plus
@@ -541,13 +567,14 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
     };
 
     let mut iterations = 0usize;
+    let mut y: Vec<f64> = Vec::new();
     let counters = |c: &Core| (c.factor.refactorizations as usize, c.factor.eta_updates as usize);
 
     // ---- Phase 1: minimize the sum of artificials. ----
     if num_arts > 0 {
         let mut costs1 = vec![0.0; art_end];
         costs1[art_start..art_end].iter_mut().for_each(|c| *c = 1.0);
-        let status = core.optimize(&costs1, |_| true, iter_limit, &mut iterations);
+        let status = core.optimize(&costs1, |_| true, iter_limit, &mut iterations, &mut y);
         if status == LpStatus::IterLimit {
             let (rf, eu) = counters(&core);
             return (
@@ -595,7 +622,7 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
     for (j, v) in model.vars.iter().enumerate() {
         costs2[j] = v.obj;
     }
-    let status = core.optimize(&costs2, |c| c < art_start, iter_limit, &mut iterations);
+    let status = core.optimize(&costs2, |c| c < art_start, iter_limit, &mut iterations, &mut y);
     if status != LpStatus::Optimal {
         let (rf, eu) = counters(&core);
         return (
@@ -617,7 +644,7 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
         num_cons: ncons,
     };
     let (rf, eu) = state.counters();
-    let res = extract_optimal(model, &state, iterations, rf as usize, eu as usize);
+    let res = extract_optimal(model, &state, &y, iterations, rf as usize, eu as usize);
     (res, Some(state))
 }
 
@@ -729,9 +756,17 @@ pub(crate) fn append_bound_rows(state: &mut WarmState, rows: &[(usize, f64)]) ->
 }
 
 /// Read the optimal solution and duals off a converged warm basis.
+///
+/// `y` holds the simplex multipliers `B^-T c_B` of that basis, with `c_B`
+/// the model objective of the basic variables and 0 for basic slacks and
+/// artificials. No BTRAN runs here: both callers pass the multipliers of
+/// the pricing pass in which [`Core::optimize`] found no entering column
+/// and returned `Optimal`. That pass ran on the same factorization under
+/// the same costs, so these are the multipliers a fresh BTRAN would give.
 pub(crate) fn extract_optimal(
     model: &Model,
     state: &WarmState,
+    y: &[f64],
     iterations: usize,
     refactorizations: usize,
     eta_updates: usize,
@@ -745,16 +780,9 @@ pub(crate) fn extract_optimal(
         }
     }
     let objective = model.objective_value(&x);
-    // Simplex multipliers y = B^-T c_B; the model dual of constraint i is
-    // y_i mapped back through the sign normalization.
-    let mut y = vec![0.0; c.rows];
-    for (yr, &b) in y.iter_mut().zip(&c.basis) {
-        if let Some(v) = state.var_of_col[b] {
-            *yr = model.vars[v].obj;
-        }
-    }
-    c.factor.btran(&mut y);
-    let duals = state.row_sign.iter().zip(&y).map(|(&s, &yi)| s * yi).collect();
+    // The model dual of constraint i is y_i mapped back through the sign
+    // normalization.
+    let duals = state.row_sign.iter().zip(y).map(|(&s, &yi)| s * yi).collect();
     LpResult {
         status: LpStatus::Optimal,
         x,
@@ -1197,6 +1225,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The model duals of `st`'s basis from a fresh `y = B^-T c_B`,
+    /// mapped through the row signs as `extract_optimal` maps them, as
+    /// bits.
+    fn fresh_dual_bits(m: &Model, st: &WarmState) -> Vec<u64> {
+        let mut y: Vec<f64> =
+            st.c.basis.iter().map(|&b| st.var_of_col[b].map_or(0.0, |v| m.vars[v].obj)).collect();
+        st.c.factor.btran(&mut y);
+        st.row_sign.iter().zip(&y).map(|(&s, &yi)| (s * yi).to_bits()).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// An LP result's duals come from its last pricing pass, and they are
+    /// bit for bit a fresh BTRAN of the final basis: after a cold solve,
+    /// after a dual re-solve of a bound change, and after a re-solve of
+    /// grafted columns. A short refactorization interval makes rebuilds
+    /// permute the basis rows along the way.
+    #[test]
+    fn duals_equal_a_fresh_btran_of_the_final_basis() {
+        let (mut cold, mut bound, mut graft) = (0, 0, 0);
+        for seed in 1..=30u64 {
+            let mut rng = Lcg(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+            let n = rng.next_usize(6, 14);
+            let rows = rng.next_usize(4, 9);
+            let mut m = random_master(&mut rng, n, rows);
+            m.set_refactor_interval(3);
+            let (lp, state) = solve_with_state(&m, 10_000);
+            if lp.status != LpStatus::Optimal {
+                continue;
+            }
+            let mut state = state.unwrap();
+            assert_eq!(bits(&lp.duals), fresh_dual_bits(&m, &state), "seed {seed}: cold");
+            cold += 1;
+            // Cut a basic variable below its value: dual pivots.
+            let Some(v) = (0..m.num_vars()).find(|&v| lp.x[v] > 0.5) else { continue };
+            m.set_bounds(VarId(v), 0.0, (lp.x[v] / 2.0).floor());
+            let out = crate::dual::reoptimize(&m, 10_000, &mut state).expect("warm path");
+            if out.lp.status != LpStatus::Optimal {
+                continue;
+            }
+            assert_eq!(bits(&out.lp.duals), fresh_dual_bits(&m, &state), "seed {seed}: bound");
+            bound += usize::from(out.dual_pivots > 0);
+            // Cheap grafted columns: primal clean-up pivots.
+            for _ in 0..2 {
+                let coeffs: Vec<(usize, f64)> =
+                    (0..m.num_cons()).map(|r| (r, rng.next_f64(0.2, 1.5))).collect();
+                m.add_column(rng.next_f64(0.01, 0.1), 0.0, f64::INFINITY, &coeffs);
+            }
+            let out = crate::dual::reoptimize(&m, 10_000, &mut state).expect("warm path");
+            assert_eq!(out.lp.status, LpStatus::Optimal, "seed {seed}: graft");
+            assert_eq!(bits(&out.lp.duals), fresh_dual_bits(&m, &state), "seed {seed}: graft");
+            graft += usize::from(out.lp.iterations > 0);
+        }
+        assert!(
+            cold >= 20 && bound >= 15 && graft >= 15,
+            "{cold} cold, {bound} bound, {graft} graft"
+        );
     }
 
     #[test]

@@ -183,6 +183,25 @@ fn infeasible_instance_is_an_error_response_not_a_crash() {
 }
 
 #[test]
+fn machine_count_at_the_u32_limit_is_answered_and_the_daemon_lives() {
+    let server = start();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    // Two jobs on 2^32 - 1 machines: per-machine tables of that size
+    // cannot be allocated, and a failed allocation aborts the process.
+    let request = br#"{"op":"solve","request":{"id":5,"epsilon":0.5,"instance":{"jobs":[{"id":0,"size":2.0,"bag":0},{"id":1,"size":1.0,"bag":1}],"machines":4294967295,"num_bags":2}}}"#;
+    write_frame(&mut raw, request).unwrap();
+    let reply = read_frame(&mut raw).unwrap().expect("the daemon answers");
+    let resp: bagsched_types::SolveResponse = bagsched_server::protocol::decode(&reply).unwrap();
+    assert!(resp.ok, "{:?}", resp.error);
+    assert_eq!(resp.makespan, 2.0);
+    assert_eq!(resp.assignment.len(), 2);
+    assert_ne!(resp.assignment[0], resp.assignment[1]);
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert!(client.ping().unwrap().ok);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_length_prefix_is_rejected() {
     let server = start();
     let mut raw = TcpStream::connect(server.addr()).unwrap();
