@@ -5,34 +5,19 @@
 //! `|B_l| <= m` for every bag (the instance feasibility condition) a free
 //! machine always exists, so this never fails on valid instances. It is
 //! the natural practical heuristic and the upper bound seeding the
-//! EPTAS's binary search.
+//! EPTAS's binary search, which runs the same
+//! [`conflict_aware_lpt`].
 
-use bagsched_types::{validate_instance, Instance, InstanceError, JobId, MachineId, Schedule};
+use bagsched_types::lpt::conflict_aware_lpt;
+use bagsched_types::{validate_instance, Instance, InstanceError, Schedule};
 
 /// Schedule by conflict-aware LPT. Fails only on infeasible instances.
 pub fn bag_aware_lpt(inst: &Instance) -> Result<Schedule, InstanceError> {
     validate_instance(inst)?;
-    let m = inst.num_machines();
     if inst.num_jobs() == 0 {
-        return Ok(Schedule::unassigned(0, m.max(1)));
+        return Ok(Schedule::unassigned(0, inst.num_machines().max(1)));
     }
-    let mut order: Vec<JobId> = inst.jobs().iter().map(|j| j.id).collect();
-    order.sort_by(|&a, &b| inst.size(b).total_cmp(&inst.size(a)).then(a.cmp(&b)));
-
-    let mut loads = vec![0.0f64; m];
-    let mut has_bag = vec![vec![false; inst.num_bags()]; m];
-    let mut sched = Schedule::unassigned(inst.num_jobs(), m);
-    for j in order {
-        let bag = inst.bag_of(j).idx();
-        let best = (0..m)
-            .filter(|&i| !has_bag[i][bag])
-            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
-            .expect("a conflict-free machine exists because |B| <= m");
-        sched.assign(j, MachineId(best as u32));
-        loads[best] += inst.size(j);
-        has_bag[best][bag] = true;
-    }
-    Ok(sched)
+    Ok(conflict_aware_lpt(inst))
 }
 
 #[cfg(test)]

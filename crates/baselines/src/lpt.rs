@@ -7,17 +7,16 @@
 //! algorithm can beat by much on bag-light instances and (b) to count how
 //! often bag-obliviousness actually violates constraints.
 
-use bagsched_types::{Instance, JobId, MachineId, Schedule};
+use bagsched_types::lpt::lpt_order;
+use bagsched_types::{Instance, MachineId, Schedule};
 
 /// Schedule by LPT, ignoring bag-constraints.
 pub fn lpt(inst: &Instance) -> Schedule {
     let m = inst.num_machines();
     assert!(m > 0, "need at least one machine");
-    let mut order: Vec<JobId> = inst.jobs().iter().map(|j| j.id).collect();
-    order.sort_by(|&a, &b| inst.size(b).total_cmp(&inst.size(a)).then(a.cmp(&b)));
     let mut loads = vec![0.0f64; m];
     let mut sched = Schedule::unassigned(inst.num_jobs(), m);
-    for j in order {
+    for j in lpt_order(inst) {
         let (best, _) =
             loads.iter().enumerate().min_by(|(_, a), (_, b)| a.total_cmp(b)).expect("m > 0");
         sched.assign(j, MachineId(best as u32));

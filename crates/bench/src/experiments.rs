@@ -19,7 +19,6 @@ pub const ALL: &[&str] = &[
     "ratio-small",
     "ratio-large",
     "scaling-n",
-    "scaling-cold",
     "scaling-eps",
     "lemma8",
     "lemma3",
@@ -73,15 +72,14 @@ pub struct ExperimentRun {
 }
 
 /// How many schedulable cells an experiment splits into. Most experiments
-/// are a single cell; the two with a long serial row loop (`scaling-n`,
-/// `scaling-cold`) run one cell *per row* so the parallel runner's
-/// critical path is a single solve, not a whole table. Experiment ids —
+/// are a single cell; the one with a long serial row loop (`scaling-n`)
+/// runs one cell *per row* so the parallel runner's critical path is a
+/// single solve, not a whole table. Experiment ids —
 /// and the merged tables and JSON documents keyed on them — are
 /// unaffected by the split. `None` for unknown ids.
 pub fn num_cells(id: &str, quick: bool) -> Option<usize> {
     match id {
         "scaling-n" => Some(scaling_n_grid(quick).len()),
-        "scaling-cold" => Some(scaling_cold_grid(quick).len()),
         known if ALL.contains(&known) => Some(1),
         _ => None,
     }
@@ -99,7 +97,6 @@ pub fn run_cell(id: &str, cell: usize, quick: bool) -> Option<ExperimentRun> {
     let st = &mut stats;
     let table = match id {
         "scaling-n" => scaling_n_cell(quick, cell, st),
-        "scaling-cold" => scaling_cold_cell(quick, cell, st),
         // Single-cell experiments: the range check above already pinned
         // `cell` to 0.
         "fig1" => fig1(quick, st),
@@ -392,50 +389,6 @@ pub fn scaling_n_cell(quick: bool, cell: usize, stats: &mut Stats) -> Table {
         m.to_string(),
         fmt_secs(elapsed),
         format!("{:.2}", elapsed * 1e6 / n as f64),
-        r.schedule.is_feasible(&inst).to_string(),
-    ]);
-    t
-}
-
-/// T3c row grid: one cold-path tight row per cell. Quick covers the
-/// CI-gated n=400 cell; full mode adds n=1600, where the cold path used
-/// to degrade silently to LPT (the dense per-node LP cost blew the MILP
-/// time limit on every guess) before the factorized basis.
-fn scaling_cold_grid(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![400]
-    } else {
-        vec![400, 1600]
-    }
-}
-
-/// T3c — the cold-node path (dual simplex off) at scale in the tight
-/// regime. Every branch-and-bound node solves its LP from scratch, so
-/// this is the purest measure of the sparse revised simplex. The
-/// `lpt_falls` column mirrors the strict-gated `lpt_fallbacks` counter:
-/// a nonzero value means the MILP path silently collapsed to the LPT
-/// heuristic, which `--compare` fails with zero tolerance.
-pub fn scaling_cold_cell(quick: bool, cell: usize, stats: &mut Stats) -> Table {
-    let mut t = Table::new(
-        "T3c",
-        "Cold-node path at scale (dual simplex off; tight, eps = 0.5)",
-        &["n", "m", "time", "makespan/LB", "lpt_falls", "feasible"],
-    );
-    let n = scaling_cold_grid(quick)[cell];
-    let m = (n / 3).max(4);
-    let inst = gen::clustered(n, m, (n / 3).max(4), 5, 2);
-    let lb = lower_bounds(&inst).combined();
-    let mut cfg = EptasConfig::with_epsilon(0.5);
-    cfg.dual_simplex = false;
-    let start = Instant::now();
-    let r = solve(&tuned(cfg), &inst, stats);
-    let elapsed = start.elapsed().as_secs_f64();
-    t.row(vec![
-        n.to_string(),
-        m.to_string(),
-        fmt_secs(elapsed),
-        format!("{:.3}", r.makespan / lb),
-        stats.lpt_fallbacks.to_string(),
         r.schedule.is_feasible(&inst).to_string(),
     ]);
     t
@@ -861,16 +814,13 @@ mod tests {
         // cell, and out-of-range cells are rejected.
         assert_eq!(num_cells("scaling-n", true), Some(6));
         assert_eq!(num_cells("scaling-n", false), Some(13));
-        assert_eq!(num_cells("scaling-cold", true), Some(1));
-        assert_eq!(num_cells("scaling-cold", false), Some(2));
         for &id in ALL {
-            if id != "scaling-n" && id != "scaling-cold" {
+            if id != "scaling-n" {
                 assert_eq!(num_cells(id, true), Some(1), "{id}");
             }
         }
         assert!(run_cell("fig1", 1, true).is_none());
         assert!(run_cell("scaling-n", 6, true).is_none(), "split ids share the None contract");
-        assert!(run_cell("scaling-cold", 1, true).is_none());
     }
 
     #[test]

@@ -129,8 +129,7 @@ impl BagClasses {
     }
 
     /// The degenerate partition: one class per priority bag. Class-keyed
-    /// code run with singletons reproduces the per-bag semantics exactly
-    /// ([`crate::config::EptasConfig::class_aggregation`] `= false`).
+    /// code run with singletons reproduces the per-bag semantics exactly.
     pub fn singletons(trans: &Transformed) -> Self {
         let mut class_of = vec![None; trans.tinst.num_bags()];
         let mut members = Vec::new();

@@ -31,8 +31,12 @@ pub struct EptasConfig {
     /// Safety-valve on the pricing master's size. Three gates read it:
     ///
     /// 1. **per-bag engagement** — instances whose *per-bag* symbol
-    ///    count exceeds it switch to the class-aggregated path
-    ///    ([`EptasConfig::class_aggregation`]);
+    ///    count exceeds it switch to the class-aggregated path: pattern
+    ///    slot symbols, master rows, MILP covering constraints and the
+    ///    pricing item space are keyed on `(size, bag class)` instead of
+    ///    `(size, bag)`, and [`crate::declass`] maps the aggregated
+    ///    solution back to concrete bags before the placement phases.
+    ///    Below the budget the per-bag path runs unchanged;
     /// 2. **class-count ceiling** — the aggregated master is gated on
     ///    the number of **bag classes** (groups of priority bags with
     ///    identical size→count profiles,
@@ -40,8 +44,8 @@ pub struct EptasConfig {
     ///    it, pricing is skipped for that attempt;
     /// 3. **coarsening engagement** — when the exact-class attempt
     ///    could not settle the guess (typically because gate 2 fired),
-    ///    [`EptasConfig::class_coarsening`] retries with
-    ///    template-quantized *coarse* classes, whose (smaller) class
+    ///    the guess is retried with template-quantized *coarse* classes
+    ///    ([`EptasConfig::coarse_tolerance`]), whose (smaller) class
     ///    count faces the same ceiling; only past that does the eager
     ///    path run as before the pricing subsystem existed.
     ///
@@ -52,56 +56,19 @@ pub struct EptasConfig {
     /// *exact* class count outgrows the ceiling too (n=6400 tight
     /// clustered and up).
     pub pricing_symbol_budget: usize,
-    /// Key pattern slot symbols, master rows, MILP covering constraints
-    /// and the pricing item space on `(size, bag class)` instead of
-    /// `(size, bag)` (default on). This is the *scale* path: it engages
-    /// exactly when the instance's priority bags exceed
-    /// [`EptasConfig::pricing_symbol_budget`] — where per-bag pricing is
-    /// impossible and the pre-aggregation pipeline degraded to eager
-    /// enumeration — and aggregated solutions are mapped back to
-    /// concrete bags by [`crate::declass`] before the placement phases.
-    /// Below the budget the per-bag path runs unchanged; off = never
-    /// aggregate.
-    pub class_aggregation: bool,
-    /// Second-level coarsening of the class-aggregated path (default
-    /// on): when the *exact* bag-class attempt cannot settle a guess —
-    /// typically because the exact class count itself exceeds
-    /// [`EptasConfig::pricing_symbol_budget`] — bag profiles are
-    /// re-quantized onto a geometric count-bucket template
-    /// ([`EptasConfig::coarse_tolerance`]) and bags whose quantized
-    /// profiles coincide merge into one coarse class. The coarse master
-    /// prices against the per-size *minimum* count over the members (a
-    /// relaxation, so Infeasible verdicts stay exact), and
-    /// [`crate::declass`] re-places each member's surplus jobs in a
-    /// repair pass — any repair failure fails the guess loudly, never
-    /// producing a wrong schedule, so the `(1 + O(eps))` contract is
-    /// unchanged. Engages only when coarsening actually reduces the
-    /// class count; off = the exact-class pipeline as before.
-    pub class_coarsening: bool,
     /// Relative width of the coarse count buckets: bucket boundaries
     /// grow by `max(+1, *(1 + coarse_tolerance))`, so two bags merge
     /// when their per-(size, class) job counts agree within roughly a
     /// `(1 + coarse_tolerance)` factor (and their supports are
-    /// identical). `0.0` reproduces the exact partition; larger values
-    /// merge more aggressively and shift more work onto the declass
-    /// repair pass.
+    /// identical). Coarse classes price against the per-size *minimum*
+    /// count over their members (a relaxation, so Infeasible verdicts
+    /// stay exact), and [`crate::declass`] re-places each member's
+    /// surplus jobs in a repair pass — any repair failure fails the guess
+    /// loudly, never producing a wrong schedule. `0.0` reproduces the
+    /// exact partition, so no coarse rung runs: it is the off switch.
+    /// Larger values merge more aggressively and shift more work onto
+    /// the repair pass.
     pub coarse_tolerance: f64,
-    /// Eager-enumeration budget used to consult the oracle when the MILP
-    /// over the priced pool fails inconclusively. Kept far below
-    /// `max_patterns`: on instances where enumeration is cheap this
-    /// restores the exact pre-pricing behaviour, on tight instances the
-    /// restricted verdict stands instead of burning the full budget.
-    pub pricing_fallback_budget: usize,
-    /// Warm-start branch-and-bound *node* LPs from the parent basis via
-    /// the dual simplex (default on): a branching bound change leaves the
-    /// parent basis dual feasible, so the child re-optimizes in a few
-    /// dual pivots instead of a cold phase-1/phase-2 solve; the first
-    /// down-branch on a tree-priced `[0, inf)` column appends that
-    /// column's bound row to the warm basis. Falls back to a cold solve
-    /// per node only on numerical singularity or an iteration-limited
-    /// warm re-solve. Off = every node solves cold (the reference the
-    /// warm path is tested against).
-    pub dual_simplex: bool,
     /// Reduced-cost threshold of the master column lifecycle: a nonbasic
     /// pattern column whose reduced cost stays above this for
     /// `PURGE_PATIENCE` consecutive feasibility-master re-solves is
@@ -156,11 +123,7 @@ impl EptasConfig {
             milp_max_nodes: 20_000,
             column_generation: true,
             pricing_symbol_budget: 200,
-            pricing_fallback_budget: 2000,
-            class_aggregation: true,
-            class_coarsening: true,
             coarse_tolerance: 0.5,
-            dual_simplex: true,
             column_purge_threshold: 0.1,
             solver_threads: 1,
             pricing_shards: 1,

@@ -501,7 +501,6 @@ mod tests {
         let inst = Instance::new(&jobs, 3);
         let trans = transformed(&inst, 0.5);
         let mut cfg = EptasConfig::with_epsilon(0.5);
-        cfg.class_aggregation = true;
         // Aggregation engages above the per-bag budget; lower it so this
         // 6-bag instance takes the aggregated path (1 class <= budget).
         cfg.pricing_symbol_budget = 3;
@@ -531,18 +530,26 @@ mod tests {
 
     #[test]
     fn declass_is_identity_work_when_classes_are_singletons() {
-        // Distinct profiles: aggregation on, but no class has two members
-        // — the pattern solve must return the aggregated (= per-bag) set
-        // unchanged (no de-class pass, y straight from the MILP).
+        // Distinct profiles, so every class has one member: de-classing
+        // the per-bag solution of the default configuration (the oracle)
+        // must hand back the patterns it runs, machine for machine.
         let inst = Instance::new(&[(0.9, 0), (0.5, 1), (0.3, 2)], 3);
         let trans = transformed(&inst, 0.5);
-        let mut on = EptasConfig::with_epsilon(0.5);
-        on.class_aggregation = true;
-        let mut off = EptasConfig::with_epsilon(0.5);
-        off.class_aggregation = false;
-        let sol_on = PatternSolve::new(&trans, &on).run(&mut Stats::default()).unwrap();
-        let sol_off = PatternSolve::new(&trans, &off).run(&mut Stats::default()).unwrap();
-        assert_eq!(sol_on.patterns.patterns.len(), sol_off.patterns.patterns.len());
-        assert_eq!(sol_on.outcome.x, sol_off.outcome.x);
+        let cfg = EptasConfig::with_epsilon(0.5);
+        let sol = PatternSolve::new(&trans, &cfg).run(&mut Stats::default()).unwrap();
+        let singles = BagClasses::singletons(&trans);
+        let mut stats = Stats::default();
+        let (psc, outc) = declass(&trans, &singles, &sol.patterns, &sol.outcome, &mut stats)
+            .expect("singleton classes de-class");
+        // The non-empty patterns each run on a machine, with their counts.
+        let used = |ps: &PatternSet, x: &[u32]| -> Vec<(Vec<(usize, u16)>, u32)> {
+            (1..ps.patterns.len())
+                .filter(|&p| x[p] > 0)
+                .map(|p| (ps.patterns[p].entries.clone(), x[p]))
+                .collect()
+        };
+        assert_eq!(psc.symbols, sol.patterns.symbols);
+        assert_eq!(used(&psc, &outc.x), used(&sol.patterns, &sol.outcome.x));
+        assert_eq!(stats.repair_jobs_moved, 0);
     }
 }

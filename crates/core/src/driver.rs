@@ -31,11 +31,13 @@ use crate::solver::SolverState;
 use crate::swap_repair::repair_conflicts;
 use crate::transform::transform;
 use crate::undo::undo_transform;
+use bagsched_types::lpt::{conflict_aware_lpt, lpt_order};
 use bagsched_types::{
     lowerbound::lower_bounds, obs, validate_instance, Instance, InstanceError, JobId, MachineId,
     Schedule,
 };
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -108,7 +110,7 @@ pub(crate) fn solve_session_inner(
     let lb = lower_bounds(inst).combined();
 
     // A machine per job: the k-th job in LPT order goes on machine k.
-    // That is the schedule `greedy_upper_bound` builds for such an
+    // That is the schedule `conflict_aware_lpt` builds for such an
     // instance, and it is optimal, since its makespan (the largest job)
     // is a lower bound. Built here in O(n) space, without the
     // per-machine tables that a request naming billions of machines
@@ -126,7 +128,7 @@ pub(crate) fn solve_session_inner(
         return Ok((EptasResult { schedule, makespan, report }, None));
     }
 
-    let ub_sched = greedy_upper_bound(inst);
+    let ub_sched = conflict_aware_lpt(inst);
     let ub = ub_sched.makespan(inst);
     report.lower_bound = lb;
     report.lpt_upper_bound = ub;
@@ -221,7 +223,12 @@ pub(crate) fn solve_session_inner(
             if cap > 1 {
                 report.stats.speculative_guesses_launched += window.len() as u64;
             }
-            let committed = execute_window(cfg, inst, &grid, &window);
+            let committed = execute_window(cfg.solver_threads, &window, |node| {
+                let mut nstats = Stats::default();
+                let g = grid[node.mid];
+                let res = try_guess(cfg, inst, g, &mut nstats, None, Some(&node.token));
+                (res, nstats)
+            });
             report.stats.speculative_wins += committed.len() as u64 - 1;
             report.stats.guesses_cancelled += (window.len() - committed.len()) as u64;
             let mut stop = false;
@@ -443,34 +450,26 @@ fn walk_committed(
     committed
 }
 
-/// Execute one speculative window: with one solver thread only the
-/// verdict-path nodes run (speculation costs nothing, counters stay
-/// structural); with more, workers claim nodes in breadth-first order
-/// and race ahead while the main thread commits along the actual path.
+/// Execute one speculative window, solving each node with `guess`: with
+/// one thread only the verdict-path nodes run (speculation costs nothing,
+/// counters stay structural); with more, workers claim nodes in
+/// breadth-first order and race ahead while the calling thread commits
+/// along the actual path. A worker whose guess panics stores the panic in
+/// the node's slot; when the walk reaches that node, it cancels the
+/// window and resumes the panic on the calling thread, as the one-thread
+/// walk would have raised it.
 fn execute_window(
-    cfg: &EptasConfig,
-    inst: &Instance,
-    grid: &[f64],
+    threads: usize,
     window: &[SpecNode],
+    guess: impl Fn(&SpecNode) -> (GuessOutcome, Stats) + Sync,
 ) -> Vec<(usize, GuessOutcome, Stats)> {
-    let threads = cfg.solver_threads.max(1).min(window.len());
+    let threads = threads.max(1).min(window.len());
     if threads <= 1 {
-        return walk_committed(window, |i| {
-            let mut nstats = Stats::default();
-            let res = try_guess(
-                cfg,
-                inst,
-                grid[window[i].mid],
-                &mut nstats,
-                None,
-                Some(&window[i].token),
-            );
-            (res, nstats)
-        });
+        return walk_committed(window, |i| guess(&window[i]));
     }
     let claimed = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(GuessOutcome, Stats)>>> =
-        (0..window.len()).map(|_| Mutex::new(None)).collect();
+    // Each slot holds its node's outcome, or the panic its guess raised.
+    let slots: Vec<Mutex<Option<_>>> = (0..window.len()).map(|_| Mutex::new(None)).collect();
     let gate = (Mutex::new(()), Condvar::new());
     // Each speculative node records its spans under a private region:
     // after the commit walk, losers' regions are discarded so cancelled
@@ -482,7 +481,7 @@ fn execute_window(
         None => Vec::new(),
     };
     std::thread::scope(|scope| {
-        let (claimed, slots, gate, regions) = (&claimed, &slots, &gate, &regions);
+        let (claimed, slots, gate, regions, guess) = (&claimed, &slots, &gate, &regions, &guess);
         for w in 0..threads {
             let worker_handle = obs_handle.clone();
             scope.spawn(move || {
@@ -500,18 +499,9 @@ fn execute_window(
                     // slot: path nodes are never cancelled except by the
                     // portfolio deadline, where `Cancelled` is the answer.
                     let out = if node.token.is_cancelled() {
-                        (Err(GuessFailure::Cancelled), Stats::default())
+                        Ok((Err(GuessFailure::Cancelled), Stats::default()))
                     } else {
-                        let mut nstats = Stats::default();
-                        let res = try_guess(
-                            cfg,
-                            inst,
-                            grid[node.mid],
-                            &mut nstats,
-                            None,
-                            Some(&node.token),
-                        );
-                        (res, nstats)
+                        std::panic::catch_unwind(AssertUnwindSafe(|| guess(node)))
                     };
                     *slots[i].lock().unwrap() = Some(out);
                     let _g = gate.0.lock().unwrap();
@@ -520,8 +510,18 @@ fn execute_window(
             });
         }
         let committed = walk_committed(window, |i| loop {
-            if let Some(out) = slots[i].lock().unwrap().take() {
-                return out;
+            // Taken in its own statement, so the slot's lock is released
+            // before a stored panic resumes.
+            let out = slots[i].lock().unwrap().take();
+            match out {
+                Some(Ok(out)) => return out,
+                Some(Err(panic)) => {
+                    for node in window {
+                        node.token.cancel();
+                    }
+                    std::panic::resume_unwind(panic);
+                }
+                None => {}
             }
             let g = gate.0.lock().unwrap();
             // Timed wait: robust against the store landing between the
@@ -646,35 +646,6 @@ fn try_guess(
     Ok((schedule, gstats, seed))
 }
 
-/// Conflict-aware LPT, used to seed the upper bound (kept internal so the
-/// core crate stays dependency-light; `bagsched-baselines` ships the
-/// fully featured version).
-fn greedy_upper_bound(inst: &Instance) -> Schedule {
-    let m = inst.num_machines();
-    let mut loads = vec![0.0f64; m];
-    let mut has_bag = vec![vec![false; inst.num_bags()]; m];
-    let mut sched = Schedule::unassigned(inst.num_jobs(), m);
-    for j in lpt_order(inst) {
-        let bag = inst.bag_of(j).idx();
-        let best = (0..m)
-            .filter(|&i| !has_bag[i][bag])
-            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
-            .expect("validated instance: |B| <= m");
-        sched.assign(j, MachineId(best as u32));
-        loads[best] += inst.size(j);
-        has_bag[best][bag] = true;
-    }
-    sched
-}
-
-/// The jobs by size, largest first, ties by id: the order LPT places
-/// them in.
-fn lpt_order(inst: &Instance) -> Vec<JobId> {
-    let mut order: Vec<JobId> = inst.jobs().iter().map(|j| j.id).collect();
-    order.sort_by(|&a, &b| inst.size(b).total_cmp(&inst.size(a)).then(a.cmp(&b)));
-    order
-}
-
 /// Move conflicting jobs to the least-loaded conflict-free machine until
 /// the schedule is feasible. Returns the number of moves.
 fn safety_net(inst: &Instance, sched: &mut Schedule) -> usize {
@@ -763,7 +734,7 @@ mod tests {
         for seed in 0..3 {
             let inst = gen::uniform(20, 3, 8, seed);
             let r = Solver::with_epsilon(0.4).solve_instance(&inst).unwrap();
-            let lpt = greedy_upper_bound(&inst).makespan(&inst);
+            let lpt = conflict_aware_lpt(&inst).makespan(&inst);
             assert!(r.makespan <= lpt + 1e-9, "seed {seed}: {} > {lpt}", r.makespan);
         }
     }
@@ -778,7 +749,7 @@ mod tests {
                 let base = family.generate(24, 3, 5);
                 let inst = base.with_machines(base.num_jobs() + extra);
                 let r = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
-                let lpt = greedy_upper_bound(&inst);
+                let lpt = conflict_aware_lpt(&inst);
                 assert_eq!(r.schedule.assignment(), lpt.assignment(), "{}", family.name());
                 let ms = lpt.makespan(&inst);
                 assert_eq!(r.makespan.to_bits(), ms.to_bits(), "{}", family.name());
@@ -1009,5 +980,30 @@ mod tests {
         let inst = Instance::new(&[(3.5, 0)], 2);
         let r = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
         assert_eq!(r.report.stats, Stats::default());
+    }
+
+    /// A speculative worker whose path guess panics must not leave the
+    /// committing thread waiting on its slot: the window unwinds with the
+    /// worker's panic, within a timeout.
+    #[test]
+    fn a_panicking_path_guess_unwinds_the_window() {
+        let root = CancelToken::new();
+        let window = build_window(0, 6, 3, &root, None);
+        let path_mid = window[0].mid;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                execute_window(2, &window, |node| {
+                    if node.mid == path_mid {
+                        panic!("injected guess panic");
+                    }
+                    (Err(GuessFailure::MilpInfeasible), Stats::default())
+                })
+            }));
+            let msg = out.err().and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send(msg);
+        });
+        let msg = rx.recv_timeout(Duration::from_secs(10)).expect("the window hung on the panic");
+        assert_eq!(msg.as_deref(), Some("injected guess panic"));
     }
 }

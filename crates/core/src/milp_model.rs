@@ -233,7 +233,7 @@ impl<'a> PatternSolve<'a> {
     ///   verdict;
     /// * a failure of the per-bag MILP restricted to the priced pool is
     ///   inconclusive, so the eager oracle runs with the (small)
-    ///   [`EptasConfig::pricing_fallback_budget`]; if even that budget is
+    ///   `EAGER_FALLBACK_BUDGET`; if even that budget is
     ///   exceeded the restricted verdict stands — the driver raises the
     ///   guess, as for every other budget-type failure;
     /// * a per-bag pricing stall falls back to full eager enumeration,
@@ -258,7 +258,7 @@ impl<'a> PatternSolve<'a> {
                         eager = (cfg.max_patterns, GuessFailure::PatternBudget);
                     }
                     Err(Unsolved::Inconclusive(restricted)) => {
-                        eager = (cfg.max_patterns.min(cfg.pricing_fallback_budget), restricted);
+                        eager = (cfg.max_patterns.min(EAGER_FALLBACK_BUDGET), restricted);
                     }
                 }
             }
@@ -322,17 +322,14 @@ pub fn nonpriority_small_area(trans: &Transformed) -> f64 {
 /// is proven, fast and byte-for-byte deterministic. Exact classes come
 /// first; coarse classes follow only when coarsening merged something the
 /// exact partition keeps apart (equal class counts mean the same
-/// partition). Per-bag always closes the ladder.
+/// partition, as always at [`EptasConfig::coarse_tolerance`] `= 0.0`).
+/// Per-bag always closes the ladder.
 fn ladder(trans: &Transformed, cfg: &EptasConfig) -> Vec<(Partition, BagClasses)> {
     let per_bag = Partition::PerBag.classes(trans, cfg);
     let mut rungs = Vec::new();
-    if cfg.class_aggregation
-        && collect_symbols_classed(trans, &per_bag).len() > cfg.pricing_symbol_budget
-    {
+    if collect_symbols_classed(trans, &per_bag).len() > cfg.pricing_symbol_budget {
         let exact = Partition::Exact.classes(trans, cfg);
-        let coarse = cfg
-            .class_coarsening
-            .then(|| Partition::Coarse.classes(trans, cfg))
+        let coarse = Some(Partition::Coarse.classes(trans, cfg))
             .filter(|c| !c.all_singletons() && c.num_classes() < exact.num_classes());
         if !exact.all_singletons() {
             rungs.push((Partition::Exact, exact));
@@ -656,13 +653,18 @@ fn record_milp(stats: &mut Stats, res: &bagsched_milp::MilpResult) {
 /// Wall-clock budget per restricted-MILP solve.
 const MILP_TIME_LIMIT: Duration = Duration::from_secs(20);
 
+/// Eager-enumeration budget of the oracle consulted when the per-bag MILP
+/// over the priced pool fails inconclusively. Kept far below
+/// [`EptasConfig::max_patterns`]: on instances where enumeration is cheap
+/// this restores the exact pre-pricing behaviour, on tight instances the
+/// restricted verdict stands instead of burning the full budget.
+const EAGER_FALLBACK_BUDGET: usize = 2000;
+
 fn milp_options(cfg: &EptasConfig, cancel: Option<&CancelToken>) -> MilpOptions {
     MilpOptions {
         max_nodes: cfg.milp_max_nodes,
         time_limit: MILP_TIME_LIMIT,
-        int_tol: 1e-6,
         first_solution: true,
-        dual_simplex: cfg.dual_simplex,
         price_after_nodes: 32,
         cancel: cancel.map(CancelToken::probe),
     }

@@ -189,10 +189,10 @@ pub struct Stats {
     /// [`portfolio_deadline_ms`]: crate::EptasConfig::portfolio_deadline_ms
     pub portfolio_winner: u64,
     /// Coarse bag classes formed when the template-quantized attempt
-    /// engaged ([`class_coarsening`]), summed over guesses. Zero when
+    /// engaged ([`coarse_tolerance`]), summed over guesses. Zero when
     /// every guess was settled by the exact-class (or per-bag) path.
     ///
-    /// [`class_coarsening`]: crate::EptasConfig::class_coarsening
+    /// [`coarse_tolerance`]: crate::EptasConfig::coarse_tolerance
     pub coarse_classes_formed: u64,
     /// Surplus jobs re-placed by the declass repair pass: member-bag
     /// jobs beyond the coarse representative's minimum that the

@@ -6,7 +6,7 @@
 //! strategy that finds integral incumbents quickly on the pattern MILPs
 //! the EPTAS generates, where LP optima are near-integral).
 //!
-//! **Node warm starts** ([`MilpOptions::dual_simplex`], default on): a
+//! **Node warm starts**: a
 //! child node differs from its parent by one variable-bound change, under
 //! which the parent's optimal basis stays dual feasible. Each node hands
 //! its final basis ([`crate::simplex::WarmState`]) to its children, which
@@ -78,14 +78,9 @@ pub struct MilpOptions {
     pub max_nodes: usize,
     /// Wall-clock limit.
     pub time_limit: Duration,
-    /// A value within this distance of an integer counts as integral.
-    pub int_tol: f64,
     /// Stop as soon as *any* integral solution is found (feasibility mode —
     /// the paper's MILP is a pure feasibility question).
     pub first_solution: bool,
-    /// Warm-start child-node LPs from the parent basis via the dual
-    /// simplex instead of solving every node cold (default on).
-    pub dual_simplex: bool,
     /// Consult the in-tree pricer only once this many nodes were explored
     /// (without an incumbent, in first-solution mode): a dive that lands
     /// quickly never pays for pricing, a struggling one — the symptom of
@@ -103,9 +98,7 @@ impl Default for MilpOptions {
         MilpOptions {
             max_nodes: 50_000,
             time_limit: Duration::from_secs(60),
-            int_tol: 1e-6,
             first_solution: false,
-            dual_simplex: true,
             price_after_nodes: 32,
             cancel: None,
         }
@@ -160,10 +153,6 @@ pub struct MilpResult {
     /// Number of LP relaxations solved (one per explored node, plus
     /// re-solves after in-tree pricing).
     pub lp_solves: usize,
-    /// Redundant rows dropped by the root presolve.
-    pub presolve_rows_dropped: usize,
-    /// Variable bounds tightened by the root presolve.
-    pub presolve_bounds_tightened: usize,
     /// Dual-simplex pivots spent re-optimizing warm node LPs.
     pub dual_pivots: usize,
     /// Node LPs that started from the parent basis instead of cold.
@@ -193,6 +182,9 @@ impl MilpResult {
 /// ride only with the dive child, so the stack never holds more than
 /// O(1) large bases.
 const SHARE_CELL_BUDGET: usize = 250_000;
+
+/// A value within this distance of an integer counts as integral.
+const INT_TOL: f64 = 1e-6;
 
 struct Node {
     /// Bound overrides along the path from the root: `(var, lb, ub)`.
@@ -249,8 +241,6 @@ pub fn solve_milp_with(
         nodes: 0,
         lp_iterations: 0,
         lp_solves: 0,
-        presolve_rows_dropped: 0,
-        presolve_bounds_tightened: 0,
         dual_pivots: 0,
         node_warm_starts: 0,
         tree_columns: 0,
@@ -271,9 +261,7 @@ pub fn solve_milp_with(
                 res.status = MilpStatus::Infeasible;
                 return res;
             }
-            crate::presolve::PresolveStatus::Reduced { model, rows_dropped, bounds_tightened } => {
-                res.presolve_rows_dropped = rows_dropped;
-                res.presolve_bounds_tightened = bounds_tightened;
+            crate::presolve::PresolveStatus::Reduced { model, .. } => {
                 reduced = model;
                 &reduced
             }
@@ -327,11 +315,6 @@ pub fn solve_milp_with(
             let (mut lp, warm_pivots) = simplex::solve_warm(&work, iter_limit, &mut state);
             res.node_warm_starts += usize::from(warm_pivots.is_some());
             res.count_lp(&lp, warm_pivots);
-            if !opts.dual_simplex {
-                // Cold mode: never hand a basis down, so every node solves
-                // cold (the reference the warm path is tested against).
-                state = None;
-            }
 
             loop {
                 match lp.status {
@@ -362,7 +345,7 @@ pub fn solve_milp_with(
                 for &j in &int_vars {
                     let v = lp.x[j];
                     let frac = (v - v.round()).abs();
-                    if frac > opts.int_tol {
+                    if frac > INT_TOL {
                         let score = (v.fract() - 0.5).abs(); // smaller = more fractional
                         match branch_var {
                             Some((s, _)) if s <= score => {}
@@ -397,9 +380,6 @@ pub fn solve_milp_with(
                         let warm_pivots;
                         (lp, warm_pivots) = simplex::solve_warm(&work, iter_limit, &mut state);
                         res.count_lp(&lp, warm_pivots);
-                        if !opts.dual_simplex {
-                            state = None;
-                        }
                         continue; // statuses and branching var re-derived
                     }
                 }
@@ -525,6 +505,26 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
+    /// Brute-force optimum of `min c x` over the integer box `[0, ub]^n`
+    /// subject to `rows` (each `a x <= b`); `None` when no point fits.
+    fn brute_min(c: &[f64], rows: &[(Vec<f64>, f64)], ub: u32) -> Option<f64> {
+        let mut x = vec![0u32; c.len()];
+        let mut best: Option<f64> = None;
+        loop {
+            let fits = rows.iter().all(|(a, b)| {
+                a.iter().zip(&x).map(|(&aj, &xj)| aj * xj as f64).sum::<f64>() <= *b + 1e-9
+            });
+            if fits {
+                let v: f64 = c.iter().zip(&x).map(|(&cj, &xj)| cj * xj as f64).sum();
+                best = Some(best.map_or(v, |b| b.min(v)));
+            }
+            // Odometer step over the box.
+            let Some(k) = x.iter().position(|&xj| xj < ub) else { return best };
+            x[k] += 1;
+            x[..k].fill(0);
+        }
+    }
+
     #[test]
     fn knapsack() {
         // max 10x1 + 13x2 + 7x3, 3x1 + 4x2 + 2x3 <= 6, x binary.
@@ -642,35 +642,29 @@ mod tests {
         assert_eq!(r.status, MilpStatus::Unbounded);
     }
 
-    /// A mid-size IP that forces real branching, solved with and without
-    /// the dual engine: identical status/objective, and the warm path
-    /// must both engage and pivot less.
+    /// A branching IP small enough to enumerate: the warm tree must reach
+    /// the brute-force optimum, and every node but the root must start
+    /// from its parent's basis.
     #[test]
-    fn dual_warm_starts_match_cold_and_save_pivots() {
+    fn warm_nodes_match_bruteforce_on_a_branching_ip() {
         let mut m = Model::new();
-        let n = 14;
-        let vars: Vec<_> = (0..n)
-            .map(|j| m.add_int_var(-((j % 5 + 1) as f64) - j as f64 * 1e-9, 0.0, 3.0))
-            .collect();
-        for k in 0..4 {
-            let terms: Vec<_> =
-                vars.iter().enumerate().map(|(j, &v)| (v, ((j + k) % 4 + 1) as f64)).collect();
-            m.add_con(&terms, Le, 17.0 + k as f64);
+        let n = 7;
+        let c: Vec<f64> = (0..n).map(|j| -((j % 5 + 1) as f64) - j as f64 * 1e-9).collect();
+        let vars: Vec<_> = c.iter().map(|&cj| m.add_int_var(cj, 0.0, 3.0)).collect();
+        let mut rows = Vec::new();
+        for k in 0..3 {
+            let a: Vec<f64> = (0..n).map(|j| ((j + k) % 4 + 1) as f64).collect();
+            let b = 9.0 + k as f64;
+            let terms: Vec<_> = vars.iter().zip(&a).map(|(&v, &aj)| (v, aj)).collect();
+            m.add_con(&terms, Le, b);
+            rows.push((a, b));
         }
-        let warm = solve_milp(&m, &MilpOptions::default());
-        let cold = solve_milp(&m, &MilpOptions { dual_simplex: false, ..Default::default() });
-        assert_eq!(warm.status, cold.status);
-        assert_close(warm.objective, cold.objective);
-        assert!(warm.node_warm_starts > 0, "warm starts never engaged");
-        assert!(warm.dual_pivots > 0, "dual engine never pivoted");
-        assert_eq!(cold.node_warm_starts, 0);
-        assert_eq!(cold.dual_pivots, 0);
-        assert!(
-            warm.lp_iterations < cold.lp_iterations,
-            "warm {} pivots not below cold {}",
-            warm.lp_iterations,
-            cold.lp_iterations
-        );
+        let r = solve_milp(&m, &MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Optimal);
+        assert_close(r.objective, brute_min(&c, &rows, 3).expect("x = 0 fits"));
+        assert!(r.nodes > 1, "the IP must branch ({} nodes)", r.nodes);
+        assert!(r.dual_pivots > 0, "dual engine never pivoted");
+        assert_eq!(r.node_warm_starts, r.nodes - 1, "a non-root node solved cold");
     }
 
     /// In-tree pricing: a covering IP whose initial pool admits only a
@@ -743,24 +737,13 @@ mod tests {
             }
         }
 
-        let solve = |dual_simplex: bool| {
-            let opts = MilpOptions {
-                first_solution: true,
-                price_after_nodes: 0,
-                dual_simplex,
-                ..Default::default()
-            };
-            solve_milp_with(&m, &opts, Some(&mut CheapColumn { fired: false }))
-        };
-        let warm = solve(true);
-        let cold = solve(false);
+        let opts = MilpOptions { first_solution: true, price_after_nodes: 0, ..Default::default() };
+        let warm = solve_milp_with(&m, &opts, Some(&mut CheapColumn { fired: false }));
         assert_eq!(warm.tree_columns, 1);
         assert_eq!(warm.status, MilpStatus::Feasible);
         assert_close(warm.x[1], 1.0);
         assert!(warm.nodes >= 3, "the down child must be explored ({} nodes)", warm.nodes);
         assert_eq!(warm.node_warm_starts, warm.nodes - 1, "a non-root node solved cold");
-        assert_eq!(warm.status, cold.status);
-        assert_close(warm.objective, cold.objective);
     }
 
     /// A column priced before the incumbent is part of the result's
@@ -825,24 +808,27 @@ mod tests {
                 "bb={} brute={}", -r.objective, best);
         }
 
-        /// Warm-started and cold node LPs must agree on every random
-        /// knapsack's status and optimum.
+        /// On random knapsacks over `[0, 2]^n` (general integers, so
+        /// branching tightens bounds on both sides) the warm-started tree
+        /// must reach the brute-force optimum.
         #[test]
-        fn dual_engine_agrees_with_cold_on_random_ips(
+        fn warm_tree_matches_bruteforce_on_random_ips(
             values in proptest::collection::vec(1u32..20, 4..8),
             weights in proptest::collection::vec(1u32..10, 8),
             cap in 5u32..30,
         ) {
             let n = values.len();
+            let c: Vec<f64> = values.iter().map(|&v| -(v as f64)).collect();
+            let a: Vec<f64> = weights[..n].iter().map(|&w| w as f64).collect();
             let mut m = Model::new();
-            let vars: Vec<_> = (0..n).map(|j| m.add_int_var(-(values[j] as f64), 0.0, 2.0)).collect();
-            let terms: Vec<_> = vars.iter().enumerate().map(|(j, &v)| (v, weights[j] as f64)).collect();
+            let vars: Vec<_> = c.iter().map(|&cj| m.add_int_var(cj, 0.0, 2.0)).collect();
+            let terms: Vec<_> = vars.iter().zip(&a).map(|(&v, &aj)| (v, aj)).collect();
             m.add_con(&terms, Le, cap as f64);
-            let warm = solve_milp(&m, &MilpOptions::default());
-            let cold = solve_milp(&m, &MilpOptions { dual_simplex: false, ..Default::default() });
-            proptest::prop_assert_eq!(warm.status, cold.status);
-            proptest::prop_assert!((warm.objective - cold.objective).abs() < 1e-6,
-                "warm={} cold={}", warm.objective, cold.objective);
+            let r = solve_milp(&m, &MilpOptions::default());
+            proptest::prop_assert_eq!(r.status, MilpStatus::Optimal);
+            let best = brute_min(&c, &[(a, cap as f64)], 2).expect("x = 0 fits");
+            proptest::prop_assert!((r.objective - best).abs() < 1e-6,
+                "bb={} brute={}", r.objective, best);
         }
     }
 }

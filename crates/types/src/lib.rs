@@ -15,6 +15,8 @@
 //!   the test suites,
 //! * [`lowerbound`] — certified makespan lower bounds used to measure
 //!   approximation ratios where the exact optimum is out of reach,
+//! * [`lpt`] — the LPT job order and the conflict-aware LPT schedule (the
+//!   EPTAS's upper bound and a baseline),
 //! * [`gen`] — the synthetic workload families used by the experiment
 //!   harness (the paper has no testbed),
 //! * [`io`] — JSON (de)serialization of instances and schedules,
@@ -28,6 +30,7 @@ pub mod gen;
 pub mod instance;
 pub mod io;
 pub mod lowerbound;
+pub mod lpt;
 pub mod obs;
 pub mod schedule;
 pub mod validate;

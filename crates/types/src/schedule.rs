@@ -1,6 +1,6 @@
 //! Schedules: a total assignment of jobs to machines.
 
-use crate::instance::{Instance, JobId};
+use crate::instance::{BagId, Instance, JobId};
 use serde::{Deserialize, DeserializeError, Serialize, Value};
 
 /// Index of a machine (`0..m`).
@@ -133,7 +133,8 @@ impl Schedule {
         &self.assignment
     }
 
-    /// Per-machine loads under the sizes of `inst`.
+    /// Per-machine loads under the sizes of `inst` (one entry per
+    /// machine, so `m` long).
     pub fn loads(&self, inst: &Instance) -> Vec<f64> {
         assert_eq!(inst.num_jobs(), self.assignment.len(), "schedule/instance job count mismatch");
         let mut loads = vec![0.0; self.machines];
@@ -144,11 +145,22 @@ impl Schedule {
     }
 
     /// The makespan (maximum machine load; 0 for an empty instance).
+    ///
+    /// O(n) memory whatever the machine count: the jobs are grouped by
+    /// machine by sorting, and each load is summed in job order, so the
+    /// result has the bits of the maximum over [`Schedule::loads`].
     pub fn makespan(&self, inst: &Instance) -> f64 {
-        self.loads(inst).into_iter().fold(0.0, f64::max)
+        assert_eq!(inst.num_jobs(), self.assignment.len(), "schedule/instance job count mismatch");
+        let mut on: Vec<(MachineId, JobId)> =
+            self.assignment.iter().enumerate().map(|(j, &mid)| (mid, JobId(j as u32))).collect();
+        on.sort_unstable();
+        on.chunk_by(|a, b| a.0 == b.0)
+            .map(|jobs| jobs.iter().fold(0.0, |load, &(_, j)| load + inst.size(j)))
+            .fold(0.0, f64::max)
     }
 
-    /// The jobs assigned to each machine.
+    /// The jobs assigned to each machine (one list per machine, so `m`
+    /// long).
     pub fn machine_jobs(&self, inst: &Instance) -> Vec<Vec<JobId>> {
         assert_eq!(inst.num_jobs(), self.assignment.len(), "schedule/instance job count mismatch");
         let mut per = vec![Vec::new(); self.machines];
@@ -159,33 +171,31 @@ impl Schedule {
     }
 
     /// All bag-constraint violations: pairs of same-bag jobs sharing a
-    /// machine. Each offending pair is reported once.
+    /// machine. Each later job is paired with the first (lowest-index)
+    /// job of its bag on its machine, and the pairs come in the order of
+    /// their later job.
+    ///
+    /// O(n) memory whatever the machine and bag counts: the jobs are
+    /// grouped by `(machine, bag)` by sorting.
     pub fn conflicts(&self, inst: &Instance) -> Vec<(JobId, JobId)> {
+        let mut keyed: Vec<(MachineId, BagId, JobId)> = self
+            .assignment
+            .iter()
+            .enumerate()
+            .map(|(j, &mid)| (mid, inst.bag_of(JobId(j as u32)), JobId(j as u32)))
+            .collect();
+        keyed.sort_unstable();
         let mut out = Vec::new();
-        // seen[machine][bag] -> first job of that bag on that machine
-        let mut seen = vec![vec![None; inst.num_bags()]; self.machines];
-        for (j, &mid) in self.assignment.iter().enumerate() {
-            let job = JobId(j as u32);
-            let bag = inst.bag_of(job).idx();
-            match seen[mid.idx()][bag] {
-                Some(first) => out.push((first, job)),
-                None => seen[mid.idx()][bag] = Some(job),
-            }
+        for group in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            out.extend(group[1..].iter().map(|&(_, _, job)| (group[0].2, job)));
         }
+        out.sort_unstable_by_key(|&(_, job)| job);
         out
     }
 
     /// Whether the schedule satisfies every bag-constraint.
     pub fn is_feasible(&self, inst: &Instance) -> bool {
-        let mut seen = vec![vec![false; inst.num_bags()]; self.machines];
-        for (j, &mid) in self.assignment.iter().enumerate() {
-            let bag = inst.bag_of(JobId(j as u32)).idx();
-            if seen[mid.idx()][bag] {
-                return false;
-            }
-            seen[mid.idx()][bag] = true;
-        }
-        true
+        self.conflicts(inst).is_empty()
     }
 }
 
@@ -217,6 +227,62 @@ mod tests {
         let good = Schedule::from_assignment(vec![MachineId(0), MachineId(1), MachineId(0)], 2);
         assert!(good.is_feasible(&inst));
         assert!(good.conflicts(&inst).is_empty());
+    }
+
+    /// The per-machine tables `conflicts` replaced, as the reference:
+    /// `seen[machine][bag]` holds the first job of that bag there.
+    fn table_conflicts(s: &Schedule, inst: &Instance) -> Vec<(JobId, JobId)> {
+        let mut out = Vec::new();
+        let mut seen = vec![vec![None; inst.num_bags()]; s.num_machines()];
+        for (j, &mid) in s.assignment().iter().enumerate() {
+            let job = JobId(j as u32);
+            let bag = inst.bag_of(job).idx();
+            match seen[mid.idx()][bag] {
+                Some(first) => out.push((first, job)),
+                None => seen[mid.idx()][bag] = Some(job),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn conflicts_and_makespan_match_the_per_machine_tables() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for _ in 0..50 {
+            let (n, m, bags) = (1 + next(40) as usize, 1 + next(6) as usize, 1 + next(8) as u32);
+            let jobs: Vec<(f64, u32)> =
+                (0..n).map(|_| (0.1 + next(1000) as f64 / 7.0, next(bags as u64) as u32)).collect();
+            let inst = Instance::new(&jobs, m);
+            let s = Schedule::from_assignment(
+                (0..n).map(|_| MachineId(next(m as u64) as u32)).collect(),
+                m,
+            );
+            let want = table_conflicts(&s, &inst);
+            assert_eq!(s.conflicts(&inst), want);
+            assert_eq!(s.is_feasible(&inst), want.is_empty());
+            let max_load = s.loads(&inst).into_iter().fold(0.0, f64::max);
+            assert_eq!(s.makespan(&inst).to_bits(), max_load.to_bits());
+        }
+    }
+
+    /// Neither the makespan nor the conflict check sizes anything by the
+    /// machine count, so a schedule on `u32::MAX` machines is checked in
+    /// O(n) memory.
+    #[test]
+    fn machine_count_at_the_u32_limit_needs_no_per_machine_table() {
+        let m = u32::MAX as usize;
+        let inst = Instance::new(&[(2.0, 0), (1.0, 0), (0.5, 1)], m);
+        let s =
+            Schedule::from_assignment(vec![MachineId(u32::MAX - 1), MachineId(7), MachineId(7)], m);
+        assert_eq!(s.makespan(&inst), 2.0);
+        assert!(s.is_feasible(&inst));
+        let clash = Schedule::from_assignment(vec![MachineId(7); 3], m);
+        assert_eq!(clash.conflicts(&inst), vec![(JobId(0), JobId(1))]);
+        assert_eq!(clash.makespan(&inst), 3.5);
     }
 
     #[test]

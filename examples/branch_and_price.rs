@@ -7,8 +7,8 @@
 //!
 //! The tight clustered family (n/m = 3, symmetric priority bags) is the
 //! workload the whole pricing stack was built for. This example runs it
-//! at a scale where all three PR-5 subsystems engage and reads the story
-//! off the counters:
+//! at a scale where node warm starts and in-tree pricing both engage and
+//! reads the story off the counters:
 //!
 //! * `node_warm_starts` / `dual_pivots` — branch-and-bound child LPs
 //!   re-optimized from the parent basis by the dual simplex instead of
@@ -16,16 +16,14 @@
 //! * `tree_columns_generated` — patterns priced *inside* the tree: the
 //!   root pool converged against the master duals, but the integral dive
 //!   struggled, so the knapsack pricing DFS re-ran against the node
-//!   duals and grafted the missing columns onto the warm basis;
-//! * the warm-vs-cold comparison at the end shows the contract: the work
-//!   changes, the answers do not.
+//!   duals and grafted the missing columns onto the warm basis.
 
-use bagsched::eptas::{EptasConfig, Solver};
+use bagsched::eptas::Solver;
 use bagsched::types::{gen, validate_schedule};
 use std::time::Instant;
 
 fn main() {
-    // ---- 1. A scale cell where in-tree pricing engages. ----
+    // A scale cell where in-tree pricing engages.
     let n = 1200;
     let m = n / 3;
     println!("solving tight clustered n={n}/m={m} (release defaults)...");
@@ -59,27 +57,4 @@ fn main() {
     if s.tree_columns_generated == 0 {
         println!("  (in-tree pricing did not engage on this run — no dive struggled)");
     }
-
-    // ---- 2. The warm == cold contract on a small witness. ----
-    println!();
-    println!("warm vs cold node LPs on clustered(60, 20, ...):");
-    let small = gen::clustered(60, 20, 20, 5, 2);
-    let mut results = Vec::new();
-    for dual in [true, false] {
-        let mut cfg = EptasConfig::with_epsilon(0.5);
-        cfg.dual_simplex = dual;
-        let r = Solver::new(cfg).solve_instance(&small).expect("valid instance");
-        let milp_pivots = r.report.last_success.as_ref().map(|g| g.lp_iterations).unwrap_or(0);
-        println!(
-            "  dual_simplex={dual:<5}  makespan={:.6}  restricted-MILP pivots={milp_pivots}",
-            r.makespan
-        );
-        results.push((r.makespan, milp_pivots));
-    }
-    let (warm, cold) = (results[0], results[1]);
-    assert_eq!(warm.0, cold.0, "warm starting must not change the makespan");
-    println!(
-        "  same makespan, {:.1}x fewer restricted-MILP pivots warm",
-        cold.1 as f64 / warm.1.max(1) as f64
-    );
 }

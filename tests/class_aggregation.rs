@@ -15,7 +15,7 @@ use bagsched::eptas::report::Stats;
 use bagsched::eptas::rounding::scale_and_round;
 use bagsched::eptas::transform::transform;
 use bagsched::eptas::{EptasConfig, EptasResult, PatternSolve, Solver};
-use bagsched::types::{gen, validate_schedule, Instance};
+use bagsched::types::{validate_schedule, Instance};
 
 /// Highly symmetric instances: `groups` clusters of identical single-job
 /// bags over `sizes`, plus per-cluster small jobs — few classes, many
@@ -35,15 +35,14 @@ fn symmetric_instance(groups: usize, per_group: usize, m: usize, seed: u64) -> I
 
 fn solve_aggregated(inst: &Instance, budget: usize) -> EptasResult {
     let mut cfg = EptasConfig::with_epsilon(0.5);
-    cfg.class_aggregation = true;
     cfg.pricing_symbol_budget = budget;
     Solver::new(cfg).solve_instance(inst).unwrap()
 }
 
+/// The per-bag oracle: the default configuration, whose symbol budget
+/// these small instances stay below.
 fn solve_per_bag(inst: &Instance) -> EptasResult {
-    let mut cfg = EptasConfig::with_epsilon(0.5);
-    cfg.class_aggregation = false;
-    Solver::new(cfg).solve_instance(inst).unwrap()
+    Solver::new(EptasConfig::with_epsilon(0.5)).solve_instance(inst).unwrap()
 }
 
 /// The aggregated path must reach the same accepted guess as the per-bag
@@ -119,7 +118,6 @@ fn declassing_never_doubles_a_bag_on_a_machine() {
         let inst = symmetric_instance(groups, 5, 6 + seed as usize % 3, seed);
         let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
         let mut cfg = EptasConfig::with_epsilon(0.5);
-        cfg.class_aggregation = true;
         cfg.pricing_symbol_budget = groups + 2;
         let Some(r) = scale_and_round(&sizes, 1.1, cfg.epsilon) else {
             continue;
@@ -156,29 +154,6 @@ fn declassing_never_doubles_a_bag_on_a_machine() {
                 covered[s], sym.avail
             );
         }
-    }
-}
-
-/// Below the gate nothing changes: with aggregation on (default budget)
-/// and off, small instances take the identical per-bag path — reports
-/// and schedules agree field for field.
-#[test]
-fn below_the_gate_aggregation_is_inert() {
-    for family in gen::Family::ALL {
-        let inst = family.generate(24, 4, 5);
-        let mut on = EptasConfig::with_epsilon(0.5);
-        on.class_aggregation = true;
-        let mut off = EptasConfig::with_epsilon(0.5);
-        off.class_aggregation = false;
-        let a = Solver::new(on).solve_instance(&inst).unwrap();
-        let b = Solver::new(off).solve_instance(&inst).unwrap();
-        assert_eq!(
-            a.report.stats,
-            b.report.stats,
-            "{}: gate leaked — counters differ below the budget",
-            family.name()
-        );
-        assert_eq!(a.schedule.assignment(), b.schedule.assignment(), "{}", family.name());
     }
 }
 

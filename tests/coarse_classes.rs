@@ -16,7 +16,7 @@ use bagsched::eptas::priority::select_priority;
 use bagsched::eptas::rounding::scale_and_round;
 use bagsched::eptas::transform::transform;
 use bagsched::eptas::{EptasConfig, EptasResult, Solver};
-use bagsched::types::{gen, validate_schedule, Instance, InstanceBuilder};
+use bagsched::types::{validate_schedule, Instance, InstanceBuilder};
 
 /// Clusters of *near*-identical bags: group `g` holds `per_group` bags
 /// carrying `3 + (i % 2)` jobs of size `sizes[g]`. Counts 3 and 4 land
@@ -165,27 +165,21 @@ fn coarse_path_cross_validates_against_exact_oracle() {
     assert!(engaged >= 8, "too few shapes engaged the pipeline ({engaged})");
 }
 
-/// Below the gate the coarsening knob is inert: with the default budget
-/// (nothing engages aggregation on these small instances), solves with
-/// `class_coarsening` on and off agree field for field — the exact path
-/// stays byte-identical when the knob is off, and vice versa.
+/// A zero tolerance is the coarsening off switch: with the budget forcing
+/// the aggregated path, `coarse_tolerance = 0.0` reproduces the exact
+/// partition, so no coarse class forms, while the default tolerance on
+/// the same budget does engage the coarse rung.
 #[test]
-fn below_the_gate_coarsening_is_inert() {
-    for family in gen::Family::ALL {
-        let inst = family.generate(24, 4, 5);
-        let on = EptasConfig::with_epsilon(0.5);
-        let mut off = EptasConfig::with_epsilon(0.5);
-        off.class_coarsening = false;
-        let a = Solver::new(on).solve_instance(&inst).unwrap();
-        let b = Solver::new(off).solve_instance(&inst).unwrap();
-        assert_eq!(
-            a.report.stats,
-            b.report.stats,
-            "{}: coarsening leaked below the budget gate",
-            family.name()
-        );
-        assert_eq!(a.schedule.assignment(), b.schedule.assignment(), "{}", family.name());
-    }
+fn zero_tolerance_forms_no_coarse_class() {
+    let inst = near_symmetric(3, 2, 6, 0);
+    let (exact, _) = class_counts(&inst, 0.5).expect("fixture must coarsen");
+    let off = Solver::new(coarse_forced(exact - 1, 0.0)).solve_instance(&inst).unwrap();
+    let on = Solver::new(coarse_forced(exact - 1, 0.5)).solve_instance(&inst).unwrap();
+    validate_schedule(&inst, &off.schedule).unwrap();
+    assert!(off.report.stats.bag_classes > 0, "the budget must force the aggregated path");
+    assert_eq!(off.report.stats.coarse_classes_formed, 0, "tolerance 0.0 formed coarse classes");
+    assert_eq!(off.report.stats.repair_jobs_moved, 0);
+    assert!(on.report.stats.coarse_classes_formed > 0, "the default tolerance must coarsen");
 }
 
 /// Replay of a coarse-class seed: a cached `Solver` whose cold solve

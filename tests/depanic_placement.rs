@@ -114,7 +114,6 @@ fn driver_survives_total_guess_failure_via_fallback() {
     let mut cfg = EptasConfig::with_epsilon(0.5);
     cfg.max_patterns = 1;
     cfg.column_generation = false;
-    cfg.pricing_fallback_budget = 1;
     let r = Solver::new(cfg).solve_instance(&inst).unwrap();
     assert!(r.report.fell_back_to_lpt, "guesses cannot succeed at budget 1");
     assert_eq!(r.report.stats.lpt_fallbacks, 1);
