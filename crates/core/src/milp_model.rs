@@ -22,6 +22,12 @@
 //!   of pattern `p`; singleton classes recover the paper's boolean `chi`
 //!   exclusion.
 //!
+//! The rows come in this order, the pricing master's three kinds first
+//! and the class cuts in pairs below them. The model is built as column
+//! generation builds it: the rows with their right-hand sides, then one
+//! `Pattern::column` per pattern, the same column rule the pricing
+//! master and the in-tree pricer use.
+//!
 //! The small jobs' `y` is then realized greedily over the solved `x`
 //! (`greedy_small_y`): priority pairs per pattern, fractional
 //! throughout (constraint (7)'s integral `y` is replaced by the
@@ -54,11 +60,11 @@ use crate::classify::JobClass;
 use crate::config::EptasConfig;
 use crate::par::CancelToken;
 use crate::pattern::{collect_symbols_classed, enumerate_patterns, Pattern, PatternSet, Symbol};
-use crate::pricing::{generate_columns, MilpRow, Pricing, TreePriceDriver};
+use crate::pricing::{generate_columns, Pricing, TreePriceDriver};
 use crate::report::{GuessFailure, Stats};
 use crate::rounding::SizeExp;
 use crate::transform::Transformed;
-use bagsched_milp::{solve_milp_with, MilpOptions, MilpResult, MilpStatus, Model, Relation, VarId};
+use bagsched_milp::{solve_milp_with, MilpOptions, MilpResult, MilpStatus, Model, Relation};
 use bagsched_types::{BagId, JobId};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -183,9 +189,28 @@ impl PatternSolution {
 /// MILP, or replay a cached [`ReplaySeed`]; then
 /// [`run`](PatternSolve::run).
 ///
-/// ```ignore
-/// let sol = PatternSolve::new(&trans, &cfg).run(&mut stats)?;
-/// let sol = PatternSolve::new(&trans, &cfg).replay(&seed).run(&mut stats)?;
+/// ```
+/// use bagsched_core::classify::classify;
+/// use bagsched_core::priority::select_priority;
+/// use bagsched_core::rounding::scale_and_round;
+/// use bagsched_core::transform::transform;
+/// use bagsched_core::{EptasConfig, PatternSolve, Stats};
+/// use bagsched_types::Instance;
+///
+/// // Two large jobs and a medium one in bags of their own, small jobs
+/// // beside them, on three machines; guess makespan 1.
+/// let inst = Instance::new(&[(0.9, 0), (0.9, 1), (0.4, 2), (0.05, 0), (0.05, 3)], 3);
+/// let cfg = EptasConfig::with_epsilon(0.5);
+/// let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
+/// let rounded = scale_and_round(&sizes, 1.0, cfg.epsilon).unwrap();
+/// let class = classify(&rounded, inst.num_machines());
+/// let priority = select_priority(&inst, &rounded, &class, &cfg);
+/// let trans = transform(&inst, &rounded, &class, &priority);
+///
+/// let mut stats = Stats::default();
+/// let sol = PatternSolve::new(&trans, &cfg).run(&mut stats).expect("the guess fits");
+/// let again = PatternSolve::new(&trans, &cfg).replay(&sol.seed).run(&mut stats).unwrap();
+/// assert_eq!(again.outcome.x, sol.outcome.x);
 /// ```
 #[derive(Debug)]
 pub struct PatternSolve<'a> {
@@ -494,85 +519,14 @@ fn solve_restricted(
     let pairs = priority_small_pairs_classed(trans, classes);
     let w_nonprio = nonpriority_small_area(trans);
     let ctx = ClassCtx::new(classes, ps, &pairs);
-    // The per-bag path keeps the equality covering (2) — it prunes the
-    // search and downstream consumes counts exactly. The aggregated path
-    // uses the paper's original `>=`: with class multiplicities the
-    // branch-and-bound dive constantly overshoots an equality when it
-    // rounds up, turning every up-child infeasible; under `>=` dives
-    // land, and [`crate::declass`] trims the surplus slots (a sub-multiset
-    // of a pattern is itself a valid pattern).
-    let covering = if classes.all_singletons() { Relation::Eq } else { Relation::Ge };
-    let m = trans.tinst.num_machines() as f64;
-    let np = ps.patterns.len();
-    let mut model = Model::new();
-    let mut rows: Vec<MilpRow> = Vec::new();
-
-    // x_p: integer in [0, inf); empty pattern costs nothing. Row (1)
-    // already caps every x_p at m, so the variables carry no upper bound
-    // of their own: the LP engine would turn each finite one into an
-    // explicit row of every node LP. Only branching adds bound rows. The
-    // tiny index-dependent perturbation breaks the column symmetry of
-    // bag-symmetric patterns — without it the simplex stalls in degenerate
-    // pivots on the covering equalities and the B&B dive cannot reach an
-    // incumbent within budget.
-    let x: Vec<VarId> = (0..np)
-        .map(|p| {
-            model.add_int_var(if p == 0 { 0.0 } else { 1.0 + p as f64 * 1e-9 }, 0.0, f64::INFINITY)
-        })
-        .collect();
-
-    // (1)
-    let ones: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 1.0)).collect();
-    model.add_con(&ones, Relation::Le, m);
-    rows.push(MilpRow::Machine);
-    // (2) per symbol.
-    for (si, sym) in ps.symbols.iter().enumerate() {
-        let mut terms = Vec::new();
-        for (p, pat) in ps.patterns.iter().enumerate() {
-            if let Some(&(_, mult)) = pat.entries.iter().find(|&&(s, _)| s == si) {
-                terms.push((x[p], mult as f64));
-            }
-        }
-        model.add_con(&terms, covering, sym.avail as f64);
-        rows.push(MilpRow::Symbol(si));
-    }
-
-    // Aggregate area cut: all small jobs must fit above the patterns.
-    let w_prio: f64 = pairs.iter().map(|p| p.size * p.jobs.len() as f64).sum();
-    let area_terms: Vec<(VarId, f64)> =
-        ps.patterns.iter().enumerate().map(|(p, pat)| (x[p], trans.t - pat.height)).collect();
-    model.add_con(&area_terms, Relation::Ge, w_prio + w_nonprio);
-    rows.push(MilpRow::AreaCut);
-
-    // Per class with smalls: count and area cuts over the free member
-    // capacity (singleton classes: chi = 0 patterns with weight 1).
-    for &c in &ctx.with_smalls {
-        let rep = classes.rep(c);
-        let count: f64 =
-            pairs.iter().filter(|pr| pr.tbag == rep).map(|pr| pr.jobs.len() as f64).sum();
-        let area: f64 =
-            pairs.iter().filter(|pr| pr.tbag == rep).map(|pr| pr.size * pr.jobs.len() as f64).sum();
-        let count_terms: Vec<(VarId, f64)> = (0..np)
-            .filter(|&p| ctx.free_cap(p, c) > 0)
-            .map(|p| (x[p], ctx.free_cap(p, c) as f64))
-            .collect();
-        model.add_con(&count_terms, Relation::Ge, count);
-        rows.push(MilpRow::ClassCount(c));
-        let area_terms: Vec<(VarId, f64)> = (0..np)
-            .filter(|&p| ctx.free_cap(p, c) > 0)
-            .map(|p| (x[p], trans.t - ps.patterns[p].height))
-            .collect();
-        model.add_con(&area_terms, Relation::Ge, area);
-        rows.push(MilpRow::ClassArea(c));
-    }
-
-    let driver =
-        tree.then(|| TreePriceDriver::new(&ps.symbols, classes, trans.t, cfg, rows, &ps.patterns));
+    let model = restricted_model(trans, ps, &ctx, &pairs, w_nonprio);
+    let driver = tree.then(|| TreePriceDriver::new(&ps.symbols, &ctx, trans.t, cfg, &ps.patterns));
     let (res, tree_patterns, tree_x) = run_milp(&model, cfg, stats, driver, cancel);
     record_milp(stats, &res);
+    let np = ps.patterns.len();
     let xs: Vec<u32> = match res.status {
         MilpStatus::Optimal | MilpStatus::Feasible => {
-            let mut xs: Vec<u32> = x.iter().map(|&v| res.x[v.0].round() as u32).collect();
+            let mut xs: Vec<u32> = res.x[..np].iter().map(|&v| v.round() as u32).collect();
             xs.extend(tree_x);
             xs
         }
@@ -602,11 +556,68 @@ fn solve_restricted(
     Ok((MilpOutcome { x: xs, y, pairs, nodes: res.nodes, lp_iterations: res.lp_iterations }, ext))
 }
 
+/// The restricted MILP over `ps`: its rows (1), (2), the aggregate area
+/// cut and the per-class count and area cuts of `ctx` (see the module
+/// docs), then one integer column per pattern by [`Pattern::column`].
+/// Singleton classes reproduce the per-bag model term for term.
+fn restricted_model(
+    trans: &Transformed,
+    ps: &PatternSet,
+    ctx: &ClassCtx<'_>,
+    pairs: &[SmallPair],
+    w_nonprio: f64,
+) -> Model {
+    // The per-bag path keeps the equality covering (2) — it prunes the
+    // search and downstream consumes counts exactly. The aggregated path
+    // uses the paper's original `>=`: with class multiplicities the
+    // branch-and-bound dive constantly overshoots an equality when it
+    // rounds up, turning every up-child infeasible; under `>=` dives
+    // land, and [`crate::declass`] trims the surplus slots (a sub-multiset
+    // of a pattern is itself a valid pattern).
+    let covering = if ctx.classes.all_singletons() { Relation::Eq } else { Relation::Ge };
+    let mut model = Model::new();
+    // (1)
+    model.add_con(&[], Relation::Le, trans.tinst.num_machines() as f64);
+    // (2) per symbol.
+    for sym in &ps.symbols {
+        model.add_con(&[], covering, sym.avail as f64);
+    }
+    // Aggregate area cut: all small jobs must fit above the patterns.
+    let w_prio: f64 = pairs.iter().map(|p| p.size * p.jobs.len() as f64).sum();
+    model.add_con(&[], Relation::Ge, w_prio + w_nonprio);
+    // Per class with smalls: count and area cuts over the free member
+    // capacity (singleton classes: chi = 0 patterns with weight 1).
+    for &c in &ctx.with_smalls {
+        let rep = ctx.classes.rep(c);
+        let count: f64 =
+            pairs.iter().filter(|pr| pr.tbag == rep).map(|pr| pr.jobs.len() as f64).sum();
+        let area: f64 =
+            pairs.iter().filter(|pr| pr.tbag == rep).map(|pr| pr.size * pr.jobs.len() as f64).sum();
+        model.add_con(&[], Relation::Ge, count);
+        model.add_con(&[], Relation::Ge, area);
+    }
+    // x_p: integer in [0, inf); empty pattern costs nothing. Row (1)
+    // already caps every x_p at m, so the variables carry no upper bound
+    // of their own: the LP engine would turn each finite one into an
+    // explicit row of every node LP. Only branching adds bound rows. The
+    // tiny index-dependent perturbation breaks the column symmetry of
+    // bag-symmetric patterns — without it the simplex stalls in degenerate
+    // pivots on the covering equalities and the B&B dive cannot reach an
+    // incumbent within budget.
+    for (p, pat) in ps.patterns.iter().enumerate() {
+        let obj = if p == 0 { 0.0 } else { 1.0 + p as f64 * 1e-9 };
+        let col = pat.column(ps.symbols.len(), trans.t, &ctx.free_caps(&ctx.class_mult[p]));
+        let v = model.add_column(obj, 0.0, f64::INFINITY, &col);
+        model.set_integer(v, true);
+    }
+    model
+}
+
 /// The class context of a restricted MILP over one pattern set: which
 /// classes own priority small jobs, and how many member bags of each
 /// class every pattern leaves without a large slot.
 pub(crate) struct ClassCtx<'a> {
-    classes: &'a BagClasses,
+    pub(crate) classes: &'a BagClasses,
     /// `[pattern][class]` slot counts: how many slots of class `c`
     /// pattern `p` holds, summed over sizes. The class-keyed
     /// generalization of `chi`: with singleton classes the entries are
@@ -634,7 +645,20 @@ impl<'a> ClassCtx<'a> {
     /// Per-machine capacity pattern `p` leaves for small jobs of class
     /// `c`: member bags without a large slot on the machine.
     fn free_cap(&self, p: usize, c: usize) -> u32 {
-        (self.classes.size(c) as u32).saturating_sub(self.class_mult[p][c])
+        self.free_cap_of(&self.class_mult[p], c)
+    }
+
+    /// `|C| - mult_C(p)` for a pattern with class multiplicities
+    /// `class_mult`.
+    fn free_cap_of(&self, class_mult: &[u32], c: usize) -> u32 {
+        (self.classes.size(c) as u32).saturating_sub(class_mult[c])
+    }
+
+    /// The free capacities of a pattern with class multiplicities
+    /// `class_mult`, one per class cut pair in row order: the `free`
+    /// argument of [`Pattern::column`].
+    pub(crate) fn free_caps(&self, class_mult: &[u32]) -> Vec<u32> {
+        self.with_smalls.iter().map(|&c| self.free_cap_of(class_mult, c)).collect()
     }
 }
 
@@ -869,6 +893,133 @@ mod tests {
                 .sum();
             let budget = out.x[p] as f64 * (t.t - ps.patterns[p].height);
             assert!(yload <= budget + 1e-6, "pattern {p}: {yload} > {budget}");
+        }
+    }
+
+    /// The restricted MILP as the paper writes it, row by row: every
+    /// `x_p` first, then each row over the whole pool. The reference the
+    /// column-built [`restricted_model`] is pinned against.
+    fn row_wise_model(trans: &Transformed, ps: &PatternSet, classes: &BagClasses) -> Model {
+        use bagsched_milp::VarId;
+        let pairs = priority_small_pairs_classed(trans, classes);
+        let w_nonprio = nonpriority_small_area(trans);
+        let ctx = ClassCtx::new(classes, ps, &pairs);
+        let covering = if classes.all_singletons() { Relation::Eq } else { Relation::Ge };
+        let np = ps.patterns.len();
+        let mut model = Model::new();
+        let x: Vec<VarId> = (0..np)
+            .map(|p| {
+                let obj = if p == 0 { 0.0 } else { 1.0 + p as f64 * 1e-9 };
+                model.add_int_var(obj, 0.0, f64::INFINITY)
+            })
+            .collect();
+        let ones: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 1.0)).collect();
+        model.add_con(&ones, Relation::Le, trans.tinst.num_machines() as f64);
+        for (si, sym) in ps.symbols.iter().enumerate() {
+            let mut terms = Vec::new();
+            for (p, pat) in ps.patterns.iter().enumerate() {
+                if let Some(&(_, mult)) = pat.entries.iter().find(|&&(s, _)| s == si) {
+                    terms.push((x[p], mult as f64));
+                }
+            }
+            model.add_con(&terms, covering, sym.avail as f64);
+        }
+        let w_prio: f64 = pairs.iter().map(|p| p.size * p.jobs.len() as f64).sum();
+        let area_terms: Vec<(VarId, f64)> =
+            ps.patterns.iter().enumerate().map(|(p, pat)| (x[p], trans.t - pat.height)).collect();
+        model.add_con(&area_terms, Relation::Ge, w_prio + w_nonprio);
+        for &c in &ctx.with_smalls {
+            let rep = classes.rep(c);
+            let of_class = || pairs.iter().filter(|pr| pr.tbag == rep);
+            let count: f64 = of_class().map(|pr| pr.jobs.len() as f64).sum();
+            let area: f64 = of_class().map(|pr| pr.size * pr.jobs.len() as f64).sum();
+            let free = |p: usize| ctx.free_cap(p, c);
+            let count_terms: Vec<(VarId, f64)> =
+                (0..np).filter(|&p| free(p) > 0).map(|p| (x[p], free(p) as f64)).collect();
+            model.add_con(&count_terms, Relation::Ge, count);
+            let area_terms: Vec<(VarId, f64)> = (0..np)
+                .filter(|&p| free(p) > 0)
+                .map(|p| (x[p], trans.t - ps.patterns[p].height))
+                .collect();
+            model.add_con(&area_terms, Relation::Ge, area);
+        }
+        model
+    }
+
+    /// The first guess on the grid `lb * (1 + 0.1 k)` at which pricing
+    /// over the ladder's first rung converges: the transformed instance,
+    /// the rung's classes and the priced pool. `budget` sets the symbol
+    /// budget from the transformed instance.
+    fn priced_rung(
+        inst: &Instance,
+        budget: impl Fn(&Transformed) -> usize,
+    ) -> (Transformed, BagClasses, PatternSet) {
+        let mut cfg = EptasConfig::with_epsilon(0.5);
+        let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
+        let lb = bagsched_types::lowerbound::lower_bounds(inst).combined();
+        for k in 0..10 {
+            let Some(r) = scale_and_round(&sizes, lb * (1.0 + 0.1 * k as f64), 0.5) else {
+                continue;
+            };
+            let c = classify(&r, inst.num_machines());
+            let p = select_priority(inst, &r, &c, &cfg);
+            let t = transform(inst, &r, &c, &p);
+            cfg.pricing_symbol_budget = budget(&t);
+            let (_, classes) = ladder(&t, &cfg).swap_remove(0);
+            let symbols = collect_symbols_classed(&t, &classes);
+            let mut stats = Stats::default();
+            if let Pricing::Converged(pool) =
+                generate_columns(&t, &symbols, &classes, &cfg, &mut stats, None)
+            {
+                return (t, classes, PatternSet::from_parts(symbols, pool));
+            }
+        }
+        panic!("no guess on the grid converged");
+    }
+
+    /// The column-built restricted MILP and the row-wise reference give
+    /// the same root LP, bit for bit: per bag and class-aggregated, with
+    /// and without small-job class cuts.
+    #[test]
+    fn column_built_model_matches_the_row_wise_reference() {
+        let default_budget = EptasConfig::with_epsilon(0.5).pricing_symbol_budget;
+        // A budget between the exact class count and the per-bag symbol
+        // count: the ladder opens on exact classes.
+        let between = |t: &Transformed| {
+            let exact = BagClasses::compute(t).num_classes();
+            (exact + collect_symbols_classed(t, &BagClasses::singletons(t)).len()) / 2
+        };
+        // Twelve priority bags of two profiles, each bag a large job and
+        // small jobs: every class owns priority small jobs, so both
+        // models carry count and area cuts.
+        let mut jobs: Vec<(f64, u32)> = Vec::new();
+        for bag in 0..12 {
+            let large = if bag < 8 { 0.9 } else { 0.6 };
+            jobs.extend([(large, bag), (0.05, bag), (0.05, bag)]);
+        }
+        let smalls = Instance::new(&jobs, 12);
+        let tight = bagsched_types::gen::clustered(240, 80, 80, 5, 2);
+        let cases = [
+            priced_rung(&smalls, |_| default_budget),
+            priced_rung(&smalls, between),
+            priced_rung(&tight, between),
+        ];
+        for (i, (t, classes, ps)) in cases.iter().enumerate() {
+            let pairs = priority_small_pairs_classed(t, classes);
+            let ctx = ClassCtx::new(classes, ps, &pairs);
+            assert_eq!(classes.all_singletons(), i == 0, "case {i}");
+            assert_eq!(ctx.with_smalls.is_empty(), i == 2, "case {i}");
+            let model = restricted_model(t, ps, &ctx, &pairs, nonpriority_small_area(t));
+            let reference = row_wise_model(t, ps, classes);
+            assert_eq!(model.num_vars(), reference.num_vars());
+            assert_eq!(model.num_cons(), reference.num_cons());
+            let (a, b) = (model.solve_lp(), reference.solve_lp());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(a.status, bagsched_milp::LpStatus::Optimal, "case {i}");
+            assert_eq!(a.status, b.status, "case {i}");
+            assert_eq!(a.iterations, b.iterations, "case {i}");
+            assert_eq!(bits(&a.x), bits(&b.x), "case {i}");
+            assert_eq!(bits(&a.duals), bits(&b.duals), "case {i}");
         }
     }
 

@@ -69,10 +69,39 @@ impl Pattern {
         self.entries.iter().map(|&(_, c)| c as usize).sum()
     }
 
+    /// This pattern's column in a pattern LP over `num_symbols` slot
+    /// symbols with height bound `t` — the one column rule of the pricing
+    /// master, the restricted MILP and the in-tree pricer (paper §3):
+    /// * row 0, the machine cap (1): 1;
+    /// * row `1 + s`, symbol `s`'s covering row (2): its multiplicity;
+    /// * row `1 + num_symbols`, the aggregate area cut: `t - height`;
+    /// * per small-job class `k` in cut order, with `free[k]` member bags
+    ///   without a slot here: `free[k]` in its count cut (row
+    ///   `2 + num_symbols + 2k`) and `t - height` in its area cut (the
+    ///   next row), both absent when `free[k]` is 0. The master has no
+    ///   class cuts and passes `&[]`.
+    ///
+    /// Rows come out ascending; `Model::add_column` drops the zeros.
+    pub(crate) fn column(&self, num_symbols: usize, t: f64, free: &[u32]) -> Vec<(usize, f64)> {
+        debug_assert!(self.entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let area = t - self.height;
+        let mut col = Vec::with_capacity(self.entries.len() + 2 + 2 * free.len());
+        col.push((0, 1.0));
+        col.extend(self.entries.iter().map(|&(s, mult)| (1 + s, mult as f64)));
+        col.push((1 + num_symbols, area));
+        for (k, &f) in free.iter().enumerate() {
+            if f > 0 {
+                let row = 2 + num_symbols + 2 * k;
+                col.extend([(row, f as f64), (row + 1, area)]);
+            }
+        }
+        col
+    }
+
     /// Per-class slot counts of this pattern, summed over sizes — the
-    /// `mult_C(p)` of the class-aggregated MILP. The single home of the
-    /// rule; the restricted MILP's `ClassCtx` and the in-tree pricer's
-    /// free-capacity coefficients both derive from it.
+    /// `mult_C(p)` of the class-aggregated MILP, from which
+    /// `ClassCtx::free_caps` derives the class-cut coefficients of
+    /// [`Pattern::column`].
     pub(crate) fn class_multiplicities(
         &self,
         symbols: &[Symbol],

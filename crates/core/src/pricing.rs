@@ -6,11 +6,14 @@
 //! LP* over a small pool of patterns is solved and new columns are priced
 //! in against its duals until no pattern has negative reduced cost:
 //!
-//! * **master rows:** the machine-count cap (constraint (1)), one
-//!   covering equality per slot symbol (constraint (2)), and an aggregate
-//!   small-area cut (the x-projection of constraint (4)), so guesses
-//!   without room for the small jobs are refuted here instead of by an
-//!   eager-enumeration fallback;
+//! * **master rows:** row 0 the machine-count cap (constraint (1)), rows
+//!   `1..=S` one covering equality per slot symbol (constraint (2)), and
+//!   row `S + 1` an aggregate small-area cut (the x-projection of
+//!   constraint (4)), so guesses without room for the small jobs are
+//!   refuted here instead of by an eager-enumeration fallback. Every
+//!   pattern column comes from `Pattern::column`; the restricted MILP
+//!   keeps these rows first and appends its class cuts below them, so a
+//!   node LP's first `S + 2` duals are the master's, in this layout;
 //! * **pricing oracle:** the max-reduced-cost pattern is a bounded
 //!   knapsack over symbol multiplicities — DFS in density order with a
 //!   fractional upper bound, the one-slot-per-priority-bag rule, and
@@ -38,6 +41,7 @@
 use crate::classes::BagClasses;
 use crate::classify::JobClass;
 use crate::config::EptasConfig;
+use crate::milp_model::ClassCtx;
 use crate::par::{run_indexed, CancelToken};
 use crate::pattern::{Pattern, SlotBag, Symbol};
 use crate::report::Stats;
@@ -139,8 +143,9 @@ struct Master {
     keys: HashSet<PatternKey>,
     cols: Vec<Option<VarId>>,
     streak: Vec<u32>,
-    /// Row of the aggregate small-area cut (the last master row).
-    area_row: usize,
+    /// Slot symbols `S`: rows `1..=S` cover them, row `S + 1` (the last)
+    /// is the aggregate small-area cut.
+    num_symbols: usize,
     /// Height bound `T`.
     t: f64,
     /// Objective coefficient of a nonempty pattern column: 0 under the
@@ -155,23 +160,33 @@ struct Master {
 
 impl Master {
     /// The master over `model`'s rows with one column per seed pattern.
-    fn new(mut model: Model, pool: Vec<Pattern>, t: f64, purge_threshold: f64) -> Self {
-        let area_row = model.num_cons() - 1;
-        let cols = pool.iter().map(|p| Some(add_pattern_column(&mut model, p, area_row, t, 0.0)));
-        Master {
-            cols: cols.collect(),
+    fn new(model: Model, pool: Vec<Pattern>, t: f64, purge_threshold: f64) -> Self {
+        let mut master = Master {
+            cols: Vec::with_capacity(pool.len()),
             keys: pool.iter().map(|p| p.entries.clone()).collect(),
             streak: vec![0; pool.len()],
+            num_symbols: model.num_cons() - 2,
             model,
             pool,
-            area_row,
             t,
             col_cost: 0.0,
             purge_threshold,
             warm: None,
             last_cold_pivots: 0,
             solves_since_refresh: 0,
+        };
+        for i in 0..master.pool.len() {
+            let v = master.add_column(i);
+            master.cols.push(Some(v));
         }
+        master
+    }
+
+    /// Append pool pattern `i`'s column ([`Pattern::column`]; the master
+    /// has no class cuts) at the current column cost.
+    fn add_column(&mut self, i: usize) -> VarId {
+        let col = self.pool[i].column(self.num_symbols, self.t, &[]);
+        self.model.add_column(self.col_cost, 0.0, f64::INFINITY, &col)
     }
 
     /// Drop the warm basis and restart the refresh cadence.
@@ -216,18 +231,11 @@ impl Master {
         let mut lp = self.solve_once(stats);
         while lp.status == LpStatus::Optimal {
             let mut readmitted = false;
-            for (i, pat) in self.pool.iter().enumerate() {
+            for i in 0..self.pool.len() {
                 if self.cols[i].is_none()
-                    && pattern_rc(pat, &lp.duals, self.area_row, self.t, self.col_cost) < -1e-7
+                    && pattern_rc(&self.pool[i], &lp.duals, self.t, self.col_cost) < -1e-7
                 {
-                    let v = add_pattern_column(
-                        &mut self.model,
-                        pat,
-                        self.area_row,
-                        self.t,
-                        self.col_cost,
-                    );
-                    self.cols[i] = Some(v);
+                    self.cols[i] = Some(self.add_column(i));
                     self.streak[i] = 0;
                     stats.columns_readmitted += 1;
                     readmitted = true;
@@ -259,7 +267,7 @@ impl Master {
             if pat.is_empty() || pat.num_slots() == 1 {
                 continue;
             }
-            let rc = pattern_rc(pat, &lp.duals, self.area_row, self.t, self.col_cost);
+            let rc = pattern_rc(pat, &lp.duals, self.t, self.col_cost);
             if lp.x[v.0] <= 1e-9 && rc > self.purge_threshold {
                 self.streak[i] += 1;
                 if self.streak[i] >= PURGE_PATIENCE {
@@ -295,10 +303,10 @@ impl Master {
     fn admit(&mut self, cands: Vec<Pattern>, stats: &mut Stats) {
         for pat in cands {
             self.keys.insert(pat.entries.clone());
-            let v = add_pattern_column(&mut self.model, &pat, self.area_row, self.t, self.col_cost);
+            self.pool.push(pat);
+            let v = self.add_column(self.pool.len() - 1);
             self.cols.push(Some(v));
             self.streak.push(0);
-            self.pool.push(pat);
             stats.columns_generated += 1;
         }
     }
@@ -497,33 +505,14 @@ pub fn generate_columns(
 }
 
 /// Reduced cost of `pat`'s master column (objective coefficient `obj`)
-/// under row duals laid out `[machine, symbols..., area]` — the mirror of
-/// [`add_pattern_column`], used by the column lifecycle.
-fn pattern_rc(pat: &Pattern, duals: &[f64], area_row: usize, t: f64, obj: f64) -> f64 {
-    let mut rc = obj - duals[0] - duals[area_row] * (t - pat.height);
+/// under row duals laid out `[machine, symbols..., area]` — the column of
+/// [`Pattern::column`] priced, used by the column lifecycle.
+fn pattern_rc(pat: &Pattern, duals: &[f64], t: f64, obj: f64) -> f64 {
+    let mut rc = obj - duals[0] - duals[duals.len() - 1] * (t - pat.height);
     for &(s, mult) in &pat.entries {
         rc -= duals[1 + s] * mult as f64;
     }
     rc
-}
-
-/// Append one pattern column to the master: coefficient 1 in the machine
-/// row, its multiplicities in the symbol rows, and its free area
-/// `T - height` in the area row.
-fn add_pattern_column(
-    model: &mut Model,
-    pat: &Pattern,
-    area_row: usize,
-    t: f64,
-    obj: f64,
-) -> VarId {
-    let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(pat.entries.len() + 2);
-    coeffs.push((0, 1.0));
-    for &(s, mult) in &pat.entries {
-        coeffs.push((1 + s, mult as f64));
-    }
-    coeffs.push((area_row, t - pat.height));
-    model.add_column(obj, 0.0, f64::INFINITY, &coeffs)
 }
 
 /// The heuristic seed pool: the empty pattern (index 0, as the MILP layer
@@ -558,7 +547,10 @@ fn seed_pool(trans: &Transformed, symbols: &[Symbol], classes: &BagClasses) -> V
     let m = trans.tinst.num_machines();
     let mut height = vec![0.0f64; m];
     let mut counts: Vec<HashMap<usize, u16>> = vec![HashMap::new(); m];
-    let mut bag_used: Vec<Vec<bool>> = vec![vec![false; trans.tinst.num_bags()]; m];
+    // The machines already holding a job of each priority bag, and one
+    // machine mask reused per job: nothing here is sized `m × bags`.
+    let mut bag_machines: Vec<Vec<u32>> = vec![Vec::new(); trans.tinst.num_bags()];
+    let mut blocked = vec![false; m];
     for j in jobs {
         let tbag = trans.tinst.bag_of(JobId(j as u32));
         let bag = if trans.is_priority_tbag[tbag.idx()] {
@@ -570,17 +562,23 @@ fn seed_pool(trans: &Transformed, symbols: &[Symbol], classes: &BagClasses) -> V
         let size = symbols[s].size;
         // The conflict check runs on the *concrete* bag: a machine may
         // hold several slots of one class (distinct member bags) but
-        // never two jobs of one bag.
-        let is_prio = matches!(bag, SlotBag::Priority(_));
+        // never two jobs of one bag. Wildcard slots block nothing.
+        let held: &[u32] =
+            if matches!(bag, SlotBag::Priority(_)) { &bag_machines[tbag.idx()] } else { &[] };
+        for &i in held {
+            blocked[i as usize] = true;
+        }
         let target = (0..m)
-            .filter(|&i| height[i] + size <= t + 1e-9)
-            .filter(|&i| !(is_prio && bag_used[i][tbag.idx()]))
+            .filter(|&i| height[i] + size <= t + 1e-9 && !blocked[i])
             .min_by(|&a, &b| height[a].total_cmp(&height[b]).then(a.cmp(&b)));
+        for &i in held {
+            blocked[i as usize] = false;
+        }
         let Some(i) = target else { continue }; // heuristic: skipping is fine
         height[i] += size;
         *counts[i].entry(s).or_insert(0) += 1;
-        if is_prio {
-            bag_used[i][tbag.idx()] = true;
+        if matches!(bag, SlotBag::Priority(_)) {
+            bag_machines[tbag.idx()].push(i as u32);
         }
     }
     let mut seen: HashSet<PatternKey> = pool.iter().map(|p| p.entries.clone()).collect();
@@ -595,26 +593,6 @@ fn seed_pool(trans: &Transformed, symbols: &[Symbol], classes: &BagClasses) -> V
         }
     }
     pool
-}
-
-/// What a row of the restricted configuration MILP means to a *new*
-/// pattern column — the layout map the in-tree pricer uses to build
-/// column coefficients and to read the master-row duals off a node LP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MilpRow {
-    /// Constraint (1): the machine-count cap; coefficient 1.
-    Machine,
-    /// Covering row of symbol `s`; coefficient = the pattern's
-    /// multiplicity of `s`.
-    Symbol(usize),
-    /// An aggregate small-area cut; coefficient `T - height`.
-    AreaCut,
-    /// Per-class small-count cut; coefficient = the pattern's free
-    /// capacity for the class (member bags without a large slot).
-    ClassCount(usize),
-    /// Per-class small-area cut; coefficient `T - height` when the
-    /// pattern has free capacity for the class, else absent.
-    ClassArea(usize),
 }
 
 /// The branch-and-price driver: prices pattern columns *inside* the
@@ -634,12 +612,11 @@ pub(crate) enum MilpRow {
 /// ([`TREE_ROUND_CAP`]) bounds the total extra work per MILP solve.
 pub(crate) struct TreePriceDriver<'a> {
     symbols: &'a [Symbol],
-    classes: &'a BagClasses,
+    /// The class cuts of the restricted MILP (rows `S + 2` on).
+    ctx: &'a ClassCtx<'a>,
     /// Height bound `T`.
     t: f64,
     cfg: &'a EptasConfig,
-    /// Per model row: what a new pattern column contributes there.
-    rows: Vec<MilpRow>,
     /// Pool + already-priced pattern keys (dedup).
     keys: HashSet<PatternKey>,
     /// Patterns appended to the model, in column order.
@@ -658,18 +635,16 @@ pub(crate) struct TreePriceDriver<'a> {
 impl<'a> TreePriceDriver<'a> {
     pub(crate) fn new(
         symbols: &'a [Symbol],
-        classes: &'a BagClasses,
+        ctx: &'a ClassCtx<'a>,
         t: f64,
         cfg: &'a EptasConfig,
-        rows: Vec<MilpRow>,
         pool: &[Pattern],
     ) -> Self {
         TreePriceDriver {
             symbols,
-            classes,
+            ctx,
             t,
             cfg,
-            rows,
             keys: pool.iter().map(|p| p.entries.clone()).collect(),
             new_patterns: Vec::new(),
             new_vars: Vec::new(),
@@ -682,57 +657,26 @@ impl<'a> TreePriceDriver<'a> {
 
 impl bagsched_milp::TreePricer for TreePriceDriver<'_> {
     fn price(&mut self, model: &mut Model, lp: &LpResult) -> Vec<VarId> {
-        if self.rounds_left == 0 || lp.duals.len() < self.rows.len() {
+        // The node LP's first rows are the master's, in its layout:
+        // `[machine, symbols..., area]`.
+        let master_rows = self.symbols.len() + 2;
+        if self.rounds_left == 0 || lp.duals.len() < master_rows {
             return vec![];
         }
         let _span = obs::Span::enter("pricing.tree");
         self.rounds_left -= 1;
-        // Master-row duals in the layout the knapsack DFS expects:
-        // `[machine, symbols..., area]`.
-        let mut duals = vec![0.0; self.symbols.len() + 2];
-        for (r, kind) in self.rows.iter().enumerate() {
-            match *kind {
-                MilpRow::Machine => duals[0] = lp.duals[r],
-                MilpRow::Symbol(s) => duals[1 + s] = lp.duals[r],
-                MilpRow::AreaCut => duals[self.symbols.len() + 1] = lp.duals[r],
-                _ => {}
-            }
-        }
-        let px = PriceCtx { symbols: self.symbols, classes: self.classes, t: self.t };
+        let classes = self.ctx.classes;
+        let px = PriceCtx { symbols: self.symbols, classes, t: self.t };
         // New x-columns cost ~1 in the restricted MILP.
-        let (cands, _) = price(&px, &duals, 1.0, self.cfg, &mut self.stats, &self.keys);
+        let duals = &lp.duals[..master_rows];
+        let (cands, _) = price(&px, duals, 1.0, self.cfg, &mut self.stats, &self.keys);
         let mut added = Vec::with_capacity(cands.len());
         for pat in cands {
-            // Free member-bag capacity per class (`|C| - mult_C(p)`),
-            // from the same rule the restricted MILP uses.
-            let class_mult = pat.class_multiplicities(self.symbols, self.classes);
-            let free_cap = |c: usize| (self.classes.size(c) as u32).saturating_sub(class_mult[c]);
-            let mut coeffs: Vec<(usize, f64)> = Vec::new();
-            for (r, kind) in self.rows.iter().enumerate() {
-                let coef = match *kind {
-                    MilpRow::Machine => 1.0,
-                    MilpRow::Symbol(s) => pat
-                        .entries
-                        .iter()
-                        .find(|&&(si, _)| si == s)
-                        .map_or(0.0, |&(_, mult)| mult as f64),
-                    MilpRow::AreaCut => self.t - pat.height,
-                    MilpRow::ClassCount(c) => free_cap(c) as f64,
-                    MilpRow::ClassArea(c) => {
-                        if free_cap(c) > 0 {
-                            self.t - pat.height
-                        } else {
-                            0.0
-                        }
-                    }
-                };
-                if coef != 0.0 {
-                    coeffs.push((r, coef));
-                }
-            }
+            let free = self.ctx.free_caps(&pat.class_multiplicities(self.symbols, classes));
+            let col = pat.column(self.symbols.len(), self.t, &free);
             let obj = 1.0 + self.next_obj_index as f64 * 1e-9;
             self.next_obj_index += 1;
-            let v = model.add_column(obj, 0.0, f64::INFINITY, &coeffs);
+            let v = model.add_column(obj, 0.0, f64::INFINITY, &col);
             model.set_integer(v, true);
             self.keys.insert(pat.entries.clone());
             self.new_patterns.push(pat);
@@ -1095,6 +1039,102 @@ mod tests {
         for p in &pool {
             assert!(p.height <= t.t + 1e-9);
         }
+    }
+
+    /// The seed pool as built with the `m × bags` table
+    /// `bag_used[machine][bag]` that per-bag machine lists replaced.
+    fn table_seed_pool(
+        trans: &Transformed,
+        symbols: &[Symbol],
+        classes: &BagClasses,
+    ) -> Vec<Pattern> {
+        let t = trans.t;
+        let mut pool = vec![Pattern { entries: Vec::new(), height: 0.0 }];
+        for (s, sym) in symbols.iter().enumerate() {
+            if sym.size <= t + 1e-9 {
+                pool.push(Pattern { entries: vec![(s, 1)], height: sym.size });
+            }
+        }
+        let sym_index: HashMap<_, usize> =
+            symbols.iter().enumerate().map(|(s, sym)| ((sym.exp, sym.bag), s)).collect();
+        let size = |j: usize| trans.tinst.size(JobId(j as u32));
+        let mut jobs: Vec<usize> =
+            (0..trans.tinst.num_jobs()).filter(|&j| trans.tclass[j] != JobClass::Small).collect();
+        jobs.sort_by(|&a, &b| size(b).total_cmp(&size(a)).then(a.cmp(&b)));
+        let m = trans.tinst.num_machines();
+        let mut height = vec![0.0f64; m];
+        let mut counts: Vec<HashMap<usize, u16>> = vec![HashMap::new(); m];
+        let mut bag_used = vec![vec![false; trans.tinst.num_bags()]; m];
+        for j in jobs {
+            let tbag = trans.tinst.bag_of(JobId(j as u32));
+            let bag = if trans.is_priority_tbag[tbag.idx()] {
+                SlotBag::Priority(classes.rep(classes.of(tbag).unwrap()))
+            } else {
+                SlotBag::X
+            };
+            let Some(&s) = sym_index.get(&(trans.texp[j], bag)) else { continue };
+            let is_prio = matches!(bag, SlotBag::Priority(_));
+            let target = (0..m)
+                .filter(|&i| height[i] + symbols[s].size <= t + 1e-9)
+                .filter(|&i| !(is_prio && bag_used[i][tbag.idx()]))
+                .min_by(|&a, &b| height[a].total_cmp(&height[b]).then(a.cmp(&b)));
+            let Some(i) = target else { continue };
+            height[i] += symbols[s].size;
+            *counts[i].entry(s).or_insert(0) += 1;
+            bag_used[i][tbag.idx()] |= is_prio;
+        }
+        let mut seen: HashSet<PatternKey> = pool.iter().map(|p| p.entries.clone()).collect();
+        for (i, c) in counts.iter().enumerate() {
+            let mut entries: Vec<(usize, u16)> = c.iter().map(|(&s, &n)| (s, n)).collect();
+            entries.sort_unstable();
+            if !c.is_empty() && seen.insert(entries.clone()) {
+                pool.push(Pattern { entries, height: height[i] });
+            }
+        }
+        pool
+    }
+
+    #[test]
+    fn seed_pool_picks_the_same_machines_as_a_bag_table() {
+        use crate::pattern::collect_symbols_classed;
+        use bagsched_types::{gen, lowerbound::lower_bounds};
+        let cfg = EptasConfig::with_epsilon(0.5);
+        let (mut packed, mut shared_bags) = (0usize, 0usize);
+        for family in gen::Family::ALL {
+            for (n, m) in [(40, 4), (60, 20), (90, 30)] {
+                let inst = family.generate(n, m, 3);
+                let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
+                let lb = lower_bounds(&inst).combined();
+                for step in 0..3 {
+                    let t0 = lb * (1.0 + 0.2 * step as f64);
+                    let Some(r) = scale_and_round(&sizes, t0, 0.5) else { continue };
+                    let c = classify(&r, m);
+                    let p = select_priority(&inst, &r, &c, &cfg);
+                    let t = transform(&inst, &r, &c, &p);
+                    for classes in [BagClasses::singletons(&t), BagClasses::compute(&t)] {
+                        let symbols = collect_symbols_classed(&t, &classes);
+                        let pool = seed_pool(&t, &symbols, &classes);
+                        assert_eq!(
+                            pool,
+                            table_seed_pool(&t, &symbols, &classes),
+                            "{} n={n} m={m} step {step}",
+                            family.name()
+                        );
+                        packed += pool.iter().filter(|p| p.num_slots() > 1).count();
+                    }
+                    // Priority bags with two non-small jobs: the mask has
+                    // something to block.
+                    let mut per_bag = vec![0u32; t.tinst.num_bags()];
+                    for j in (0..t.tinst.num_jobs()).filter(|&j| t.tclass[j] != JobClass::Small) {
+                        per_bag[t.tinst.bag_of(JobId(j as u32)).idx()] += 1;
+                    }
+                    shared_bags += (0..per_bag.len())
+                        .filter(|&b| t.is_priority_tbag[b] && per_bag[b] > 1)
+                        .count();
+                }
+            }
+        }
+        assert!(packed > 0 && shared_bags > 0, "{packed} packed patterns, {shared_bags} bags");
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //! Columns persist for the rest of the tree. Pricing presumes
 //! first-solution (feasibility) mode: nodes are never pruned against an
 //! incumbent before the first incumbent exists, so columns appended
-//! mid-tree cannot invalidate earlier pruning decisions. Presolve is
-//! skipped when a pricer is attached — the pricer addresses constraint
-//! rows by index, and presolve renumbers them.
+//! mid-tree cannot invalidate earlier pruning decisions. The search
+//! runs on the model as given, with no presolve: the pattern MILPs carry
+//! no singleton rows to turn into bounds, and a pricer addresses
+//! constraint rows by index.
 //!
 //! Budgets (nodes, wall-clock) are explicit: exhausting one yields
 //! [`MilpStatus::Feasible`] if an incumbent exists, otherwise
@@ -246,26 +247,6 @@ pub fn solve_milp_with(
         tree_columns: 0,
         basis_refactorizations: 0,
         eta_updates: 0,
-    };
-    // Root presolve: tighten bounds, drop redundant rows, detect trivial
-    // infeasibility. Variables are never removed, so indices are stable.
-    // Skipped when a pricer is attached (priced columns address
-    // constraint rows by index, and presolve renumbers rows).
-    let reduced;
-    let model = if pricer.is_some() {
-        model
-    } else {
-        let _span = bagsched_types::obs::Span::enter("milp.presolve");
-        match crate::presolve::presolve(model) {
-            crate::presolve::PresolveStatus::Infeasible => {
-                res.status = MilpStatus::Infeasible;
-                return res;
-            }
-            crate::presolve::PresolveStatus::Reduced { model, .. } => {
-                reduced = model;
-                &reduced
-            }
-        }
     };
     let mut int_vars: Vec<usize> =
         (0..model.num_vars()).filter(|&j| model.is_integer(VarId(j))).collect();
@@ -561,6 +542,29 @@ mod tests {
         m.add_con(&[(x, 2.0), (y, 2.0)], Eq, 3.0);
         let r = solve_milp(&m, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Infeasible);
+    }
+
+    /// Crossing singleton rows, a row no point within the bounds can
+    /// reach, and an integer variable whose bounds hold no integer: the
+    /// search refutes each without a presolve.
+    #[test]
+    fn trivially_infeasible_models_are_refuted() {
+        let mut crossing = Model::new();
+        let x = crossing.add_var(0.0, 0.0, f64::INFINITY);
+        crossing.add_con(&[(x, 1.0)], Le, 1.0);
+        crossing.add_con(&[(x, 1.0)], Ge, 2.0);
+
+        let mut activity = Model::new();
+        let x = activity.add_var(0.0, 0.0, 1.0);
+        let y = activity.add_var(0.0, 0.0, 1.0);
+        activity.add_con(&[(x, 1.0), (y, 1.0)], Ge, 3.0);
+
+        let mut gap = Model::new();
+        gap.add_int_var(0.0, 0.4, 0.6);
+
+        for m in [crossing, activity, gap] {
+            assert_eq!(solve_milp(&m, &MilpOptions::default()).status, MilpStatus::Infeasible);
+        }
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
     if !changed.is_empty() {
         for &(j, d_lb, d_range) in &changed {
             if d_lb != 0.0 {
-                for &(r, c) in &model.col_terms[j] {
+                for &(r, c) in &model.vars[j].col {
                     state.c.b0[r] -= state.row_sign[r] * c * d_lb;
                 }
             }
@@ -519,14 +519,7 @@ mod tests {
         let out = reoptimize(&m, 10_000, &mut state).expect("warm path");
         assert_eq!(out.lp.status, LpStatus::Optimal);
         for (j, v) in [(0, 1.0), (1, 1.5)] {
-            let coef_sum: f64 = m
-                .cons
-                .iter()
-                .zip(&out.lp.duals)
-                .map(|(con, &y)| {
-                    con.terms.iter().filter(|&&(var, _)| var == j).map(|&(_, c)| c * y).sum::<f64>()
-                })
-                .sum();
+            let coef_sum: f64 = m.vars[j].col.iter().map(|&(r, c)| c * out.lp.duals[r]).sum();
             assert!(v - coef_sum >= -1e-6, "column {j} prices negative after reoptimize");
         }
     }

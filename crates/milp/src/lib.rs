@@ -8,8 +8,10 @@
 //! implements the substrate from scratch:
 //!
 //! * [`Model`] — a small modelling layer (variables with bounds and
-//!   integrality, linear constraints, minimization objective) with sparse
-//!   column storage,
+//!   integrality, linear constraints, minimization objective) that keeps
+//!   its matrix once, as sparse columns: a constraint is a relation and a
+//!   right-hand side, and [`Model::add_column`] is how column generation
+//!   grows a model,
 //! * [`simplex`] — a sparse *revised* two-phase primal simplex: the basis
 //!   is held as an eta-file factorization with
 //!   product-form (PFI) eta updates per pivot and periodic sparse
@@ -22,9 +24,7 @@
 //!   edits,
 //! * [`branch`] — depth-first branch & bound on the LP relaxation, with
 //!   node/iteration budgets, incumbent tracking, parent-basis node warm
-//!   starts, and an optional in-tree pricing hook ([`TreePricer`]),
-//! * [`presolve`](mod@presolve) — root-node bound tightening and
-//!   redundancy elimination (singleton rows, activity analysis).
+//!   starts, and an optional in-tree pricing hook ([`TreePricer`]).
 //!
 //! The solver is exact up to floating-point tolerance ([`TOL`]); budgets
 //! are explicit and exhausting one is reported, never silent.
@@ -33,7 +33,6 @@ pub mod branch;
 pub mod dual;
 pub(crate) mod factor;
 pub mod model;
-pub mod presolve;
 pub mod simplex;
 
 pub use branch::{
@@ -41,7 +40,6 @@ pub use branch::{
 };
 pub use dual::DualOutcome;
 pub use model::{LpResult, LpStatus, Model, Relation, VarId};
-pub use presolve::{presolve, PresolveStatus};
 pub use simplex::{purge_columns, WarmState};
 
 /// Numerical tolerance used for reduced costs, pivots, integrality and

@@ -1,5 +1,10 @@
 //! Modelling layer: variables, bounds, integrality, linear constraints.
 //!
+//! The matrix is kept once, column-major: each variable owns its sparse
+//! column, and a constraint is a relation and a right-hand side. Rows can
+//! be declared empty and filled by [`Model::add_column`], which is how
+//! column generation builds its models.
+//!
 //! All problems are *minimization*; maximize by negating the objective.
 //! Variable lower bounds must be finite (the schedulers only ever need
 //! `x >= 0`); upper bounds may be `f64::INFINITY`.
@@ -28,33 +33,31 @@ pub(crate) struct VarDef {
     pub lb: f64,
     pub ub: f64,
     pub integer: bool,
+    /// The variable's column: `(constraint index, coefficient)`, in the
+    /// order the entries were added, duplicates of one constraint summed
+    /// and zeros dropped.
+    pub col: Vec<(usize, f64)>,
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct Constraint {
-    /// Sparse row: `(variable, coefficient)`, coalesced on build.
-    pub terms: Vec<(usize, f64)>,
     pub rel: Relation,
     pub rhs: f64,
 }
 
-/// A linear (mixed-integer) minimization problem.
+/// A linear (mixed-integer) minimization problem, stored column-major
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Model {
     pub(crate) vars: Vec<VarDef>,
     pub(crate) cons: Vec<Constraint>,
-    /// Column-major mirror of the constraint matrix: `col_terms[j]` lists
-    /// `(constraint index, coefficient)` for variable `j`. Maintained by
-    /// every mutator so the revised simplex can price and graft columns
-    /// without scanning rows.
-    pub(crate) col_terms: Vec<Vec<(usize, f64)>>,
     /// Pivots between basis refactorizations in the revised simplex.
     pub(crate) refactor_interval: usize,
 }
 
 impl Default for Model {
     fn default() -> Self {
-        Model { vars: Vec::new(), cons: Vec::new(), col_terms: Vec::new(), refactor_interval: 32 }
+        Model { vars: Vec::new(), cons: Vec::new(), refactor_interval: 32 }
     }
 }
 
@@ -104,8 +107,7 @@ impl Model {
     pub fn add_var(&mut self, obj: f64, lb: f64, ub: f64) -> VarId {
         assert!(lb.is_finite(), "lower bounds must be finite");
         assert!(!ub.is_nan() && ub >= lb - TOL, "need lb <= ub, got [{lb}, {ub}]");
-        self.vars.push(VarDef { obj, lb, ub, integer: false });
-        self.col_terms.push(Vec::new());
+        self.vars.push(VarDef { obj, lb, ub, integer: false, col: Vec::new() });
         VarId(self.vars.len() - 1)
     }
 
@@ -153,38 +155,38 @@ impl Model {
     /// mentions are summed; zero coefficients are dropped.
     pub fn add_con(&mut self, terms: &[(VarId, f64)], rel: Relation, rhs: f64) {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
-        let mut coalesced: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
+        let row = self.cons.len();
         for &(v, c) in terms {
             assert!(v.0 < self.vars.len(), "variable out of range");
             assert!(c.is_finite(), "coefficients must be finite");
-            match coalesced.iter_mut().find(|(u, _)| *u == v.0) {
-                Some((_, acc)) => *acc += c,
-                None => coalesced.push((v.0, c)),
+            let col = &mut self.vars[v.0].col;
+            match col.last_mut() {
+                Some((r, acc)) if *r == row => *acc += c,
+                _ => col.push((row, c)),
             }
         }
-        coalesced.retain(|&(_, c)| c.abs() > 0.0);
-        let row = self.cons.len();
-        for &(j, c) in &coalesced {
-            self.col_terms[j].push((row, c));
+        for &(v, _) in terms {
+            let col = &mut self.vars[v.0].col;
+            if col.last().is_some_and(|&(r, c)| r == row && c == 0.0) {
+                col.pop();
+            }
         }
-        self.cons.push(Constraint { terms: coalesced, rel, rhs });
+        self.cons.push(Constraint { rel, rhs });
     }
 
     /// Append a variable (column) with objective `obj`, bounds
     /// `[lb, ub]`, and coefficients into *existing* constraints, given as
-    /// `(constraint index, coefficient)` pairs. This is the incremental
-    /// interface column generation needs: the model — the simplex input —
-    /// is extended in place instead of being rebuilt per column.
+    /// `(constraint index, coefficient)` pairs; zero coefficients are
+    /// dropped. This is the incremental interface column generation
+    /// needs: the model — the simplex input — is extended in place
+    /// instead of being rebuilt per column.
     pub fn add_column(&mut self, obj: f64, lb: f64, ub: f64, coeffs: &[(usize, f64)]) -> VarId {
         let v = self.add_var(obj, lb, ub);
         for &(r, c) in coeffs {
             assert!(r < self.cons.len(), "constraint index {r} out of range");
             assert!(c.is_finite(), "coefficients must be finite");
-            if c.abs() > 0.0 {
-                self.cons[r].terms.push((v.0, c));
-                self.col_terms[v.0].push((r, c));
-            }
         }
+        self.vars[v.0].col = coeffs.iter().copied().filter(|&(_, c)| c != 0.0).collect();
         v
     }
 
@@ -193,20 +195,6 @@ impl Model {
     /// (cheaper FTRAN/BTRAN) at the cost of more rebuilds.
     pub fn set_refactor_interval(&mut self, interval: usize) {
         self.refactor_interval = interval.max(1);
-    }
-
-    /// Rebuild the column-major mirror from the rows. Presolve edits
-    /// `cons` wholesale (dropping and renumbering rows) and calls this
-    /// once at the end instead of patching the mirror per edit.
-    pub(crate) fn rebuild_col_terms(&mut self) {
-        for col in &mut self.col_terms {
-            col.clear();
-        }
-        for (r, con) in self.cons.iter().enumerate() {
-            for &(j, c) in &con.terms {
-                self.col_terms[j].push((r, c));
-            }
-        }
     }
 
     /// Change the objective coefficient of a variable (the pricing loop
@@ -226,23 +214,20 @@ impl Model {
         if x.len() != self.vars.len() {
             return false;
         }
+        let mut lhs = vec![0.0; self.cons.len()];
         for (v, &xi) in self.vars.iter().zip(x) {
             if xi < v.lb - tol || xi > v.ub + tol {
                 return false;
             }
-        }
-        for con in &self.cons {
-            let lhs: f64 = con.terms.iter().map(|&(j, c)| c * x[j]).sum();
-            let ok = match con.rel {
-                Relation::Le => lhs <= con.rhs + tol,
-                Relation::Ge => lhs >= con.rhs - tol,
-                Relation::Eq => (lhs - con.rhs).abs() <= tol,
-            };
-            if !ok {
-                return false;
+            for &(r, c) in &v.col {
+                lhs[r] += c * xi;
             }
         }
-        true
+        self.cons.iter().zip(&lhs).all(|(con, &lhs)| match con.rel {
+            Relation::Le => lhs <= con.rhs + tol,
+            Relation::Ge => lhs >= con.rhs - tol,
+            Relation::Eq => (lhs - con.rhs).abs() <= tol,
+        })
     }
 
     /// Solve the LP relaxation (integrality ignored) with the default
@@ -288,7 +273,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var(0.0, 0.0, 1.0);
         m.add_con(&[(x, 1.0), (x, 2.0)], Relation::Le, 2.0);
-        assert_eq!(m.cons[0].terms, vec![(0, 3.0)]);
+        assert_eq!(m.vars[0].col, vec![(0, 3.0)]);
     }
 
     #[test]
@@ -297,7 +282,9 @@ mod tests {
         let x = m.add_var(0.0, 0.0, 1.0);
         let y = m.add_var(0.0, 0.0, 1.0);
         m.add_con(&[(x, 0.0), (y, 1.0)], Relation::Ge, 0.5);
-        assert_eq!(m.cons[0].terms, vec![(1, 1.0)]);
+        m.add_con(&[(y, 2.0), (x, 1.0), (y, -2.0)], Relation::Ge, 0.5);
+        assert_eq!(m.vars[0].col, vec![(1, 1.0)]);
+        assert_eq!(m.vars[1].col, vec![(0, 1.0)]);
     }
 
     #[test]
@@ -351,8 +338,7 @@ mod tests {
         m.add_con(&[], Relation::Ge, 1.0);
         m.add_con(&[], Relation::Ge, 2.0);
         let v = m.add_column(0.0, 0.0, 5.0, &[(0, 0.0), (1, 4.0)]);
-        assert!(m.cons[0].terms.is_empty());
-        assert_eq!(m.cons[1].terms, vec![(v.0, 4.0)]);
+        assert_eq!(m.vars[v.0].col, vec![(1, 4.0)]);
     }
 
     #[test]

@@ -19,15 +19,17 @@
 //! of its own, and a [`WarmState`] clones in a handful of copies, which
 //! is what a branch-and-bound node hands its children.
 //!
-//! Method: variables are shifted to `x' = x - lb >= 0`; finite upper
-//! bounds become explicit `x' <= ub - lb` rows. Inequalities get slack /
-//! surplus variables, rows are sign-normalized to `rhs >= 0`, and rows
-//! without a natural slack basis get artificial variables. Phase 1
-//! minimizes the artificial sum (infeasible iff positive), phase 2 the
-//! shifted objective. Dantzig pricing with a switch to Bland's rule after
-//! a degeneracy threshold guards against cycling. Duals are the simplex
-//! multipliers `y = B^-T c_B` of the pricing pass that found the basis
-//! optimal, mapped back through the row-sign normalization.
+//! Method: variables are shifted to `x' = x - lb >= 0`, each row's shift
+//! summed over the model's columns in column order (the model stores no
+//! rows); finite upper bounds become explicit `x' <= ub - lb` rows.
+//! Inequalities get slack / surplus variables, rows are sign-normalized
+//! to `rhs >= 0`, and rows without a natural slack basis get artificial
+//! variables. Phase 1 minimizes the artificial sum (infeasible iff
+//! positive), phase 2 the shifted objective. Dantzig pricing with a
+//! switch to Bland's rule after a degeneracy threshold guards against
+//! cycling. Duals are the simplex multipliers `y = B^-T c_B` of the
+//! pricing pass that found the basis optimal, mapped back through the
+//! row-sign normalization.
 //!
 //! **Warm starts** ([`WarmState`], [`solve_warm`]): an optimal solve can
 //! return its final basis. After the caller appends columns
@@ -470,13 +472,16 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
     let ncons = model.cons.len();
 
     // Shifted RHS per row; rows are model constraints then bound rows.
-    let mut rhs: Vec<f64> = Vec::with_capacity(ncons);
-    let mut rel: Vec<Relation> = Vec::with_capacity(ncons);
-    for con in &model.cons {
-        let shift: f64 = con.terms.iter().map(|&(j, c)| c * lbs[j]).sum();
-        rhs.push(con.rhs - shift);
-        rel.push(con.rel);
+    // Each row's shift `sum_j a_rj * lb_j` is summed in column order from
+    // a float sum's neutral element, `-0.0`.
+    let mut shift = vec![-0.0; ncons];
+    for (v, &lb) in model.vars.iter().zip(&lbs) {
+        for &(r, c) in &v.col {
+            shift[r] += c * lb;
+        }
     }
+    let mut rhs: Vec<f64> = model.cons.iter().zip(&shift).map(|(con, s)| con.rhs - s).collect();
+    let mut rel: Vec<Relation> = model.cons.iter().map(|con| con.rel).collect();
     let mut bound_row_of_var: Vec<Option<usize>> = vec![None; n];
     for (j, v) in model.vars.iter().enumerate() {
         if v.ub.is_finite() {
@@ -521,9 +526,9 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
     let num_slacks = rel.iter().filter(|&&r| r != Relation::Eq).count();
     let art_start = n + num_slacks;
     let mut cols = Columns::default();
-    for (terms, &bound_row) in model.col_terms[..n].iter().zip(&bound_row_of_var) {
+    for (v, &bound_row) in model.vars.iter().zip(&bound_row_of_var) {
         cols.push(
-            terms.iter().map(|&(r, c)| (r, sign[r] * c)).chain(bound_row.map(|br| (br, 1.0))),
+            v.col.iter().map(|&(r, c)| (r, sign[r] * c)).chain(bound_row.map(|br| (br, 1.0))),
         );
     }
     let mut basis = vec![usize::MAX; m];
@@ -702,7 +707,7 @@ pub(crate) fn graft_columns(model: &Model, state: &mut WarmState) -> bool {
     for j in n_old..n_new {
         state.col_of_var.push(state.c.ncols());
         let row_sign = &state.row_sign;
-        state.c.cols.push(model.col_terms[j].iter().map(|&(r, c)| (r, row_sign[r] * c)));
+        state.c.cols.push(model.vars[j].col.iter().map(|&(r, c)| (r, row_sign[r] * c)));
         state.c.in_basis.push(false);
         state.var_of_col.push(Some(j));
         state.bound_row_of_var.push(None);
@@ -841,18 +846,6 @@ pub fn purge_columns(model: &mut Model, warm: Option<&mut WarmState>, victims: &
     }
     let mut keep = kill_var.iter().map(|&k| !k);
     model.vars.retain(|_| keep.next().unwrap());
-    let mut keep = kill_var.iter().map(|&k| !k);
-    model.col_terms.retain(|_| keep.next().unwrap());
-    for con in &mut model.cons {
-        con.terms.retain_mut(|(j, _)| {
-            if kill_var[*j] {
-                false
-            } else {
-                *j = new_var[*j];
-                true
-            }
-        });
-    }
 
     // ---- Warm-state compaction. ----
     let Some(state) = warm else { return true };
@@ -1205,18 +1198,7 @@ mod tests {
                     // Duals must price every column nonnegatively, like a
                     // cold optimum (the pricing loop relies on them).
                     for (j, v) in m.vars.iter().enumerate() {
-                        let coef_sum: f64 = m
-                            .cons
-                            .iter()
-                            .zip(&w.duals)
-                            .map(|(con, &y)| {
-                                con.terms
-                                    .iter()
-                                    .filter(|&&(var, _)| var == j)
-                                    .map(|&(_, c)| c * y)
-                                    .sum::<f64>()
-                            })
-                            .sum();
+                        let coef_sum: f64 = v.col.iter().map(|&(r, c)| c * w.duals[r]).sum();
                         assert!(
                             v.obj - coef_sum >= -1e-6,
                             "seed {seed}: column {j} prices negative under warm duals"
@@ -1417,7 +1399,7 @@ mod tests {
     /// entries sign-normalized, in model order, then its bound-row entry.
     fn expected_col(m: &Model, st: &WarmState, v: usize) -> Vec<(usize, u64)> {
         let mut col: Vec<(usize, f64)> =
-            m.col_terms[v].iter().map(|&(r, c)| (r, st.row_sign[r] * c)).collect();
+            m.vars[v].col.iter().map(|&(r, c)| (r, st.row_sign[r] * c)).collect();
         col.extend(st.bound_row_of_var[v].map(|br| (br, 1.0)));
         col.iter().map(|&(r, c)| (r, c.to_bits())).collect()
     }
@@ -1601,15 +1583,13 @@ mod tests {
         pub fn solve(model: &Model) -> (LpStatus, f64) {
             let n = model.num_vars();
             let lbs: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
-            let mut rows: Vec<(Vec<f64>, Relation, f64)> = Vec::new();
-            for con in &model.cons {
-                let mut coeffs = vec![0.0; n];
-                let mut shift = 0.0;
-                for &(j, c) in &con.terms {
-                    coeffs[j] += c;
-                    shift += c * lbs[j];
+            let mut rows: Vec<(Vec<f64>, Relation, f64)> =
+                model.cons.iter().map(|con| (vec![0.0; n], con.rel, con.rhs)).collect();
+            for (j, v) in model.vars.iter().enumerate() {
+                for &(r, c) in &v.col {
+                    rows[r].0[j] += c;
+                    rows[r].2 -= c * lbs[j];
                 }
-                rows.push((coeffs, con.rel, con.rhs - shift));
             }
             for (j, v) in model.vars.iter().enumerate() {
                 if v.ub.is_finite() {
