@@ -544,29 +544,6 @@ mod tests {
         assert_eq!(r.status, MilpStatus::Infeasible);
     }
 
-    /// Crossing singleton rows, a row no point within the bounds can
-    /// reach, and an integer variable whose bounds hold no integer: the
-    /// search refutes each without a presolve.
-    #[test]
-    fn trivially_infeasible_models_are_refuted() {
-        let mut crossing = Model::new();
-        let x = crossing.add_var(0.0, 0.0, f64::INFINITY);
-        crossing.add_con(&[(x, 1.0)], Le, 1.0);
-        crossing.add_con(&[(x, 1.0)], Ge, 2.0);
-
-        let mut activity = Model::new();
-        let x = activity.add_var(0.0, 0.0, 1.0);
-        let y = activity.add_var(0.0, 0.0, 1.0);
-        activity.add_con(&[(x, 1.0), (y, 1.0)], Ge, 3.0);
-
-        let mut gap = Model::new();
-        gap.add_int_var(0.0, 0.4, 0.6);
-
-        for m in [crossing, activity, gap] {
-            assert_eq!(solve_milp(&m, &MilpOptions::default()).status, MilpStatus::Infeasible);
-        }
-    }
-
     #[test]
     fn mixed_integer() {
         // min y s.t. y >= 1.3 x, x >= 2 integer, y continuous.

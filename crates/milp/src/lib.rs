@@ -45,3 +45,59 @@ pub use simplex::{purge_columns, WarmState};
 /// Numerical tolerance used for reduced costs, pivots, integrality and
 /// constraint satisfaction throughout the solver.
 pub const TOL: f64 = 1e-7;
+
+#[cfg(test)]
+mod presolve {
+    //! Models a root presolve settles before the first LP: crossing
+    //! singleton rows, a row no point within the bounds reaches, an
+    //! integer variable whose bounds hold no integer, and an integer bound
+    //! that a row caps at a fraction. The crate has no presolve; branch and
+    //! bound must settle each on the model as given.
+
+    mod tests {
+        use crate::{solve_milp, MilpOptions, MilpStatus, Model, Relation::*};
+
+        fn status(m: &Model) -> MilpStatus {
+            solve_milp(m, &MilpOptions::default()).status
+        }
+
+        #[test]
+        fn crossing_singletons_infeasible() {
+            let mut m = Model::new();
+            let x = m.add_var(0.0, 0.0, f64::INFINITY);
+            m.add_con(&[(x, 1.0)], Le, 1.0);
+            m.add_con(&[(x, 1.0)], Ge, 2.0);
+            assert_eq!(status(&m), MilpStatus::Infeasible);
+        }
+
+        #[test]
+        fn impossible_activity_infeasible() {
+            let mut m = Model::new();
+            let x = m.add_var(0.0, 0.0, 1.0);
+            let y = m.add_var(0.0, 0.0, 1.0);
+            m.add_con(&[(x, 1.0), (y, 1.0)], Ge, 3.0); // max activity 2 < 3
+            assert_eq!(status(&m), MilpStatus::Infeasible);
+        }
+
+        #[test]
+        fn integer_gap_detected() {
+            let mut m = Model::new();
+            m.add_int_var(0.0, 0.4, 0.6); // no integer in [0.4, 0.6]
+            assert_eq!(status(&m), MilpStatus::Infeasible);
+        }
+
+        /// `2x <= 5` caps an integer `x` at 2 from above (max x) and
+        /// `2x >= 3` at 2 from below (min x).
+        #[test]
+        fn integer_bounds_rounded() {
+            for (cost, rel, rhs) in [(-1.0, Le, 5.0), (1.0, Ge, 3.0)] {
+                let mut m = Model::new();
+                let x = m.add_int_var(cost, 0.0, f64::INFINITY);
+                m.add_con(&[(x, 2.0)], rel, rhs);
+                let r = solve_milp(&m, &MilpOptions::default());
+                assert_eq!(r.status, MilpStatus::Optimal);
+                assert_eq!(r.x[x.0], 2.0, "{rel:?} {rhs}");
+            }
+        }
+    }
+}
