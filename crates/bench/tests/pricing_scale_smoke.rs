@@ -62,6 +62,27 @@ fn n400_tight_clustered_solves_via_pricing_under_the_ceiling() {
     );
 }
 
+/// CI smoke for the phase-B enrichment cap: `uniform(200, 20, 66, 1)` at
+/// eps 0.3, a narrow master (per-bag, under the symbol budget). Enriched
+/// to convergence, its pools sent both binary-search guesses into the
+/// MILP's 20 s time limit and the solve to the LPT fallback after ~177 s
+/// (release, 2-core Xeon); capped, it solves in ~0.09 s. Asserts the
+/// MILP path, a valid schedule and a release ceiling of a few seconds;
+/// unoptimized runs get a looser one, as the n=400 smoke does.
+#[test]
+fn n200_uniform_eps03_solves_via_milp_under_the_ceiling() {
+    let ceiling = if cfg!(debug_assertions) { 60.0 } else { 3.0 };
+    let inst = gen::uniform(200, 20, 66, 1);
+    let start = Instant::now();
+    let r = Solver::new(EptasConfig::with_epsilon(0.3)).solve_instance(&inst).unwrap();
+    let elapsed = start.elapsed().as_secs_f64();
+
+    validate_schedule(&inst, &r.schedule).unwrap();
+    assert!(!r.report.fell_back_to_lpt, "failures: {:?}", r.report.failures);
+    assert_eq!(r.report.stats.lpt_fallbacks, 0);
+    assert!(elapsed <= ceiling, "uniform n=200 eps 0.3 took {elapsed:.2}s (ceiling {ceiling:.0}s)");
+}
+
 /// CI smoke for the coarse-class scale grid: the n=3200/m=1066 tight
 /// clustered cell (the new quick-mode scaling-n rung) must solve on the
 /// MILP path — zero `lpt_fallbacks` — under a release wall-clock

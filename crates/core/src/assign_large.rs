@@ -7,7 +7,9 @@
 //! size; they are filled greedily from the non-priority bag with the most
 //! remaining jobs of that size that causes no conflict on the machine.
 //! When every candidate bag conflicts, the job is placed anyway and the
-//! conflict handed to [`crate::swap_repair`] (Lemma 7).
+//! conflict handed to [`crate::swap_repair`] (Lemma 7). Each size keeps
+//! its bags ordered by remaining jobs (`WildPool`), so a slot skips at
+//! most the bags its machine already holds instead of scanning them all.
 
 use crate::classify::JobClass;
 use crate::pattern::{PatternSet, SlotBag};
@@ -15,7 +17,8 @@ use crate::report::GuessFailure;
 use crate::rounding::SizeExp;
 use crate::transform::Transformed;
 use bagsched_types::{BagId, JobId, MachineId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashMap};
 
 /// Mutable scheduling state over the transformed instance, shared by the
 /// placement phases.
@@ -90,6 +93,46 @@ impl WorkState {
     }
 }
 
+/// The non-priority large/medium jobs of one rounded size, by bag, for
+/// the wildcard slots of that size.
+#[derive(Debug, Default)]
+struct WildPool {
+    jobs: HashMap<BagId, Vec<JobId>>,
+    /// `(remaining jobs, Reverse(bag))` of every bag with jobs left, so
+    /// the last entry is the fullest bag, ties to the lowest id.
+    order: BTreeSet<(usize, Reverse<BagId>)>,
+}
+
+impl WildPool {
+    /// Pool `bag`'s job.
+    fn push(&mut self, bag: BagId, job: JobId) {
+        let jobs = self.jobs.entry(bag).or_default();
+        self.order.remove(&(jobs.len(), Reverse(bag)));
+        jobs.push(job);
+        self.order.insert((jobs.len(), Reverse(bag)));
+    }
+
+    /// Take a job for a wildcard slot on `mid`: from the fullest bag
+    /// without a job on `mid`, or, when every bag with jobs left has one
+    /// there, from the fullest bag overall (`true`: a conflict). The walk
+    /// down the order skips only bags that `mid` holds. `None` when the
+    /// pool is empty.
+    fn take(&mut self, state: &WorkState, mid: MachineId) -> Option<(JobId, bool)> {
+        let free = self.order.iter().rev().find(|(_, Reverse(bag))| !state.conflicts(mid, *bag));
+        let (key, conflicted) = match free {
+            Some(&key) => (key, false),
+            None => (*self.order.last()?, true),
+        };
+        self.order.remove(&key);
+        let (left, Reverse(bag)) = key;
+        if left > 1 {
+            self.order.insert((left - 1, Reverse(bag)));
+        }
+        let job = self.jobs.get_mut(&bag)?.pop()?;
+        Some((job, conflicted))
+    }
+}
+
 /// Result of the large/medium placement.
 #[derive(Debug)]
 pub struct LargeAssignment {
@@ -137,7 +180,7 @@ pub fn assign_large(
 
     // Job pools.
     let mut prio_pool: HashMap<(BagId, SizeExp), Vec<JobId>> = HashMap::new();
-    let mut wild_pool: HashMap<SizeExp, HashMap<BagId, Vec<JobId>>> = HashMap::new();
+    let mut wild_pool: HashMap<SizeExp, WildPool> = HashMap::new();
     for j in 0..trans.tinst.num_jobs() {
         if trans.tclass[j] == JobClass::Small {
             continue;
@@ -147,7 +190,7 @@ pub fn assign_large(
         if trans.is_priority_tbag[tbag.idx()] {
             prio_pool.entry((tbag, trans.texp[j])).or_default().push(job);
         } else {
-            wild_pool.entry(trans.texp[j]).or_default().entry(tbag).or_default().push(job);
+            wild_pool.entry(trans.texp[j]).or_default().push(tbag, job);
         }
     }
 
@@ -180,31 +223,11 @@ pub fn assign_large(
                 continue;
             }
             for _ in 0..mult {
-                let Some(pools) = wild_pool.get_mut(&sym.exp) else {
-                    return Err(GuessFailure::LargePlacement);
-                };
                 // Non-conflicting bag with the most remaining jobs; if all
                 // conflict, the fullest bag overall (conflict recorded).
-                let pick_free = pools
-                    .iter()
-                    .filter(|(bag, jobs)| !jobs.is_empty() && !state.conflicts(mid, **bag))
-                    .max_by_key(|(bag, jobs)| (jobs.len(), std::cmp::Reverse(bag.0)))
-                    .map(|(bag, _)| *bag);
-                let (bag, conflicted) = match pick_free {
-                    Some(bag) => (bag, false),
-                    None => {
-                        let fullest = pools
-                            .iter()
-                            .filter(|(_, jobs)| !jobs.is_empty())
-                            .max_by_key(|(bag, jobs)| (jobs.len(), std::cmp::Reverse(bag.0)))
-                            .map(|(bag, _)| *bag);
-                        let Some(bag) = fullest else {
-                            return Err(GuessFailure::LargePlacement);
-                        };
-                        (bag, true)
-                    }
-                };
-                let Some(job) = pools.get_mut(&bag).and_then(Vec::pop) else {
+                let Some((job, conflicted)) =
+                    wild_pool.get_mut(&sym.exp).and_then(|pool| pool.take(state, mid))
+                else {
                     return Err(GuessFailure::LargePlacement);
                 };
                 state.place(trans, job, mid);
@@ -218,8 +241,7 @@ pub fn assign_large(
     // Leftover jobs mean the slots under-covered the pools: the later
     // phases would ship a schedule with unplaced large jobs. Same
     // per-guess failure as a pool running dry above.
-    if prio_pool.values().any(|p| !p.is_empty())
-        || wild_pool.values().any(|m| m.values().any(|p| !p.is_empty()))
+    if prio_pool.values().any(|p| !p.is_empty()) || wild_pool.values().any(|w| !w.order.is_empty())
     {
         return Err(GuessFailure::LargePlacement);
     }
@@ -314,6 +336,110 @@ mod tests {
         let (_, _, _, state, la) = run_pipeline(&jobs, 6, &cfg);
         assert_eq!(la.conflicts.len(), 0);
         assert_eq!(state.conflict_count(), 0);
+    }
+
+    /// The wildcard pick as a scan over every bag of the slot's size,
+    /// emptied ones included: the reference [`WildPool::take`] must agree
+    /// with pick for pick.
+    fn scan_take(
+        pools: &mut HashMap<BagId, Vec<JobId>>,
+        state: &WorkState,
+        mid: MachineId,
+    ) -> Option<(JobId, bool)> {
+        let pick_free = pools
+            .iter()
+            .filter(|(bag, jobs)| !jobs.is_empty() && !state.conflicts(mid, **bag))
+            .max_by_key(|(bag, jobs)| (jobs.len(), std::cmp::Reverse(bag.0)))
+            .map(|(bag, _)| *bag);
+        let (bag, conflicted) = match pick_free {
+            Some(bag) => (bag, false),
+            None => {
+                let fullest = pools
+                    .iter()
+                    .filter(|(_, jobs)| !jobs.is_empty())
+                    .max_by_key(|(bag, jobs)| (jobs.len(), std::cmp::Reverse(bag.0)))
+                    .map(|(bag, _)| *bag)?;
+                (fullest, true)
+            }
+        };
+        pools.get_mut(&bag).and_then(Vec::pop).map(|job| (job, conflicted))
+    }
+
+    /// Across the generator families, at the guess a solve chose, with
+    /// the paper's priority bags and with one per size: the ordered pools
+    /// take the job the scan takes at every wildcard slot of the solved
+    /// patterns, conflicted picks included.
+    #[test]
+    fn wild_pools_pick_what_the_bag_scan_picks() {
+        use crate::milp_model::PatternSolve;
+        use crate::solver::Solver;
+        use bagsched_types::gen::Family;
+        let (mut picks, mut conflicted) = (0usize, 0usize);
+        for family in Family::ALL {
+            for (n, m) in [(40, 13), (60, 20), (90, 30), (120, 40)] {
+                for seed in 1..=3 {
+                    let inst = family.generate(n, m, seed);
+                    for cap in [None, Some(1)] {
+                        let mut cfg = EptasConfig::with_epsilon(0.5);
+                        cfg.priority_cap = cap;
+                        let r = Solver::new(cfg.clone()).solve_instance(&inst).unwrap();
+                        let Some(guess) = r.report.chosen_guess else { continue };
+                        let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
+                        let Some(rounded) = scale_and_round(&sizes, guess, cfg.epsilon) else {
+                            continue;
+                        };
+                        let c = classify(&rounded, m);
+                        let p = select_priority(&inst, &rounded, &c, &cfg);
+                        let t = transform(&inst, &rounded, &c, &p);
+                        let mut stats = crate::report::Stats::default();
+                        let Ok(sol) = PatternSolve::new(&t, &cfg).run(&mut stats) else { continue };
+                        let ps = &sol.patterns;
+                        let mut state = WorkState::new(t.tinst.num_jobs(), m);
+                        let Ok(la) = assign_large(&t, ps, &sol.outcome.x, &mut state) else {
+                            continue;
+                        };
+
+                        let mut pools: HashMap<SizeExp, WildPool> = HashMap::new();
+                        for j in 0..t.tinst.num_jobs() {
+                            let bag = t.tinst.bag_of(JobId(j as u32));
+                            if t.tclass[j] != JobClass::Small && !t.is_priority_tbag[bag.idx()] {
+                                pools.entry(t.texp[j]).or_default().push(bag, JobId(j as u32));
+                            }
+                        }
+                        let mut scanned: HashMap<SizeExp, HashMap<BagId, Vec<JobId>>> =
+                            pools.iter().map(|(&e, w)| (e, w.jobs.clone())).collect();
+                        let mut state = WorkState::new(t.tinst.num_jobs(), m);
+                        for (machine, &pat) in la.machine_pattern.iter().enumerate() {
+                            let mid = MachineId(machine as u32);
+                            for &(si, mult) in &ps.patterns[pat].entries {
+                                let sym = &ps.symbols[si];
+                                if sym.bag != SlotBag::X {
+                                    continue;
+                                }
+                                for _ in 0..mult {
+                                    let ordered =
+                                        pools.get_mut(&sym.exp).and_then(|w| w.take(&state, mid));
+                                    let scan = scanned
+                                        .get_mut(&sym.exp)
+                                        .and_then(|b| scan_take(b, &state, mid));
+                                    assert_eq!(
+                                        ordered,
+                                        scan,
+                                        "{} n={n} seed {seed}",
+                                        family.name()
+                                    );
+                                    let (job, conflict) = ordered.expect("slots match the pools");
+                                    state.place(&t, job, mid);
+                                    picks += 1;
+                                    conflicted += usize::from(conflict);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(picks > 0 && conflicted > 0, "{picks} wildcard picks, {conflicted} conflicted");
     }
 
     #[test]

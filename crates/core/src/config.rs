@@ -3,8 +3,9 @@
 //! Every constant of the paper is configurable. Defaults follow the
 //! paper's formulas *clamped to the instance*: the paper's
 //! constants are astronomically large (its own point is theoretical), and
-//! clamping preserves the approximation guarantee — e.g. making *all*
-//! bags priority is strictly more constrained than the paper requires.
+//! clamping preserves the approximation guarantee — e.g. making every
+//! bag that holds a large job priority is strictly more constrained than
+//! the paper requires.
 
 /// Tuning parameters for a [`Solver`](crate::Solver).
 #[derive(Debug, Clone)]
@@ -55,6 +56,14 @@ pub struct EptasConfig {
     /// into few profiles; coarsening extends that to instances whose
     /// *exact* class count outgrows the ceiling too (n=6400 tight
     /// clustered and up).
+    ///
+    /// The budget also decides which pricing masters may be retried
+    /// uncapped. Every master stops its enrichment phase after
+    /// `ENRICH_ROUNDS` (8) rounds; a master with at most this many
+    /// pattern columns when enrichment starts is *narrow*, and when a
+    /// guess fails after the cap cut a narrow master short, the driver
+    /// runs that guess once more with narrow masters enriched to
+    /// convergence ([`crate::pricing::Enrichment`]).
     pub pricing_symbol_budget: usize,
     /// Relative width of the coarse count buckets: bucket boundaries
     /// grow by `max(+1, *(1 + coarse_tolerance))`, so two bags merge

@@ -23,6 +23,7 @@ use crate::config::EptasConfig;
 use crate::medium_flow::reinsert_medium;
 use crate::milp_model::{PatternSolve, ReplaySeed};
 use crate::par::CancelToken;
+use crate::pricing::Enrichment;
 use crate::priority::select_priority;
 use crate::report::{EptasReport, GuessFailure, GuessStats, Stats};
 use crate::rounding::scale_and_round;
@@ -557,6 +558,11 @@ fn execute_window(
 /// always returned alongside the schedule. A tripped `cancel` token aborts at
 /// the next phase boundary (or inside the MILP / pricing loop) with
 /// [`GuessFailure::Cancelled`].
+///
+/// Every pricing master stops its enrichment at the round cap. A guess
+/// that then fails for any reason but a cancellation, after the cap cut
+/// a narrow master short, runs once more with narrow masters enriched to
+/// convergence ([`Enrichment`]); the second attempt's verdict stands.
 fn try_guess(
     cfg: &EptasConfig,
     inst: &Instance,
@@ -566,6 +572,27 @@ fn try_guess(
     cancel: Option<&CancelToken>,
 ) -> Result<(Schedule, GuessStats, ReplaySeed), GuessFailure> {
     let _guess_span = obs::Span::enter("guess");
+    let mut enrich = Enrichment::default();
+    match run_guess(cfg, inst, t0, stats, replay, cancel, &mut enrich) {
+        Err(fail) if fail != GuessFailure::Cancelled && enrich.narrow_cut => {
+            let mut uncapped = Enrichment { narrow_uncapped: true, narrow_cut: false };
+            run_guess(cfg, inst, t0, stats, replay, cancel, &mut uncapped)
+        }
+        res => res,
+    }
+}
+
+/// One attempt of [`try_guess`], with phase-B enrichment as `enrich`
+/// asks.
+fn run_guess(
+    cfg: &EptasConfig,
+    inst: &Instance,
+    t0: f64,
+    stats: &mut Stats,
+    replay: Option<&ReplaySeed>,
+    cancel: Option<&CancelToken>,
+    enrich: &mut Enrichment,
+) -> Result<(Schedule, GuessStats, ReplaySeed), GuessFailure> {
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
     let (rounded, trans) = {
@@ -583,7 +610,7 @@ fn try_guess(
     // Pattern generation (column-generation pricing with the eager
     // enumerator as oracle/fallback) and the MILP solve; all pattern,
     // pricing and LP work counters are recorded inside.
-    let mut solve = PatternSolve::new(&trans, cfg);
+    let mut solve = PatternSolve::new(&trans, cfg).enrichment(enrich);
     if let Some(seed) = replay {
         solve = solve.replay(seed);
     }
@@ -760,6 +787,45 @@ mod tests {
                 assert!(!r.report.fell_back_to_lpt && r.report.guesses_tried == 0);
             }
         }
+    }
+
+    /// The first hot shape of the daemon benchmark, a narrow master:
+    /// capped at `ENRICH_ROUNDS`, its one guess prices 8 rounds, all of
+    /// them enrichment. Pricing it to convergence takes 75 rounds and the
+    /// branch-and-bound over that pool 24 nodes.
+    #[test]
+    fn narrow_masters_stop_at_the_enrichment_cap() {
+        let inst = gen::clustered(120, 40, 40, 5, 2_000_000);
+        let r = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
+        validate_schedule(&inst, &r.schedule).unwrap();
+        assert!(!r.report.fell_back_to_lpt && r.report.stats.lpt_fallbacks == 0);
+        let rounds = r.report.stats.pricing_rounds;
+        assert!(rounds > 0 && rounds <= 8, "{rounds} pricing rounds");
+    }
+
+    /// Three of the 13 bags hold no large job, so only 10 are priority.
+    /// At the chosen guess the capped attempt cuts a narrow master short
+    /// and fails the swap repair; the retry with narrow masters priced to
+    /// convergence succeeds, so the solve reports no failed guess.
+    #[test]
+    fn a_guess_that_fails_on_a_capped_pool_is_retried_uncapped() {
+        let inst = gen::uniform(40, 13, 13, 2);
+        let cfg = EptasConfig::with_epsilon(0.5);
+        let r = Solver::new(cfg.clone()).solve_instance(&inst).unwrap();
+        validate_schedule(&inst, &r.schedule).unwrap();
+        assert!(r.report.failures.is_empty(), "{:?}", r.report.failures);
+        assert!(!r.report.fell_back_to_lpt);
+        let guess = r.report.chosen_guess.unwrap();
+
+        let attempt = |enrich: &mut Enrichment| {
+            run_guess(&cfg, &inst, guess, &mut Stats::default(), None, None, enrich).err()
+        };
+        let mut capped = Enrichment::default();
+        assert_eq!(attempt(&mut capped), Some(GuessFailure::SwapRepair));
+        assert!(capped.narrow_cut, "the failed attempt cut no narrow master");
+        let mut uncapped = Enrichment { narrow_uncapped: true, narrow_cut: false };
+        assert_eq!(attempt(&mut uncapped), None);
+        assert!(!uncapped.narrow_cut);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::classify::JobClass;
 use crate::config::EptasConfig;
 use crate::par::CancelToken;
 use crate::pattern::{collect_symbols_classed, enumerate_patterns, Pattern, PatternSet, Symbol};
-use crate::pricing::{generate_columns, Pricing, TreePriceDriver};
+use crate::pricing::{generate_columns, Enrichment, Pricing, TreePriceDriver};
 use crate::report::{GuessFailure, Stats};
 use crate::rounding::SizeExp;
 use crate::transform::Transformed;
@@ -218,12 +218,13 @@ pub struct PatternSolve<'a> {
     cfg: &'a EptasConfig,
     replay: Option<&'a ReplaySeed>,
     cancel: Option<&'a CancelToken>,
+    enrich: Option<&'a mut Enrichment>,
 }
 
 impl<'a> PatternSolve<'a> {
     /// Start a pattern solve for one guess.
     pub fn new(trans: &'a Transformed, cfg: &'a EptasConfig) -> Self {
-        PatternSolve { trans, cfg, replay: None, cancel: None }
+        PatternSolve { trans, cfg, replay: None, cancel: None, enrich: None }
     }
 
     /// Replay a cached seed instead of generating patterns.
@@ -239,6 +240,14 @@ impl<'a> PatternSolve<'a> {
     /// the output of a cancelled solve.
     pub fn cancel_token(mut self, token: &'a CancelToken) -> Self {
         self.cancel = Some(token);
+        self
+    }
+
+    /// Run every rung's phase-B enrichment as `enrich` asks and record
+    /// into it whether the round cap cut a narrow master short (see
+    /// [`Enrichment`]). Without it every master stops at the cap.
+    pub fn enrichment(mut self, enrich: &'a mut Enrichment) -> Self {
+        self.enrich = Some(enrich);
         self
     }
 
@@ -271,12 +280,14 @@ impl<'a> PatternSolve<'a> {
         if let Some(seed) = self.replay {
             return replay(trans, cfg, seed);
         }
+        let mut capped = Enrichment::default();
+        let enrich = self.enrich.unwrap_or(&mut capped);
         // The per-bag rung always closes the ladder, so how it ended
         // picks the eager rung's budget and over-budget verdict.
         let mut eager = (cfg.max_patterns, GuessFailure::PatternBudget);
         if cfg.column_generation {
             for (partition, classes) in ladder(trans, cfg) {
-                match solve_over(trans, cfg, partition, &classes, stats, cancel) {
+                match solve_over(trans, cfg, partition, &classes, stats, cancel, enrich) {
                     Ok(sol) => return Ok(sol),
                     Err(Unsolved::Final(fail)) => return Err(fail),
                     Err(Unsolved::Stalled) => {
@@ -386,6 +397,7 @@ fn solve_over(
     classes: &BagClasses,
     stats: &mut Stats,
     cancel: Option<&CancelToken>,
+    enrich: &mut Enrichment,
 ) -> Result<PatternSolution, Unsolved> {
     if partition == Partition::Coarse {
         stats.coarse_classes_formed += classes.num_classes() as u64;
@@ -393,7 +405,7 @@ fn solve_over(
     stats.bag_classes += classes.num_classes() as u64;
     let symbols = collect_symbols_classed(trans, classes);
     stats.symbols_after_aggregation += symbols.len() as u64;
-    let pool = match generate_columns(trans, &symbols, classes, cfg, stats, cancel) {
+    let pool = match generate_columns(trans, &symbols, classes, cfg, stats, cancel, enrich) {
         Pricing::Converged(pool) => pool,
         Pricing::Infeasible => return Err(Unsolved::Final(GuessFailure::MilpInfeasible)),
         Pricing::Cancelled => return Err(Unsolved::Final(GuessFailure::Cancelled)),
@@ -968,9 +980,15 @@ mod tests {
             let (_, classes) = ladder(&t, &cfg).swap_remove(0);
             let symbols = collect_symbols_classed(&t, &classes);
             let mut stats = Stats::default();
-            if let Pricing::Converged(pool) =
-                generate_columns(&t, &symbols, &classes, &cfg, &mut stats, None)
-            {
+            if let Pricing::Converged(pool) = generate_columns(
+                &t,
+                &symbols,
+                &classes,
+                &cfg,
+                &mut stats,
+                None,
+                &mut Enrichment::default(),
+            ) {
                 return (t, classes, PatternSet::from_parts(symbols, pool));
             }
         }

@@ -27,13 +27,14 @@
 //!   overflow *proves* that no pattern multiset — enumerated or not —
 //!   satisfies rows (1), (2) and the area cut: the guess is infeasible.
 //!   An optimality phase then minimizes the machine count to enrich the
-//!   pool around the LP optimum before the integral MILP runs on it.
+//!   pool around the LP optimum before the integral MILP runs on it; it
+//!   stops after `ENRICH_ROUNDS` (8) rounds unless the caller lets a
+//!   narrow master run to convergence ([`Enrichment`]).
 //!
 //! The pool is seeded with the empty pattern, one singleton per symbol,
-//! and LPT-packed patterns; it typically converges after a few dozen
-//! pricing rounds with orders of magnitude fewer patterns than eager
-//! enumeration. Every master solve is counted in [`Stats::lp_solves`]
-//! (where it diverges from `milp_nodes`), every round in
+//! and LPT-packed patterns, and holds orders of magnitude fewer patterns
+//! than eager enumeration. Every master solve is counted in
+//! [`Stats::lp_solves`] (where it diverges from `milp_nodes`), every round in
 //! [`Stats::pricing_rounds`], every DFS node in
 //! [`Stats::pricing_dfs_nodes`], and every priced column in
 //! [`Stats::columns_generated`].
@@ -102,15 +103,20 @@ const MAX_ROUNDS: usize = 400;
 /// it makes the round inexact (no infeasibility proofs, possible stall).
 const DFS_NODE_BUDGET: usize = 200_000;
 
-/// Round cap of the enrichment phase (phase B) on **wide** masters —
-/// those carrying more structural columns than
-/// [`EptasConfig::pricing_symbol_budget`] when enrichment starts. The
-/// pool is feasibility-complete at that point, so every extra round
-/// trades a marginal pool improvement for a permanently wider master —
-/// the classic column-generation tailing-off, measured at >90% of the
-/// n=1600 tight cell before the cap existed. A short enrichment is safe
-/// because a column the integral search turns out to miss is priced in
-/// the branch-and-bound tree on demand ([`TreePriceDriver`]).
+/// Round cap of the enrichment phase (phase B). The pool is
+/// feasibility-complete when phase B starts, so every extra round trades
+/// a marginal pool improvement for a permanently wider master and more
+/// integer columns for the restricted MILP to branch on — the classic
+/// column-generation tailing-off, measured at >90% of the n=1600 tight
+/// cell before the cap existed. Re-measured on the sparse engine over the
+/// 62 tight n=120/m=40 shapes of the daemon benchmark, all narrow
+/// masters: priced to convergence they take 59–85 rounds, 16–337
+/// branch-and-bound nodes and a 208 ms median cold solve, against 8
+/// rounds, 1–29 nodes and 2.3 ms at this cap, with no worse makespan. A
+/// short enrichment is safe because a column the integral search turns
+/// out to miss is priced in the branch-and-bound tree on demand
+/// ([`TreePriceDriver`]), and a guess that still fails over a capped
+/// narrow master is retried uncapped ([`Enrichment`]).
 const ENRICH_ROUNDS: usize = 8;
 
 /// Converged pools larger than this are pruned to the master's optimal
@@ -122,6 +128,26 @@ const POOL_CAP: usize = 600;
 /// Total in-tree pricing rounds (one knapsack DFS each) per MILP solve;
 /// bounds the extra work [`TreePriceDriver`] may add to a solve.
 const TREE_ROUND_CAP: usize = 16;
+
+/// Phase-B enrichment of one pattern solve, seen from the caller: what it
+/// asks of *narrow* masters (at most
+/// [`EptasConfig::pricing_symbol_budget`] pattern columns when phase B
+/// starts) and what [`generate_columns`] did to them. Every master stops
+/// at `ENRICH_ROUNDS` by default; a wide master always does.
+///
+/// The driver runs a guess whose capped attempt failed once more with
+/// `narrow_uncapped` set, but only when `narrow_cut` says the cap cut a
+/// narrow master short: that retry grows the pool every guess got before
+/// the cap applied to narrow masters, so the cap never turns a success
+/// of that pool into a failure.
+#[derive(Debug, Default)]
+pub struct Enrichment {
+    /// Input: narrow masters enrich until pricing converges.
+    pub narrow_uncapped: bool,
+    /// Output: a narrow master stopped at `ENRICH_ROUNDS` with its last
+    /// master solve optimal, so pricing had not been seen to converge.
+    pub narrow_cut: bool,
+}
 
 /// Canonical identity of a pattern: its sorted `(symbol, multiplicity)`
 /// entries.
@@ -315,7 +341,8 @@ impl Master {
 /// Run the generate→solve→price loop for one guess. `symbols` must be
 /// keyed consistently with `classes` (see
 /// [`crate::pattern::collect_symbols_classed`]); per-bag pricing is the
-/// singleton-classes special case.
+/// singleton-classes special case. `enrich` sets how far phase B runs
+/// and records whether the cap cut a narrow master short.
 pub fn generate_columns(
     trans: &Transformed,
     symbols: &[Symbol],
@@ -323,6 +350,7 @@ pub fn generate_columns(
     cfg: &EptasConfig,
     stats: &mut Stats,
     cancel: Option<&CancelToken>,
+    enrich: &mut Enrichment,
 ) -> Pricing {
     // Safety valve on the master size: on the per-bag path the row count
     // is the symbol count (the pre-aggregation gate, byte-for-byte);
@@ -433,16 +461,17 @@ pub fn generate_columns(
     // variables, but starting phase B warm changes its pivots and the
     // pools it grows, so that switch waits for its own measurement.
     master.invalidate();
-    // On *wide* masters enrichment is capped at [`ENRICH_ROUNDS`], not
-    // run to convergence: late rounds trade dust-sized master
-    // improvements for ever-wider masters (each admitted column raises
-    // the per-pivot cost of every later re-solve). The pool is
-    // feasibility-complete either way, and a column the integral search
-    // turns out to miss is priced *in the tree* ([`TreePriceDriver`])
-    // instead of speculatively at the root. Narrow masters — where a
-    // round costs microseconds and a fuller pool gives the restricted
-    // MILP more columns to dive on — enrich to natural convergence.
-    let enrich_capped = master.pool.len() > cfg.pricing_symbol_budget;
+    // Enrichment stops at [`ENRICH_ROUNDS`], not at convergence: late
+    // rounds trade dust-sized master improvements for ever-wider masters
+    // (each admitted column raises the per-pivot cost of every later
+    // re-solve) and fuller pools for the restricted MILP to branch over.
+    // The pool is feasibility-complete either way, and a column the
+    // integral search turns out to miss is priced *in the tree*
+    // ([`TreePriceDriver`]) instead of speculatively at the root. Only a
+    // narrow master of a retry ([`Enrichment::narrow_uncapped`]) runs to
+    // convergence.
+    let narrow = master.pool.len() <= cfg.pricing_symbol_budget;
+    let capped = !(narrow && enrich.narrow_uncapped);
     let mut enrich_rounds = 0usize;
     // Every exit happens right after a master solve of the final,
     // unmodified model, so the last LP doubles as the pruning input.
@@ -451,12 +480,13 @@ pub fn generate_columns(
             return Pricing::Cancelled;
         }
         let lp = master.solve(stats);
-        if lp.status != LpStatus::Optimal
-            || rounds >= MAX_ROUNDS
-            || (enrich_capped && enrich_rounds >= ENRICH_ROUNDS)
-        {
-            // Stopping the optimality phase early is always safe; it
-            // only bounds the enrichment.
+        // Stopping the optimality phase early is always safe; it only
+        // bounds the enrichment.
+        if lp.status != LpStatus::Optimal || rounds >= MAX_ROUNDS {
+            break lp;
+        }
+        if capped && enrich_rounds >= ENRICH_ROUNDS {
+            enrich.narrow_cut |= narrow;
             break lp;
         }
         enrich_rounds += 1;
@@ -1150,6 +1180,7 @@ mod tests {
             &cfg,
             &mut stats,
             None,
+            &mut Enrichment::default(),
         ) {
             Pricing::Converged(pool) => {
                 assert!(pool[0].is_empty());
@@ -1184,7 +1215,8 @@ mod tests {
                 &crate::classes::BagClasses::singletons(&t),
                 &cfg,
                 &mut stats,
-                None
+                None,
+                &mut Enrichment::default()
             ),
             Pricing::Infeasible
         ));
@@ -1204,6 +1236,7 @@ mod tests {
             &cfg,
             &mut stats,
             None,
+            &mut Enrichment::default(),
         ) else {
             panic!("expected convergence");
         };
@@ -1234,6 +1267,7 @@ mod tests {
                 &cfg,
                 &mut stats,
                 None,
+                &mut Enrichment::default(),
             ) {
                 Pricing::Converged(pool) => (pool, stats),
                 other => panic!("expected convergence, got {other:?}"),

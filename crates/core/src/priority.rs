@@ -9,9 +9,11 @@
 //! `b' = (d*q + 1) * q` largest size-restricted bags to be safe.
 //!
 //! The paper's `b'` is astronomically large for practical `eps`; the
-//! default clamps it to the number of bags (making *all* bags priority —
-//! a strictly stronger regime), and [`EptasConfig::priority_cap`] lets
-//! the harness force small values to exercise the swap path.
+//! default clamps it to the number of bags, which makes every bag holding
+//! a large job priority — a strictly stronger regime. A bag without a
+//! large job stays non-priority unless it is a large bag, so its medium
+//! jobs can still meet the swap path. [`EptasConfig::priority_cap`] lets
+//! the harness force small values to exercise that path on every size.
 
 use crate::classify::{Classification, JobClass};
 use crate::config::EptasConfig;

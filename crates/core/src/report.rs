@@ -22,8 +22,12 @@ pub enum GuessFailure {
     /// solved pattern counts (inconclusive: the MILP's small-job cuts are
     /// necessary, not sufficient, and the greedy is not exact).
     SmallPlacement,
-    /// The Lemma-7 swap repair found no partner (cannot happen at paper
-    /// constants; possible under a forced small `priority_cap`).
+    /// The Lemma-7 swap repair found no partner, or the Lemma-4 undo no
+    /// filler to swap with (inconclusive). Possible at the default
+    /// constants whenever a bag without a large job holds medium jobs:
+    /// such a bag is not priority unless it is a large bag, so its jobs
+    /// fill wildcard slots (see [`crate::swap_repair`]); more frequent
+    /// under a forced small `priority_cap`.
     SwapRepair,
     /// The Lemma-3 flow could not place all medium jobs (inconclusive
     /// outside the paper's parameter regime).

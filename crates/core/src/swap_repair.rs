@@ -8,10 +8,17 @@
 //! assigned it — the makespan does not move.
 //!
 //! The paper proves a valid partner always exists when `b'` (the number
-//! of priority bags per size class) is at least `(dq+1)q`; with the
-//! default clamped constants a partner exists trivially (all bags
-//! priority means no wildcard slots at all). Under a forced small
-//! `priority_cap` the search may fail, which is reported as
+//! of priority bags per size class) is at least `(dq+1)q`. The default
+//! clamps `b'` to the bag count, which makes every bag holding a *large*
+//! job priority, but priority is chosen per large size class: a bag with
+//! no large job is priority only if it is a large bag. Its medium jobs,
+//! when it has no small job to be split off, stay in the transformed
+//! instance and fill wildcard slots. So wildcard conflicts, and a search
+//! that finds no partner, happen at the default constants too:
+//! `gen::uniform(40, 13, 13, 2)` at eps 0.5 has 10 priority bags of 13,
+//! two of the others hold two medium jobs each, and a guess over a pool
+//! whose enrichment stopped at the round cap fails here. A forced small
+//! `priority_cap` makes it more frequent. The failure is reported as
 //! [`GuessFailure::SwapRepair`].
 
 use crate::assign_large::WorkState;
