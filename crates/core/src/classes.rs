@@ -15,10 +15,9 @@
 //! Non-priority bags are never classed — their large jobs already share
 //! the wildcard `B_x` symbols, which is a coarser aggregation.
 
-use crate::classify::JobClass;
 use crate::rounding::SizeExp;
 use crate::transform::Transformed;
-use bagsched_types::{BagId, JobId};
+use bagsched_types::BagId;
 use std::collections::BTreeMap;
 
 /// Quantized bag profile used as the coarse-class grouping key: sorted
@@ -36,34 +35,35 @@ pub struct BagClasses {
     pub members: Vec<Vec<BagId>>,
 }
 
+/// Geometric bucket index of a job count: boundaries grow as
+/// `b <- max(b + 1, ceil(b * (1 + tol)))` starting at 1, so counts within
+/// a `(1 + tol)` relative band share a bucket while every count keeps its
+/// own bucket at `tol = 0`. Pure integer thresholds: bucketing is exact
+/// and deterministic, no float comparisons between counts.
+fn count_bucket(count: u32, tol: f64) -> u32 {
+    debug_assert!(count >= 1, "profile entries hold at least one job");
+    let mut boundary = 1u64;
+    let mut idx = 0u32;
+    loop {
+        let grown = ((boundary as f64) * (1.0 + tol)).ceil() as u64;
+        let next = grown.max(boundary + 1);
+        if next > count as u64 {
+            return idx;
+        }
+        boundary = next;
+        idx += 1;
+    }
+}
+
 impl BagClasses {
     /// Compute the classes by full-profile grouping: the profile of a bag
     /// is the multiset of `(rounded exponent, job class)` over *all* its
     /// jobs (large, medium and small alike — anything less than full
     /// identity would break interchangeability for the small-job phases).
+    /// This is the coarse partition at zero tolerance, where every count
+    /// keeps its own bucket.
     pub fn compute(trans: &Transformed) -> Self {
-        let groups = trans.tinst.group_bags_by_profile(|j| {
-            let code = match trans.tclass[j.idx()] {
-                JobClass::Large => 0u8,
-                JobClass::Medium => 1,
-                JobClass::Small => 2,
-            };
-            (trans.texp[j.idx()], code)
-        });
-        let mut class_of = vec![None; trans.tinst.num_bags()];
-        let mut members = Vec::new();
-        for group in groups {
-            let prio: Vec<BagId> =
-                group.into_iter().filter(|b| trans.is_priority_tbag[b.idx()]).collect();
-            if prio.is_empty() {
-                continue;
-            }
-            for &b in &prio {
-                class_of[b.idx()] = Some(members.len());
-            }
-            members.push(prio);
-        }
-        BagClasses { class_of, members }
+        Self::compute_coarse(trans, 0.0)
     }
 
     /// Compute *coarse* classes by template-based profile quantization:
@@ -90,40 +90,38 @@ impl BagClasses {
     /// ([`crate::pattern::collect_symbols_classed`]) so every class-level
     /// pattern stays feasible for every member, and
     /// [`crate::declass`]'s repair pass re-places each member's surplus
-    /// jobs afterwards. `tol = 0` reproduces the exact partition.
+    /// jobs afterwards. `tol = 0` is the exact partition
+    /// ([`BagClasses::compute`]).
     pub fn compute_coarse(trans: &Transformed, tol: f64) -> Self {
-        let nbags = trans.tinst.num_bags();
-        let mut profiles: Vec<BTreeMap<(SizeExp, u8), u32>> = vec![BTreeMap::new(); nbags];
-        for j in 0..trans.tinst.num_jobs() {
-            let b = trans.tinst.bag_of(JobId(j as u32));
-            if !trans.is_priority_tbag[b.idx()] {
-                continue;
-            }
-            let code = match trans.tclass[j] {
-                JobClass::Large => 0u8,
-                JobClass::Medium => 1,
-                JobClass::Small => 2,
-            };
-            *profiles[b.idx()].entry((trans.texp[j], code)).or_insert(0) += 1;
-        }
-        let mut class_of = vec![None; nbags];
+        let mut class_of = vec![None; trans.tinst.num_bags()];
         let mut members: Vec<Vec<BagId>> = Vec::new();
         // Classes are numbered in order of their smallest member, so the
-        // representative (`members[c][0]`) is deterministic like
-        // `compute()`'s.
+        // representative (`members[c][0]`) is deterministic.
         let mut groups: BTreeMap<CoarseKey, usize> = BTreeMap::new();
-        for b in 0..nbags {
-            if !trans.is_priority_tbag[b] {
+        let mut profile: Vec<(SizeExp, u8)> = Vec::new();
+        for (bag, jobs) in trans.tinst.bags() {
+            if !trans.is_priority_tbag[bag.idx()] {
                 continue;
             }
-            let key: CoarseKey =
-                profiles[b].iter().map(|(&k, &count)| (k, count_bucket(count, tol))).collect();
+            profile.clear();
+            profile.extend(jobs.iter().map(|j| (trans.texp[j.idx()], trans.tclass[j.idx()] as u8)));
+            profile.sort_unstable();
+            let mut key: CoarseKey = Vec::new();
+            for &k in &profile {
+                match key.last_mut() {
+                    Some((last, count)) if *last == k => *count += 1,
+                    _ => key.push((k, 1)),
+                }
+            }
+            for (_, count) in &mut key {
+                *count = count_bucket(*count, tol);
+            }
             let c = *groups.entry(key).or_insert_with(|| {
                 members.push(Vec::new());
                 members.len() - 1
             });
-            class_of[b] = Some(c);
-            members[c].push(BagId(b as u32));
+            class_of[bag.idx()] = Some(c);
+            members[c].push(bag);
         }
         BagClasses { class_of, members }
     }
@@ -166,26 +164,6 @@ impl BagClasses {
     /// identity and the per-bag fast paths apply).
     pub fn all_singletons(&self) -> bool {
         self.members.iter().all(|m| m.len() == 1)
-    }
-}
-
-/// Geometric bucket index of a job count: boundaries grow as
-/// `b <- max(b + 1, ceil(b * (1 + tol)))` starting at 1, so counts within
-/// a `(1 + tol)` relative band share a bucket while every count keeps its
-/// own bucket at `tol = 0`. Pure integer thresholds: bucketing is exact
-/// and deterministic, no float comparisons between counts.
-fn count_bucket(count: u32, tol: f64) -> u32 {
-    debug_assert!(count >= 1, "profile entries hold at least one job");
-    let mut boundary = 1u64;
-    let mut idx = 0u32;
-    loop {
-        let grown = ((boundary as f64) * (1.0 + tol)).ceil() as u64;
-        let next = grown.max(boundary + 1);
-        if next > count as u64 {
-            return idx;
-        }
-        boundary = next;
-        idx += 1;
     }
 }
 
@@ -292,18 +270,6 @@ mod tests {
             let coarse_ids: Vec<_> =
                 exact.members[c].iter().map(|&b| coarse.of(b).unwrap()).collect();
             assert!(coarse_ids.windows(2).all(|w| w[0] == w[1]));
-        }
-    }
-
-    #[test]
-    fn coarse_at_zero_tolerance_matches_exact() {
-        let jobs = [(0.9, 0), (0.9, 0), (0.9, 1), (0.9, 1), (0.9, 2), (0.9, 2), (0.9, 2)];
-        let t = transformed(&jobs, 7, 0.5);
-        let exact = BagClasses::compute(&t);
-        let coarse = BagClasses::compute_coarse(&t, 0.0);
-        assert_eq!(coarse.num_classes(), exact.num_classes());
-        for b in 0..t.tinst.num_bags() {
-            assert_eq!(coarse.of(BagId(b as u32)), exact.of(BagId(b as u32)));
         }
     }
 

@@ -1,11 +1,12 @@
 //! Configuration of the EPTAS.
 //!
-//! Every constant of the paper is configurable. Defaults follow the
-//! paper's formulas *clamped to the instance*: the paper's
-//! constants are astronomically large (its own point is theoretical), and
-//! clamping preserves the approximation guarantee — e.g. making every
-//! bag that holds a large job priority is strictly more constrained than
-//! the paper requires.
+//! The accuracy `eps`, the priority-bag cap, three levers of the pattern
+//! phase and the parallel and deadline knobs; the solver's work budgets
+//! are constants of their modules. Defaults follow the paper's formulas
+//! *clamped to the instance*: the paper's constants are astronomically
+//! large (its own point is theoretical), and clamping preserves the
+//! approximation guarantee — e.g. making every bag that holds a large job
+//! priority is strictly more constrained than the paper requires.
 
 /// Tuning parameters for a [`Solver`](crate::Solver).
 #[derive(Debug, Clone)]
@@ -15,20 +16,10 @@ pub struct EptasConfig {
     /// (the `T1` experiment measures the ratios against the exact
     /// optimum).
     pub epsilon: f64,
-    /// Cap on enumerated patterns per guess; exceeding it fails the guess
-    /// loudly (the driver then degrades as configured).
-    pub max_patterns: usize,
     /// Override for the number of priority bags per large size class
     /// (`b'` in Definition 2). `None` = paper formula `(d*q+1)*q` clamped
     /// to the number of bags.
     pub priority_cap: Option<usize>,
-    /// Branch-and-bound node budget per MILP solve.
-    pub milp_max_nodes: usize,
-    /// Generate patterns by column-generation pricing against the master
-    /// LP duals instead of eager enumeration (default). Eager enumeration
-    /// remains the cross-validation oracle and the fallback when pricing
-    /// stalls.
-    pub column_generation: bool,
     /// Safety-valve on the pricing master's size. Three gates read it:
     ///
     /// 1. **per-bag engagement** — instances whose *per-bag* symbol
@@ -47,8 +38,9 @@ pub struct EptasConfig {
     ///    could not settle the guess (typically because gate 2 fired),
     ///    the guess is retried with template-quantized *coarse* classes
     ///    ([`EptasConfig::coarse_tolerance`]), whose (smaller) class
-    ///    count faces the same ceiling; only past that does the eager
-    ///    path run as before the pricing subsystem existed.
+    ///    count faces the same ceiling. Past that the per-bag rung runs,
+    ///    its master stalls on gate 1's budget and the guess fails with
+    ///    [`GuessFailure::PatternBudget`](crate::report::GuessFailure::PatternBudget).
     ///
     /// Class keying is what keeps instances whose per-bag symbol count
     /// is in the thousands (n=1600 tight clustered: 1061 symbols, 118
@@ -127,10 +119,7 @@ impl EptasConfig {
         assert!(epsilon > 0.0 && epsilon <= 0.95, "epsilon must be in (0, 0.95], got {epsilon}");
         EptasConfig {
             epsilon,
-            max_patterns: 20_000,
             priority_cap: None,
-            milp_max_nodes: 20_000,
-            column_generation: true,
             pricing_symbol_budget: 200,
             coarse_tolerance: 0.5,
             column_purge_threshold: 0.1,
@@ -150,7 +139,7 @@ mod tests {
     fn defaults_sane() {
         let c = EptasConfig::with_epsilon(0.5);
         assert_eq!(c.epsilon, 0.5);
-        assert!(c.max_patterns > 0);
+        assert!(c.pricing_symbol_budget > 0);
         assert!(c.priority_cap.is_none());
     }
 

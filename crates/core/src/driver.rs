@@ -553,7 +553,7 @@ fn execute_window(
 /// accumulated into `stats` incrementally, phase by phase, so the cost
 /// of guesses that *fail* midway still shows up in the report. When
 /// `replay` carries a seed from a previous solve of the same shape, the
-/// pattern phase skips pricing, enumeration and the MILP and hands the
+/// pattern phase skips pricing and the MILP and hands the
 /// cached solution to placement; the seed for the *next* replay is
 /// always returned alongside the schedule. A tripped `cancel` token aborts at
 /// the next phase boundary (or inside the MILP / pricing loop) with
@@ -607,9 +607,9 @@ fn run_guess(
         return Err(GuessFailure::Cancelled);
     }
 
-    // Pattern generation (column-generation pricing with the eager
-    // enumerator as oracle/fallback) and the MILP solve; all pattern,
-    // pricing and LP work counters are recorded inside.
+    // Pattern generation (column-generation pricing over the partition
+    // ladder) and the MILP solve; all pattern, pricing and LP work
+    // counters are recorded inside.
     let mut solve = PatternSolve::new(&trans, cfg).enrichment(enrich);
     if let Some(seed) = replay {
         solve = solve.replay(seed);

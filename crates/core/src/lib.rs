@@ -19,8 +19,8 @@
 //!    medium jobs (optimum grows to `T = 1 + 2eps + eps^2`, Lemma 2).
 //! 5. [`pattern`] + [`pricing`] — Definition 3: machine patterns of
 //!    large/medium slots, generated lazily by column-generation pricing
-//!    against the master-LP duals; eager enumeration remains the
-//!    cross-validation oracle and stall fallback.
+//!    against the master-LP duals; eager enumeration is the tests'
+//!    cross-validation oracle and takes no part in a solve.
 //! 6. [`milp_model`] — the configuration MILP (constraints (1)–(5)) with
 //!    integral pattern counts over the generated pool, solved by
 //!    `bagsched-milp`.

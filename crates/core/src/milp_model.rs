@@ -45,21 +45,19 @@
 //!
 //! [`PatternSolve::run`] runs one pipeline — the [`crate::pricing`]
 //! subsystem grows a small pattern pool by column generation against the
-//! master-LP duals, the restricted MILP runs on that pool, and
-//! [`crate::declass`] maps class-keyed solutions back to concrete bags —
-//! over a ladder of bag partitions: exact classes, then coarse classes
-//! (both only when the per-bag master is over its symbol budget), then
-//! per-bag. Eager [`enumerate_patterns`] closes the ladder as the
-//! cross-validation oracle: it is consulted (with a reduced budget) when
-//! the per-bag MILP over the priced pool fails inconclusively, and it is
-//! the full fallback when pricing stalls or is disabled
-//! ([`EptasConfig::column_generation`]).
+//! master-LP duals, the restricted MILP runs on that pool with in-tree
+//! pricing, and [`crate::declass`] maps class-keyed solutions back to
+//! concrete bags — over a ladder of bag partitions: exact classes, then
+//! coarse classes (both only when the per-bag master is over its symbol
+//! budget), then per-bag. Eager [`crate::pattern::enumerate_patterns`]
+//! with [`solve_with_patterns`] is the cross-validation oracle of the
+//! tests and benches; no solve runs it.
 
 use crate::classes::BagClasses;
 use crate::classify::JobClass;
 use crate::config::EptasConfig;
 use crate::par::CancelToken;
-use crate::pattern::{collect_symbols_classed, enumerate_patterns, Pattern, PatternSet, Symbol};
+use crate::pattern::{collect_symbols_classed, Pattern, PatternSet, Symbol};
 use crate::pricing::{generate_columns, Enrichment, Pricing, TreePriceDriver};
 use crate::report::{GuessFailure, Stats};
 use crate::rounding::SizeExp;
@@ -131,8 +129,8 @@ impl Partition {
 /// partition the solve ran over, the rounded guess, the symbol table and
 /// the solution the placement phases consumed.
 ///
-/// Replaying skips the whole pattern phase — pricing rounds, enumeration
-/// and the restricted MILP — and hands the captured solution straight to
+/// Replaying skips the whole pattern phase — pricing rounds and the
+/// restricted MILP — and hands the captured solution straight to
 /// placement. Validation is structural: the rounded guess and the symbol
 /// table of the rebuilt partition (sizes, bags *and* availabilities) must
 /// match bit-exactly, so replaying against a mismatched instance (a
@@ -252,29 +250,21 @@ impl<'a> PatternSolve<'a> {
     }
 
     /// Run the solve: replay the seed when one is set, otherwise climb
-    /// the ladder of bag partitions — each rung one `solve_over` — and
-    /// close it with the eager oracle. Work counters are recorded into `stats` whatever
-    /// the outcome. Verdict soundness:
+    /// the ladder of bag partitions, each rung one `solve_over`. Work
+    /// counters are recorded into `stats` whatever the outcome. Verdict
+    /// soundness:
     ///
     /// * pricing-proven infeasibility ([`Pricing::Infeasible`]) refutes a
     ///   relaxation of the full MILP, so `Err(MilpInfeasible)` is exact
     ///   on every rung: every per-bag pattern multiset maps to a
     ///   class-level one covering at least the (minimum) availabilities,
     ///   so an aggregated master only relaxes;
-    /// * a class-aggregated rung that cannot settle the guess — pricing
-    ///   stalled, the restricted MILP failed, or de-classing failed —
-    ///   hands it to the next rung, so aggregation never worsens a
-    ///   verdict;
-    /// * a failure of the per-bag MILP restricted to the priced pool is
-    ///   inconclusive, so the eager oracle runs with the (small)
-    ///   `EAGER_FALLBACK_BUDGET`; if even that budget is
-    ///   exceeded the restricted verdict stands — the driver raises the
-    ///   guess, as for every other budget-type failure;
-    /// * a per-bag pricing stall falls back to full eager enumeration,
-    ///   which may fail with [`GuessFailure::PatternBudget`].
-    ///
-    /// With [`EptasConfig::column_generation`] off the eager rung runs
-    /// alone.
+    /// * a rung that cannot settle the guess — pricing stalled
+    ///   ([`GuessFailure::PatternBudget`]), the restricted MILP failed, or
+    ///   de-classing failed — hands it to the next rung, so aggregation
+    ///   never worsens a verdict;
+    /// * the per-bag rung closes the ladder, and its failure is the
+    ///   solve's: inconclusive, so the driver raises the guess.
     pub fn run(self, stats: &mut Stats) -> Result<PatternSolution, GuessFailure> {
         let (trans, cfg, cancel) = (self.trans, self.cfg, self.cancel);
         if let Some(seed) = self.replay {
@@ -282,24 +272,16 @@ impl<'a> PatternSolve<'a> {
         }
         let mut capped = Enrichment::default();
         let enrich = self.enrich.unwrap_or(&mut capped);
-        // The per-bag rung always closes the ladder, so how it ended
-        // picks the eager rung's budget and over-budget verdict.
-        let mut eager = (cfg.max_patterns, GuessFailure::PatternBudget);
-        if cfg.column_generation {
-            for (partition, classes) in ladder(trans, cfg) {
-                match solve_over(trans, cfg, partition, &classes, stats, cancel, enrich) {
-                    Ok(sol) => return Ok(sol),
-                    Err(Unsolved::Final(fail)) => return Err(fail),
-                    Err(Unsolved::Stalled) => {
-                        eager = (cfg.max_patterns, GuessFailure::PatternBudget);
-                    }
-                    Err(Unsolved::Inconclusive(restricted)) => {
-                        eager = (cfg.max_patterns.min(EAGER_FALLBACK_BUDGET), restricted);
-                    }
-                }
+        // The ladder always ends on the per-bag rung, whose failure wins.
+        let mut failure = GuessFailure::PatternBudget;
+        for (partition, classes) in ladder(trans, cfg) {
+            match solve_over(trans, cfg, partition, &classes, stats, cancel, enrich) {
+                Ok(sol) => return Ok(sol),
+                Err(Unsolved::Final(fail)) => return Err(fail),
+                Err(Unsolved::Inconclusive(fail)) => failure = fail,
             }
         }
-        solve_eager(trans, cfg, eager.0, eager.1, stats, cancel)
+        Err(failure)
     }
 }
 
@@ -380,10 +362,9 @@ fn ladder(trans: &Transformed, cfg: &EptasConfig) -> Vec<(Partition, BagClasses)
 enum Unsolved {
     /// A final verdict: a pricing infeasibility proof or a cancellation.
     Final(GuessFailure),
-    /// Pricing stalled before convergence.
-    Stalled,
-    /// The MILP restricted to the priced pool failed, or de-classing its
-    /// solution did.
+    /// Pricing stalled before convergence
+    /// ([`GuessFailure::PatternBudget`]), the MILP restricted to the
+    /// priced pool failed, or de-classing its solution did.
     Inconclusive(GuessFailure),
 }
 
@@ -409,7 +390,7 @@ fn solve_over(
         Pricing::Converged(pool) => pool,
         Pricing::Infeasible => return Err(Unsolved::Final(GuessFailure::MilpInfeasible)),
         Pricing::Cancelled => return Err(Unsolved::Final(GuessFailure::Cancelled)),
-        Pricing::Stalled => return Err(Unsolved::Stalled),
+        Pricing::Stalled => return Err(Unsolved::Inconclusive(GuessFailure::PatternBudget)),
     };
     let ps = PatternSet::from_parts(symbols, pool);
     let (out, ext) = solve_restricted(trans, &ps, classes, cfg, stats, true, cancel)
@@ -422,30 +403,6 @@ fn solve_over(
         crate::declass::declass(trans, classes, &ps, &out, stats).map_err(Unsolved::Inconclusive)?
     };
     Ok(PatternSolution::capture(partition, trans, symbols, ps, out))
-}
-
-/// The eager rung: enumerate the whole per-bag pattern space under
-/// `budget`, then solve the MILP over it. Tree pricing stays off — the
-/// pool is complete by construction. Exceeding the budget fails with
-/// `over_budget`.
-fn solve_eager(
-    trans: &Transformed,
-    cfg: &EptasConfig,
-    budget: usize,
-    over_budget: GuessFailure,
-    stats: &mut Stats,
-    cancel: Option<&CancelToken>,
-) -> Result<PatternSolution, GuessFailure> {
-    let ps = enumerate_patterns(trans, budget).map_err(|e| {
-        // The DFS aborts after generating exactly `budget` patterns.
-        stats.patterns_enumerated += e.budget as u64;
-        over_budget
-    })?;
-    stats.patterns_enumerated += ps.patterns.len() as u64;
-    let singles = Partition::PerBag.classes(trans, cfg);
-    let (out, _) = solve_restricted(trans, &ps, &singles, cfg, stats, false, cancel)?;
-    let symbols = ps.symbols.clone();
-    Ok(PatternSolution::capture(Partition::PerBag, trans, symbols, ps, out))
 }
 
 /// Replay a cached seed: rebuild the recorded partition, compare its
@@ -514,11 +471,11 @@ pub fn solve_with_patterns(
 /// With `tree` set, fractional node LPs of the branch-and-bound consult
 /// the knapsack pricing DFS against the node duals and graft improving
 /// patterns as new integer columns (see [`TreePriceDriver`]). Only the
-/// priced-pool rungs enable it — eager pools are already complete by
-/// construction. Tree columns enter every row, so small jobs are realized
-/// on their machines too. When tree columns were generated the second
-/// return value carries the extended pattern set (`x`'s index space),
-/// built exactly once.
+/// ladder's priced pools enable it — the oracle's enumerated pools are
+/// complete by construction. Tree columns enter every row, so small jobs
+/// are realized on their machines too. When tree columns were generated
+/// the second return value carries the extended pattern set (`x`'s index
+/// space), built exactly once.
 fn solve_restricted(
     trans: &Transformed,
     ps: &PatternSet,
@@ -533,7 +490,7 @@ fn solve_restricted(
     let ctx = ClassCtx::new(classes, ps, &pairs);
     let model = restricted_model(trans, ps, &ctx, &pairs, w_nonprio);
     let driver = tree.then(|| TreePriceDriver::new(&ps.symbols, &ctx, trans.t, cfg, &ps.patterns));
-    let (res, tree_patterns, tree_x) = run_milp(&model, cfg, stats, driver, cancel);
+    let (res, tree_patterns, tree_x) = run_milp(&model, stats, driver, cancel);
     record_milp(stats, &res);
     let np = ps.patterns.len();
     let xs: Vec<u32> = match res.status {
@@ -689,16 +646,12 @@ fn record_milp(stats: &mut Stats, res: &bagsched_milp::MilpResult) {
 /// Wall-clock budget per restricted-MILP solve.
 const MILP_TIME_LIMIT: Duration = Duration::from_secs(20);
 
-/// Eager-enumeration budget of the oracle consulted when the per-bag MILP
-/// over the priced pool fails inconclusively. Kept far below
-/// [`EptasConfig::max_patterns`]: on instances where enumeration is cheap
-/// this restores the exact pre-pricing behaviour, on tight instances the
-/// restricted verdict stands instead of burning the full budget.
-const EAGER_FALLBACK_BUDGET: usize = 2000;
+/// Branch-and-bound node budget per restricted-MILP solve.
+const MILP_MAX_NODES: usize = 20_000;
 
-fn milp_options(cfg: &EptasConfig, cancel: Option<&CancelToken>) -> MilpOptions {
+fn milp_options(cancel: Option<&CancelToken>) -> MilpOptions {
     MilpOptions {
-        max_nodes: cfg.milp_max_nodes,
+        max_nodes: MILP_MAX_NODES,
         time_limit: MILP_TIME_LIMIT,
         first_solution: true,
         price_after_nodes: 32,
@@ -711,14 +664,13 @@ fn milp_options(cfg: &EptasConfig, cancel: Option<&CancelToken>) -> MilpOptions 
 /// solution values (the tail of the extended `x` index space).
 fn run_milp(
     model: &Model,
-    cfg: &EptasConfig,
     stats: &mut Stats,
     tree: Option<TreePriceDriver<'_>>,
     cancel: Option<&CancelToken>,
 ) -> (MilpResult, Vec<Pattern>, Vec<u32>) {
     match tree {
         Some(mut driver) => {
-            let res = solve_milp_with(model, &milp_options(cfg, cancel), Some(&mut driver));
+            let res = solve_milp_with(model, &milp_options(cancel), Some(&mut driver));
             stats.add(&driver.stats);
             let tree_x = match res.status {
                 MilpStatus::Optimal | MilpStatus::Feasible => {
@@ -728,7 +680,7 @@ fn run_milp(
             };
             (res, driver.new_patterns, tree_x)
         }
-        None => (solve_milp_with(model, &milp_options(cfg, cancel), None), Vec::new(), Vec::new()),
+        None => (solve_milp_with(model, &milp_options(cancel), None), Vec::new(), Vec::new()),
     }
 }
 
@@ -819,7 +771,7 @@ mod tests {
         let c = classify(&r, m);
         let p = select_priority(&inst, &r, &c, cfg);
         let t = transform(&inst, &r, &c, &p);
-        let ps = enumerate_patterns(&t, cfg.max_patterns).unwrap();
+        let ps = enumerate_patterns(&t, 20_000).unwrap();
         let out = solve_with_patterns(&t, &ps, cfg, &mut Stats::default());
         (t, ps, out)
     }

@@ -7,10 +7,10 @@
 //! slot for a job of size `s` from *any* non-priority bag (arbitrarily
 //! many per pattern; Lemma 7 repairs the resulting conflicts).
 //!
-//! Patterns are enumerated by DFS over the slot symbols present in the
-//! transformed instance, with multiplicities capped by job availability —
-//! which keeps the pattern space tied to the instance rather than the
-//! paper's worst-case bound. The enumeration budget is explicit.
+//! [`enumerate_patterns`] lists them all by DFS over the slot symbols
+//! present in the transformed instance, with multiplicities capped by job
+//! availability, under an explicit budget. It is the tests' oracle: a
+//! solve prices patterns lazily instead ([`crate::pricing`]).
 
 use crate::classes::BagClasses;
 use crate::classify::JobClass;

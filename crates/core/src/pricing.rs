@@ -10,7 +10,7 @@
 //!   `1..=S` one covering equality per slot symbol (constraint (2)), and
 //!   row `S + 1` an aggregate small-area cut (the x-projection of
 //!   constraint (4)), so guesses without room for the small jobs are
-//!   refuted here instead of by an eager-enumeration fallback. Every
+//!   refuted here instead of by the branch-and-bound. Every
 //!   pattern column comes from `Pattern::column`; the restricted MILP
 //!   keeps these rows first and appends its class cuts below them, so a
 //!   node LP's first `S + 2` duals are the master's, in this layout;
@@ -60,13 +60,13 @@ pub enum Pricing {
     /// The master LP — a relaxation of the configuration MILP over *all*
     /// patterns — is infeasible: no schedule of height `T` exists.
     Infeasible,
-    /// A round or DFS-node budget was exhausted before convergence; the
-    /// caller falls back to eager enumeration.
+    /// Over the master-size budget, or out of rounds or DFS nodes before
+    /// convergence: inconclusive, the caller tries its next partition.
     Stalled,
     /// The cancellation token tripped between rounds: the solve is being
     /// abandoned (speculation loser or deadline). Unlike [`Stalled`]
-    /// this must *not* fall back to eager enumeration — the caller
-    /// unwinds as [`GuessFailure::Cancelled`].
+    /// this is no verdict at all — the caller unwinds as
+    /// [`GuessFailure::Cancelled`].
     ///
     /// [`Stalled`]: Pricing::Stalled
     /// [`GuessFailure::Cancelled`]: crate::report::GuessFailure::Cancelled
@@ -96,7 +96,7 @@ const WARM_REFRESH_EVERY: usize = 32;
 const PURGE_PATIENCE: u32 = 3;
 
 /// Pricing rounds (master LP solve + pricing DFS) per guess before the
-/// loop declares a stall and falls back to eager enumeration.
+/// loop declares a stall.
 const MAX_ROUNDS: usize = 400;
 
 /// DFS node budget per pricing round (per shard when sharded); exceeding
@@ -359,11 +359,10 @@ pub fn generate_columns(
     // when thousands of per-bag symbols share a few profiles. Each
     // symbol is a master row, so past the budget every pivot factors and
     // prices against a basis that many rows tall, and the master LP
-    // dominates everything pricing saves: declare a stall so the caller
-    // takes the eager path (which degrades exactly like the pre-pricing
-    // pipeline on these extreme instances). The budget's default was set
-    // on the dense tableau and has not been re-measured on the sparse
-    // engine.
+    // dominates everything pricing saves: declare a stall, and the caller
+    // tries its next partition or fails the guess. The budget's default
+    // was set on the dense tableau and has not been re-measured on the
+    // sparse engine.
     let master_size = if classes.all_singletons() { symbols.len() } else { classes.num_classes() };
     if master_size > cfg.pricing_symbol_budget {
         return Pricing::Stalled;
@@ -426,7 +425,7 @@ pub fn generate_columns(
             // that slack is an infeasibility proof — real infeasibilities
             // are of integral size (a job or machine unit of the scaled
             // instance). A hair-above-zero overflow is numerical noise:
-            // stall to the eager oracle instead of refuting the guess.
+            // stall instead of refuting the guess.
             return if complete && overflow > 1e-4 {
                 Pricing::Infeasible
             } else {

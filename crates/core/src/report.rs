@@ -14,7 +14,9 @@ pub enum GuessFailure {
     JobTooLarge,
     /// The pattern MILP is infeasible: no schedule of height `T` exists.
     MilpInfeasible,
-    /// Pattern enumeration exceeded its budget (inconclusive).
+    /// Pattern generation exhausted its budget: the per-bag pricing
+    /// master stalled, closing a partition ladder none of whose rungs
+    /// settled the guess (inconclusive).
     PatternBudget,
     /// The MILP solver exhausted its node/time budget (inconclusive).
     MilpBudget,
@@ -58,7 +60,7 @@ impl std::fmt::Display for GuessFailure {
         let s = match self {
             GuessFailure::JobTooLarge => "a job exceeds the makespan guess",
             GuessFailure::MilpInfeasible => "pattern MILP infeasible at this guess",
-            GuessFailure::PatternBudget => "pattern enumeration budget exhausted",
+            GuessFailure::PatternBudget => "pattern generation budget exhausted",
             GuessFailure::MilpBudget => "MILP solver budget exhausted",
             GuessFailure::SmallPlacement => "greedy small-job placement failed",
             GuessFailure::SwapRepair => "large-job swap repair found no partner",
@@ -81,7 +83,7 @@ impl std::fmt::Display for GuessFailure {
 /// [`Solver`]: crate::Solver
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
-    /// Machine patterns enumerated by the Definition-3 DFS.
+    /// Seed patterns of the pricing pools.
     pub patterns_enumerated: u64,
     /// Simplex pivots across every LP relaxation solved.
     pub simplex_pivots: u64,

@@ -396,7 +396,7 @@ mod tests {
         let c = classify(&r, m);
         let p = select_priority(&inst, &r, &c, cfg);
         let t = transform(&inst, &r, &c, &p);
-        let ps = enumerate_patterns(&t, cfg.max_patterns).unwrap();
+        let ps = enumerate_patterns(&t, 20_000).unwrap();
         let out = solve_with_patterns(&t, &ps, cfg, &mut crate::report::Stats::default())
             .expect("feasible guess");
         let mut state = WorkState::new(t.tinst.num_jobs(), m);

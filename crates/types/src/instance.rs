@@ -253,28 +253,6 @@ impl Instance {
             .map(|(l, members)| (BagId(l as u32), members.as_slice()))
     }
 
-    /// Group bags by *profile*: two bags land in the same group iff the
-    /// sorted multisets of their members' `key` values are identical.
-    /// Bags with identical profiles are fully interchangeable for any
-    /// scheduling decision that only depends on `key` (e.g. rounded size
-    /// classes) — the foundation of class-level bag aggregation. Groups
-    /// are returned ordered by their smallest member, members ascending.
-    pub fn group_bags_by_profile<K: Ord>(
-        &self,
-        mut key: impl FnMut(JobId) -> K,
-    ) -> Vec<Vec<BagId>> {
-        let mut by_profile: std::collections::BTreeMap<Vec<K>, Vec<BagId>> =
-            std::collections::BTreeMap::new();
-        for (bag, members) in self.bags() {
-            let mut profile: Vec<K> = members.iter().map(|&j| key(j)).collect();
-            profile.sort_unstable();
-            by_profile.entry(profile).or_default().push(bag);
-        }
-        let mut groups: Vec<Vec<BagId>> = by_profile.into_values().collect();
-        groups.sort_by_key(|g| g[0]);
-        groups
-    }
-
     /// Total processing time of all jobs.
     pub fn total_size(&self) -> f64 {
         self.jobs.iter().map(|j| j.size).sum()
@@ -434,27 +412,5 @@ mod tests {
         assert_eq!(inst.num_jobs(), 0);
         assert_eq!(inst.max_size(), 0.0);
         assert_eq!(inst.max_bag_size(), 0);
-    }
-
-    #[test]
-    fn group_bags_by_profile_merges_identical_multisets() {
-        // Bags 0 and 2 share the profile {1, 2}; bag 1 is {1}; bag 3 is
-        // {2, 2} — a multiset, so it must NOT merge with {1, 2}.
-        let jobs = [(1.0, 0), (2.0, 0), (1.0, 1), (2.0, 2), (1.0, 2), (2.0, 3), (2.0, 3)];
-        let inst = Instance::new(&jobs, 4);
-        let groups = inst.group_bags_by_profile(|j| inst.size(j) as i64);
-        assert_eq!(
-            groups,
-            vec![vec![BagId(0), BagId(2)], vec![BagId(1)], vec![BagId(3)]],
-            "groups must be keyed on the full multiset, ordered by smallest member"
-        );
-    }
-
-    #[test]
-    fn group_bags_by_profile_all_distinct_yields_singletons() {
-        let inst = Instance::new(&[(1.0, 0), (2.0, 1), (3.0, 2)], 3);
-        let groups = inst.group_bags_by_profile(|j| inst.size(j) as i64);
-        assert_eq!(groups.len(), 3);
-        assert!(groups.iter().all(|g| g.len() == 1));
     }
 }

@@ -1,61 +1,89 @@
 //! Cross-validation of the whole solver stack: EPTAS vs the exact
 //! branch-and-bound optimum, the PTAS baseline, and the heuristics.
 
+mod common;
+
 use bagsched::baselines::{bag_aware_lpt, dw_ptas, exact_makespan, DwPtasConfig};
+use bagsched::eptas::milp_model::{solve_with_patterns, PatternSolve};
+use bagsched::eptas::pattern::enumerate_patterns;
+use bagsched::eptas::report::{GuessFailure, Stats};
 use bagsched::eptas::{EptasConfig, Solver};
 use bagsched::types::{gen, validate_schedule};
 
-/// Column generation vs the eager-enumeration oracle, across every
-/// seeded small/medium generator family.
+/// Enumeration budget of the oracle: the pattern spaces of these shapes
+/// fit far inside it.
+const ORACLE_BUDGET: usize = 20_000;
+
+/// Column generation vs the eager-enumeration oracle, guess by guess,
+/// across every seeded small/medium generator family.
 ///
-/// The quantity pattern enumeration is an oracle *for* is the per-guess
-/// feasibility verdict, and hence the guess the binary search accepts:
-/// that must agree within 1e-9 whenever both paths conclusively accept
-/// one (the priced path may additionally accept guesses the eager path
-/// gives up on — it is strictly more capable, never less). The realized
-/// schedules may legitimately differ — the configuration MILP returns
-/// *any* feasible configuration, and different pattern pools select
-/// different ones — so the end-to-end makespan is gated directionally:
-/// pricing never loses to enumeration, and both stay feasible and inside
-/// the proven `1 + 3*eps` envelope of their accepted guess.
+/// At every guess of the driver's grid, and at three grid steps below
+/// its lower bound where the infeasibility proofs live, the oracle
+/// enumerates the whole per-bag pattern space and solves the
+/// configuration MILP over it. Every enumeration on the grid must fit the
+/// oracle's budget; below the grid a guess whose enumeration does not is
+/// skipped. Two rules tie the priced pattern solve to the oracle:
+///
+/// * when the oracle accepts a guess, the priced solve accepts it too —
+///   pricing is never less capable than enumeration;
+/// * when the priced solve refutes a guess as infeasible, the oracle
+///   refutes it as infeasible too — the refutation is exact.
+///
+/// Both searches bisect the same grid, so the first rule bounds the
+/// guesses too: the smallest guess the priced bisection accepts is at
+/// most the smallest the oracle's would accept. The realized schedules
+/// may legitimately differ — the configuration MILP returns *any*
+/// feasible configuration, and different pattern pools select different
+/// ones.
 #[test]
 fn column_generation_cross_validates_against_enumeration_oracle() {
     let eps = 0.5;
+    let step = 1.0 + eps / 2.0;
+    let cfg = EptasConfig::with_epsilon(eps);
+    let (mut accepted, mut refuted) = (0, 0);
     for family in gen::Family::ALL {
         for &(n, m) in &[(12usize, 3usize), (24, 4)] {
             for seed in 0..3 {
                 let inst = family.generate(n, m, seed);
-                let cg = Solver::with_epsilon(eps).solve_instance(&inst).unwrap();
-                let mut cfg = EptasConfig::with_epsilon(eps);
-                cfg.column_generation = false;
-                let eager = Solver::new(cfg).solve_instance(&inst).unwrap();
-
-                let tag = format!("{} n={n} m={m} seed={seed}", family.name());
-                validate_schedule(&inst, &cg.schedule).unwrap_or_else(|e| panic!("{tag}: {e}"));
-                validate_schedule(&inst, &eager.schedule).unwrap_or_else(|e| panic!("{tag}: {e}"));
-                if let (Some(gc), Some(ge)) = (cg.report.chosen_guess, eager.report.chosen_guess) {
-                    assert!(
-                        gc <= ge + 1e-9,
-                        "{tag}: priced path accepted a worse guess ({gc} > {ge})"
-                    );
-                }
-                assert!(
-                    cg.makespan <= eager.makespan + 1e-9,
-                    "{tag}: pricing lost to the enumeration oracle ({} > {})",
-                    cg.makespan,
-                    eager.makespan
-                );
-                for (name, r) in [("cg", &cg), ("eager", &eager)] {
-                    if let Some(guess) = r.report.chosen_guess {
+                let grid = common::guess_grid(&inst, eps);
+                let below: Vec<f64> = grid
+                    .first()
+                    .map_or(Vec::new(), |&lb| (1..=3).map(|k| lb / step.powi(k)).collect());
+                let guesses = grid.iter().map(|&g| (g, true));
+                for (guess, on_grid) in guesses.chain(below.into_iter().map(|g| (g, false))) {
+                    let tag = format!("{} n={n} m={m} seed={seed} guess={guess}", family.name());
+                    let Some(t) = common::transformed_at(&inst, guess, &cfg) else {
+                        continue;
+                    };
+                    let ps = match enumerate_patterns(&t, ORACLE_BUDGET) {
+                        Ok(ps) => ps,
+                        Err(_) if !on_grid => continue,
+                        Err(_) => panic!("{tag}: oracle over its budget"),
+                    };
+                    let oracle = solve_with_patterns(&t, &ps, &cfg, &mut Stats::default());
+                    let priced = PatternSolve::new(&t, &cfg).run(&mut Stats::default());
+                    if oracle.is_ok() {
+                        accepted += 1;
                         assert!(
-                            r.makespan <= guess * (1.0 + 3.0 * eps) + 1e-9,
-                            "{tag}: {name} left the approximation envelope"
+                            priced.is_ok(),
+                            "{tag}: the oracle accepts, pricing fails with {:?}",
+                            priced.err()
+                        );
+                    }
+                    if let Err(GuessFailure::MilpInfeasible) = priced {
+                        refuted += 1;
+                        assert_eq!(
+                            oracle.as_ref().err(),
+                            Some(&GuessFailure::MilpInfeasible),
+                            "{tag}: pricing refutes a guess the oracle does not"
                         );
                     }
                 }
             }
         }
     }
+    // Both rules must have had something to check.
+    assert!(accepted > 0 && refuted > 0, "{accepted} accepted, {refuted} refuted");
 }
 
 #[test]

@@ -28,7 +28,7 @@ fn pipeline(jobs: &[(f64, u32)], m: usize) -> impl Fn(&[u32]) -> Result<(), Gues
     let c = classify(&r, m);
     let p = select_priority(&inst, &r, &c, &cfg);
     let t = transform(&inst, &r, &c, &p);
-    let ps = enumerate_patterns(&t, cfg.max_patterns).unwrap();
+    let ps = enumerate_patterns(&t, 20_000).unwrap();
     let out = solve_with_patterns(&t, &ps, &cfg, &mut Stats::default()).expect("guess feasible");
     assert!(
         assign_large(&t, &ps, &out.x, &mut WorkState::new(t.tinst.num_jobs(), m)).is_ok(),
@@ -53,7 +53,7 @@ fn corrupted_multiplicities_fail_the_guess_instead_of_panicking() {
         let c = classify(&r, 3);
         let p = select_priority(&inst, &r, &c, &cfg);
         let t = transform(&inst, &r, &c, &p);
-        let ps = enumerate_patterns(&t, cfg.max_patterns).unwrap();
+        let ps = enumerate_patterns(&t, 20_000).unwrap();
         solve_with_patterns(&t, &ps, &cfg, &mut Stats::default()).expect("guess feasible").x
     };
 
@@ -106,16 +106,16 @@ fn corrupted_multiplicities_fail_the_guess_instead_of_panicking() {
 
 /// End-to-end: a run whose guesses all fail placement must degrade to the
 /// LPT fallback (counted in `lpt_fallbacks`), not abort. Forced here with
-/// a pattern budget of 1 so every guess dies before placement — the same
-/// driver path a placement `Err` takes.
+/// a pricing symbol budget of 0, so every guess dies before placement —
+/// the same driver path a placement `Err` takes.
 #[test]
 fn driver_survives_total_guess_failure_via_fallback() {
     let inst = gen::Family::ALL[0].generate(24, 4, 9);
     let mut cfg = EptasConfig::with_epsilon(0.5);
-    cfg.max_patterns = 1;
-    cfg.column_generation = false;
+    cfg.pricing_symbol_budget = 0;
     let r = Solver::new(cfg).solve_instance(&inst).unwrap();
-    assert!(r.report.fell_back_to_lpt, "guesses cannot succeed at budget 1");
+    assert!(r.report.fell_back_to_lpt, "guesses cannot succeed on a starved pricer");
     assert_eq!(r.report.stats.lpt_fallbacks, 1);
+    assert_eq!(r.makespan.to_bits(), r.report.lpt_upper_bound.to_bits());
     assert!(r.schedule.is_feasible(&inst));
 }

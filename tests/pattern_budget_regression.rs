@@ -8,9 +8,16 @@
 //! The pricing loop solves the same configuration LP with orders of
 //! magnitude fewer patterns, so these instances now take the paper path.
 
+mod common;
+
+use bagsched::eptas::pattern::enumerate_patterns;
 use bagsched::eptas::report::GuessFailure;
 use bagsched::eptas::{EptasConfig, Solver};
 use bagsched::types::{gen, validate_schedule};
+
+/// The per-guess pattern budget eager enumeration ran under before
+/// pricing replaced it.
+const ENUMERATION_BUDGET: usize = 20_000;
 
 /// The witness family: tight clustered instances (n/m = 3) whose
 /// symmetric priority bags blow up eager enumeration.
@@ -21,23 +28,25 @@ fn tight_clustered(n: usize) -> bagsched::types::Instance {
 #[test]
 fn tight_clustered_no_longer_falls_back_to_lpt() {
     let inst = tight_clustered(60);
+    let cfg = EptasConfig::with_epsilon(0.5);
 
-    // The old path (pricing disabled): every guess dies on PatternBudget
-    // and the LPT fallback engages. This pins the *reason* the pricing
-    // subsystem exists; if enumeration ever stops blowing its budget
-    // here, the witness instance must be re-tightened.
-    let mut eager_cfg = EptasConfig::with_epsilon(0.5);
-    eager_cfg.column_generation = false;
-    let eager = Solver::new(eager_cfg).solve_instance(&inst).unwrap();
-    assert!(eager.report.fell_back_to_lpt, "witness instance no longer trips the budget");
-    assert!(
-        eager.report.failures.iter().any(|(_, f)| *f == GuessFailure::PatternBudget),
-        "witness instance must fail via PatternBudget on the eager path"
-    );
+    // Eager enumeration exceeds its budget at every guess the driver may
+    // probe. This pins the *reason* the pricing subsystem exists; if
+    // enumeration ever fits the budget here, the witness instance must
+    // be re-tightened.
+    let grid = common::guess_grid(&inst, cfg.epsilon);
+    assert!(!grid.is_empty(), "the witness needs a guess search");
+    for &guess in &grid {
+        let t = common::transformed_at(&inst, guess, &cfg).expect("no job exceeds a grid guess");
+        assert!(
+            enumerate_patterns(&t, ENUMERATION_BUDGET).is_err(),
+            "guess {guess}: enumeration fits the budget, the witness no longer trips it"
+        );
+    }
 
     // The priced path: solves on the paper path, no budget failure, no
-    // LPT fallback, and a strictly better schedule.
-    let cg = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
+    // LPT fallback.
+    let cg = Solver::new(cfg).solve_instance(&inst).unwrap();
     validate_schedule(&inst, &cg.schedule).unwrap();
     assert!(!cg.report.fell_back_to_lpt, "pricing path must not fall back to LPT");
     assert!(
@@ -46,30 +55,27 @@ fn tight_clustered_no_longer_falls_back_to_lpt() {
         cg.report.failures
     );
     assert!(
-        cg.makespan <= eager.makespan + 1e-9,
-        "pricing path lost to the LPT fallback: {} > {}",
+        cg.makespan <= cg.report.lpt_upper_bound,
+        "pricing path lost to the LPT schedule: {} > {}",
         cg.makespan,
-        eager.makespan
+        cg.report.lpt_upper_bound
     );
 }
 
 #[test]
 fn tight_clustered_pattern_work_is_an_order_of_magnitude_below_the_budget() {
     // Acceptance gate: on the tight clustered family the *total* pattern
-    // work per guess — seed/enumerated patterns plus priced columns —
-    // must sit at least 10x below the old per-guess enumeration budget
-    // that `EptasConfig::max_patterns` encodes (20k per guess, i.e. the
-    // measured 40k per failed guess pair the PR-2 perf reports exposed).
+    // work per guess — seed patterns plus priced columns — must sit at
+    // least 10x below the per-guess enumeration budget, which every
+    // guess of this instance used to exhaust.
     let inst = tight_clustered(60);
-    let cfg = EptasConfig::with_epsilon(0.5);
-    let r = Solver::new(cfg.clone()).solve_instance(&inst).unwrap();
+    let r = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
     let stats = &r.report.stats;
     let per_guess = (stats.patterns_enumerated + stats.columns_generated)
         / (r.report.guesses_tried as u64).max(1);
     assert!(
-        per_guess * 10 <= cfg.max_patterns as u64,
-        "pattern work per guess {per_guess} is not 10x below the {} budget",
-        cfg.max_patterns
+        per_guess * 10 <= ENUMERATION_BUDGET as u64,
+        "pattern work per guess {per_guess} is not 10x below the {ENUMERATION_BUDGET} budget"
     );
     // The pricing loop must actually have run (this is not the gated or
     // fallback regime).
