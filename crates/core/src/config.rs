@@ -55,7 +55,8 @@ pub struct EptasConfig {
     /// pattern columns when enrichment starts is *narrow*, and when a
     /// guess fails after the cap cut a narrow master short, the driver
     /// runs that guess once more with narrow masters enriched to
-    /// convergence ([`crate::pricing::Enrichment`]).
+    /// convergence, phase B and the restricted MILP's root solved cold
+    /// ([`crate::pricing::Enrichment`]).
     pub pricing_symbol_budget: usize,
     /// Relative width of the coarse count buckets: bucket boundaries
     /// grow by `max(+1, *(1 + coarse_tolerance))`, so two bags merge

@@ -559,10 +559,12 @@ fn execute_window(
 /// the next phase boundary (or inside the MILP / pricing loop) with
 /// [`GuessFailure::Cancelled`].
 ///
-/// Every pricing master stops its enrichment at the round cap. A guess
-/// that then fails for any reason but a cancellation, after the cap cut
-/// a narrow master short, runs once more with narrow masters enriched to
-/// convergence ([`Enrichment`]); the second attempt's verdict stands.
+/// Every pricing master stops its enrichment at the round cap, continues
+/// phase B warm and seeds the restricted MILP's root with its final
+/// basis. A guess that then fails for any reason but a cancellation,
+/// after the cap cut a narrow master short, runs once more on the retry
+/// path: narrow masters enriched to convergence, phase B and the root
+/// solved cold ([`Enrichment`]); the second attempt's verdict stands.
 fn try_guess(
     cfg: &EptasConfig,
     inst: &Instance,
@@ -575,8 +577,8 @@ fn try_guess(
     let mut enrich = Enrichment::default();
     match run_guess(cfg, inst, t0, stats, replay, cancel, &mut enrich) {
         Err(fail) if fail != GuessFailure::Cancelled && enrich.narrow_cut => {
-            let mut uncapped = Enrichment { narrow_uncapped: true, narrow_cut: false };
-            run_guess(cfg, inst, t0, stats, replay, cancel, &mut uncapped)
+            let mut retry = Enrichment { retry: true, narrow_cut: false };
+            run_guess(cfg, inst, t0, stats, replay, cancel, &mut retry)
         }
         res => res,
     }
@@ -803,14 +805,22 @@ mod tests {
         assert!(rounds > 0 && rounds <= 8, "{rounds} pricing rounds");
     }
 
-    /// Three of the 13 bags hold no large job, so only 10 are priority.
-    /// At the chosen guess the capped attempt cuts a narrow master short
-    /// and fails the swap repair; the retry with narrow masters priced to
-    /// convergence succeeds, so the solve reports no failed guess.
+    /// With `priority_cap = 1`, at the chosen guess the first attempt
+    /// cuts a narrow master short and fails the swap repair. The retry
+    /// takes the slow path: narrow masters priced to convergence, phase B
+    /// started cold, and a cold root. It succeeds, so the solve reports no
+    /// failed guess.
+    ///
+    /// Cold LP solves are the `milp.simplex` spans. The first attempt
+    /// solves one per master start (phase A) and, with a seeded root and
+    /// a warm phase B, none in the tree. The retry solves three: phase A,
+    /// phase B and the root, the root being its one node that did not
+    /// start warm.
     #[test]
     fn a_guess_that_fails_on_a_capped_pool_is_retried_uncapped() {
-        let inst = gen::uniform(40, 13, 13, 2);
-        let cfg = EptasConfig::with_epsilon(0.5);
+        let inst = gen::uniform(40, 13, 13, 1);
+        let mut cfg = EptasConfig::with_epsilon(0.5);
+        cfg.priority_cap = Some(1);
         let r = Solver::new(cfg.clone()).solve_instance(&inst).unwrap();
         validate_schedule(&inst, &r.schedule).unwrap();
         assert!(r.report.failures.is_empty(), "{:?}", r.report.failures);
@@ -818,14 +828,25 @@ mod tests {
         let guess = r.report.chosen_guess.unwrap();
 
         let attempt = |enrich: &mut Enrichment| {
-            run_guess(&cfg, &inst, guess, &mut Stats::default(), None, None, enrich).err()
+            let rec = obs::Recorder::new();
+            let _obs = rec.install("test");
+            let mut stats = Stats::default();
+            let fail = run_guess(&cfg, &inst, guess, &mut stats, None, None, enrich).err();
+            let cold = rec.profile().get("milp.simplex").map_or(0, |p| p.count);
+            (fail, stats, cold)
         };
-        let mut capped = Enrichment::default();
-        assert_eq!(attempt(&mut capped), Some(GuessFailure::SwapRepair));
-        assert!(capped.narrow_cut, "the failed attempt cut no narrow master");
-        let mut uncapped = Enrichment { narrow_uncapped: true, narrow_cut: false };
-        assert_eq!(attempt(&mut uncapped), None);
-        assert!(!uncapped.narrow_cut);
+        let mut fast = Enrichment::default();
+        let (fail, stats, cold) = attempt(&mut fast);
+        assert_eq!(fail, Some(GuessFailure::SwapRepair));
+        assert!(fast.narrow_cut, "the failed attempt cut no narrow master");
+        assert_eq!(stats.node_warm_starts, stats.milp_nodes, "the seeded root solved cold");
+        assert_eq!(cold, 1, "phase A is the first attempt's only cold LP");
+        let mut retry = Enrichment { retry: true, narrow_cut: false };
+        let (fail, stats, cold_retry) = attempt(&mut retry);
+        assert_eq!(fail, None);
+        assert!(!retry.narrow_cut);
+        assert_eq!(stats.node_warm_starts + 1, stats.milp_nodes, "the retry's root started warm");
+        assert_eq!(cold_retry, 3, "the retry solves phase A, phase B and the root cold");
     }
 
     #[test]

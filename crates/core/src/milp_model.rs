@@ -62,7 +62,9 @@ use crate::pricing::{generate_columns, Enrichment, Pricing, TreePriceDriver};
 use crate::report::{GuessFailure, Stats};
 use crate::rounding::SizeExp;
 use crate::transform::Transformed;
-use bagsched_milp::{solve_milp_with, MilpOptions, MilpResult, MilpStatus, Model, Relation};
+use bagsched_milp::{
+    solve_milp_with, Basis, MilpOptions, MilpResult, MilpStatus, Model, Relation, WarmState,
+};
 use bagsched_types::{BagId, JobId};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -386,14 +388,16 @@ fn solve_over(
     stats.bag_classes += classes.num_classes() as u64;
     let symbols = collect_symbols_classed(trans, classes);
     stats.symbols_after_aggregation += symbols.len() as u64;
-    let pool = match generate_columns(trans, &symbols, classes, cfg, stats, cancel, enrich) {
-        Pricing::Converged(pool) => pool,
+    let (pool, basis) = match generate_columns(trans, &symbols, classes, cfg, stats, cancel, enrich)
+    {
+        Pricing::Converged(pool, basis) => (pool, basis),
         Pricing::Infeasible => return Err(Unsolved::Final(GuessFailure::MilpInfeasible)),
         Pricing::Cancelled => return Err(Unsolved::Final(GuessFailure::Cancelled)),
         Pricing::Stalled => return Err(Unsolved::Inconclusive(GuessFailure::PatternBudget)),
     };
     let ps = PatternSet::from_parts(symbols, pool);
-    let (out, ext) = solve_restricted(trans, &ps, classes, cfg, stats, true, cancel)
+    let ladder = Ladder { cancel, root: basis.as_ref() };
+    let (out, ext) = solve_restricted(trans, &ps, classes, cfg, stats, Some(ladder))
         .map_err(Unsolved::Inconclusive)?;
     let ps = ext.unwrap_or(ps);
     let symbols = ps.symbols.clone();
@@ -458,7 +462,16 @@ pub fn solve_with_patterns(
     stats: &mut Stats,
 ) -> Result<MilpOutcome, GuessFailure> {
     let singles = BagClasses::singletons(trans);
-    solve_restricted(trans, ps, &singles, cfg, stats, false, None).map(|(out, _)| out)
+    solve_restricted(trans, ps, &singles, cfg, stats, None).map(|(out, _)| out)
+}
+
+/// What a rung of the ladder adds to a restricted MILP over its priced
+/// pool: in-tree pricing, the solve's cancellation token, and the pricing
+/// master's final basis ([`Pricing::Converged`]) for the root.
+#[derive(Clone, Copy)]
+struct Ladder<'a> {
+    cancel: Option<&'a CancelToken>,
+    root: Option<&'a Basis>,
 }
 
 /// The restricted configuration MILP over a (priced or enumerated) pool,
@@ -468,7 +481,7 @@ pub fn solve_with_patterns(
 /// classes reproduce the per-bag model term for term. Small jobs are then
 /// realized by [`greedy_small_y`].
 ///
-/// With `tree` set, fractional node LPs of the branch-and-bound consult
+/// With `ladder` set, fractional node LPs of the branch-and-bound consult
 /// the knapsack pricing DFS against the node duals and graft improving
 /// patterns as new integer columns (see [`TreePriceDriver`]). Only the
 /// ladder's priced pools enable it — the oracle's enumerated pools are
@@ -476,21 +489,33 @@ pub fn solve_with_patterns(
 /// are realized on their machines too. When tree columns were generated
 /// the second return value carries the extended pattern set (`x`'s index
 /// space), built exactly once.
+///
+/// The ladder's root basis names pool patterns and master rows; the rows
+/// the master does not have, the class cuts, enter with their slacks
+/// basic. A cut the master's point violates is left to the root's dual
+/// simplex, and a basis that does not fit the model leaves the root to
+/// solve cold.
 fn solve_restricted(
     trans: &Transformed,
     ps: &PatternSet,
     classes: &BagClasses,
     cfg: &EptasConfig,
     stats: &mut Stats,
-    tree: bool,
-    cancel: Option<&CancelToken>,
+    ladder: Option<Ladder<'_>>,
 ) -> Result<(MilpOutcome, Option<PatternSet>), GuessFailure> {
     let pairs = priority_small_pairs_classed(trans, classes);
     let w_nonprio = nonpriority_small_area(trans);
     let ctx = ClassCtx::new(classes, ps, &pairs);
     let model = restricted_model(trans, ps, &ctx, &pairs, w_nonprio);
-    let driver = tree.then(|| TreePriceDriver::new(&ps.symbols, &ctx, trans.t, cfg, &ps.patterns));
-    let (res, tree_patterns, tree_x) = run_milp(&model, stats, driver, cancel);
+    let cancel = ladder.and_then(|l| l.cancel);
+    let root = ladder.and_then(|l| l.root).and_then(|basis| {
+        let mut basis = basis.clone();
+        basis.slack_rows.extend(ps.symbols.len() + 2..model.num_cons());
+        WarmState::from_basis(&model, &basis)
+    });
+    let driver =
+        ladder.map(|_| TreePriceDriver::new(&ps.symbols, &ctx, trans.t, cfg, &ps.patterns));
+    let (res, tree_patterns, tree_x) = run_milp(&model, stats, driver, cancel, root);
     record_milp(stats, &res);
     let np = ps.patterns.len();
     let xs: Vec<u32> = match res.status {
@@ -659,18 +684,20 @@ fn milp_options(cancel: Option<&CancelToken>) -> MilpOptions {
     }
 }
 
-/// Run the restricted MILP, with the in-tree pricer attached when `tree`
-/// is set. Returns the raw result plus the tree-priced patterns and their
-/// solution values (the tail of the extended `x` index space).
+/// Run the restricted MILP from the root basis `root`, with the in-tree
+/// pricer attached when `tree` is set. Returns the raw result plus the
+/// tree-priced patterns and their solution values (the tail of the
+/// extended `x` index space).
 fn run_milp(
     model: &Model,
     stats: &mut Stats,
     tree: Option<TreePriceDriver<'_>>,
     cancel: Option<&CancelToken>,
+    root: Option<WarmState>,
 ) -> (MilpResult, Vec<Pattern>, Vec<u32>) {
     match tree {
         Some(mut driver) => {
-            let res = solve_milp_with(model, &milp_options(cancel), Some(&mut driver));
+            let res = solve_milp_with(model, &milp_options(cancel), Some(&mut driver), root);
             stats.add(&driver.stats);
             let tree_x = match res.status {
                 MilpStatus::Optimal | MilpStatus::Feasible => {
@@ -680,7 +707,7 @@ fn run_milp(
             };
             (res, driver.new_patterns, tree_x)
         }
-        None => (solve_milp_with(model, &milp_options(cancel), None), Vec::new(), Vec::new()),
+        None => (solve_milp_with(model, &milp_options(cancel), None, root), Vec::new(), Vec::new()),
     }
 }
 
@@ -932,7 +959,7 @@ mod tests {
             let (_, classes) = ladder(&t, &cfg).swap_remove(0);
             let symbols = collect_symbols_classed(&t, &classes);
             let mut stats = Stats::default();
-            if let Pricing::Converged(pool) = generate_columns(
+            if let Pricing::Converged(pool, _) = generate_columns(
                 &t,
                 &symbols,
                 &classes,

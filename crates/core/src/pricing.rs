@@ -29,7 +29,12 @@
 //!   An optimality phase then minimizes the machine count to enrich the
 //!   pool around the LP optimum before the integral MILP runs on it; it
 //!   stops after `ENRICH_ROUNDS` (8) rounds unless the caller lets a
-//!   narrow master run to convergence ([`Enrichment`]).
+//!   narrow master run to convergence ([`Enrichment`]);
+//! * **one cold LP:** only the first master solve of phase A starts
+//!   cold (and a periodic refresh, `WARM_REFRESH_EVERY`). Phase B
+//!   continues from phase A's basis, and [`Pricing::Converged`] hands the
+//!   master's final basis to the restricted MILP, whose root LP starts
+//!   from it. The driver's retry of a failed guess restarts both cold.
 //!
 //! The pool is seeded with the empty pattern, one singleton per symbol,
 //! and LPT-packed patterns, and holds orders of magnitude fewer patterns
@@ -47,16 +52,20 @@ use crate::par::{run_indexed, CancelToken};
 use crate::pattern::{Pattern, SlotBag, Symbol};
 use crate::report::Stats;
 use crate::transform::Transformed;
-use bagsched_milp::{LpResult, LpStatus, Model, Relation, VarId, WarmState};
+use bagsched_milp::{Basis, LpResult, LpStatus, Model, Relation, VarId, WarmState};
 use bagsched_types::{obs, JobId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Outcome of the column-generation loop.
 #[derive(Debug)]
 pub enum Pricing {
     /// A pool whose LP relaxation matches the full pattern LP (pricing
-    /// converged with zero overflow). `patterns[0]` is the empty pattern.
-    Converged(Vec<Pattern>),
+    /// converged with zero overflow), `pool[0]` the empty pattern, and the
+    /// master's final basis over it when its last solve was optimal: the
+    /// basic patterns as pool indices in `vars` (the restricted MILP's
+    /// variable of pattern `p` is `VarId(p)`) and the master rows with a
+    /// basic slack in `slack_rows`. The MILP seeds its root LP from it.
+    Converged(Vec<Pattern>, Option<Basis>),
     /// The master LP — a relaxation of the configuration MILP over *all*
     /// patterns — is infeasible: no schedule of height `T` exists.
     Infeasible,
@@ -120,30 +129,33 @@ const DFS_NODE_BUDGET: usize = 200_000;
 const ENRICH_ROUNDS: usize = 8;
 
 /// Converged pools larger than this are pruned to the master's optimal
-/// support (plus the empty pattern and the singleton seeds) before the
-/// restricted MILP runs: every unused column widens every
-/// branch-and-bound node LP. Smaller pools pass through untouched.
+/// support and basic columns (plus the empty pattern and the singleton
+/// seeds) before the restricted MILP runs: every unused column widens
+/// every branch-and-bound node LP. Smaller pools pass through untouched.
 const POOL_CAP: usize = 600;
 
 /// Total in-tree pricing rounds (one knapsack DFS each) per MILP solve;
 /// bounds the extra work [`TreePriceDriver`] may add to a solve.
 const TREE_ROUND_CAP: usize = 16;
 
-/// Phase-B enrichment of one pattern solve, seen from the caller: what it
-/// asks of *narrow* masters (at most
-/// [`EptasConfig::pricing_symbol_budget`] pattern columns when phase B
-/// starts) and what [`generate_columns`] did to them. Every master stops
-/// at `ENRICH_ROUNDS` by default; a wide master always does.
+/// Phase-B enrichment of one pattern solve, seen from the caller: which
+/// of two paths it takes and what [`generate_columns`] did to *narrow*
+/// masters (at most [`EptasConfig::pricing_symbol_budget`] pattern
+/// columns when phase B starts). By default every master stops at
+/// `ENRICH_ROUNDS`, phase B continues from phase A's basis, and the
+/// restricted MILP's root starts from the master's final basis.
 ///
-/// The driver runs a guess whose capped attempt failed once more with
-/// `narrow_uncapped` set, but only when `narrow_cut` says the cap cut a
-/// narrow master short: that retry grows the pool every guess got before
-/// the cap applied to narrow masters, so the cap never turns a success
-/// of that pool into a failure.
+/// The driver runs a guess whose first attempt failed once more with
+/// `retry` set, but only when `narrow_cut` says the cap cut a narrow
+/// master short. The retry path enriches narrow masters until pricing
+/// converges and starts phase B and the root cold. Its pools and trees
+/// differ from the fast path's, and on small `priority_cap = 1` shapes
+/// it settles guesses whose fast attempt fails the swap repair.
 #[derive(Debug, Default)]
 pub struct Enrichment {
-    /// Input: narrow masters enrich until pricing converges.
-    pub narrow_uncapped: bool,
+    /// Input: take the retry path (narrow masters uncapped, phase B cold,
+    /// no root basis).
+    pub retry: bool,
     /// Output: a narrow master stopped at `ENRICH_ROUNDS` with its last
     /// master solve optimal, so pricing had not been seen to converge.
     pub narrow_cut: bool,
@@ -165,6 +177,9 @@ pub(crate) type PatternKey = Vec<(usize, u16)>;
 /// [`Stats::warm_start_pivots_saved`] is estimated against).
 struct Master {
     model: Model,
+    /// The overflow variables of phase A: machine overflow and area
+    /// shortfall.
+    overflow: [VarId; 2],
     pool: Vec<Pattern>,
     keys: HashSet<PatternKey>,
     cols: Vec<Option<VarId>>,
@@ -185,18 +200,36 @@ struct Master {
 }
 
 impl Master {
-    /// The master over `model`'s rows with one column per seed pattern.
-    fn new(model: Model, pool: Vec<Pattern>, t: f64, purge_threshold: f64) -> Self {
+    /// The feasibility master (phase A): rows 0 = machines (1), `1..=S`
+    /// = symbol coverings (2), `S + 1` = aggregate small area; the two
+    /// overflow variables, which together with the singleton seed columns
+    /// make it structurally feasible; and one column per seed pattern.
+    /// Priced columns are appended in place via `Model::add_column`; the
+    /// model is never rebuilt.
+    fn new(trans: &Transformed, symbols: &[Symbol], pool: Vec<Pattern>, cfg: &EptasConfig) -> Self {
+        let small_area: f64 = (0..trans.tinst.num_jobs())
+            .filter(|&j| trans.tclass[j] == JobClass::Small)
+            .map(|j| trans.tinst.size(JobId(j as u32)))
+            .sum();
+        let mut model = Model::new();
+        let z_machines = model.add_var(1.0, 0.0, f64::INFINITY);
+        let z_area = model.add_var(1.0, 0.0, f64::INFINITY);
+        model.add_con(&[(z_machines, -1.0)], Relation::Le, trans.tinst.num_machines() as f64);
+        for sym in symbols {
+            model.add_con(&[], Relation::Eq, sym.avail as f64);
+        }
+        model.add_con(&[(z_area, 1.0)], Relation::Ge, small_area);
         let mut master = Master {
             cols: Vec::with_capacity(pool.len()),
             keys: pool.iter().map(|p| p.entries.clone()).collect(),
             streak: vec![0; pool.len()],
-            num_symbols: model.num_cons() - 2,
+            num_symbols: symbols.len(),
             model,
+            overflow: [z_machines, z_area],
             pool,
-            t,
+            t: trans.t,
             col_cost: 0.0,
-            purge_threshold,
+            purge_threshold: cfg.column_purge_threshold,
             warm: None,
             last_cold_pivots: 0,
             solves_since_refresh: 0,
@@ -324,6 +357,59 @@ impl Master {
         }
     }
 
+    /// Switch to the optimality objective (phase B). The overflow
+    /// variables pin to zero and the pattern columns take the
+    /// machine-count objective. The mutation is by `VarId`, so it applies
+    /// to the purge-compacted model exactly as to an untouched one, and
+    /// columns purged in phase A stay out — the re-admission guard brings
+    /// any of them back the moment it prices negative under the new
+    /// objective's duals (purged columns are never the empty seed, so
+    /// their coefficient is 1). Streaks reset: a reduced cost under the
+    /// feasibility objective says nothing about the machine-count one.
+    ///
+    /// With `cold` unset phase B continues from phase A's basis: the
+    /// warm re-solve appends the bound rows the overflow variables' new
+    /// `[0, 0]` bounds need, the dual simplex drives out whatever overflow
+    /// is left, and the primal clean-up prices the new objective.
+    fn start_phase_b(&mut self, cold: bool) {
+        for z in self.overflow {
+            self.model.set_bounds(z, 0.0, 0.0);
+            self.model.set_obj(z, 0.0);
+        }
+        self.col_cost = 1.0;
+        for (pat, c) in self.pool.iter().zip(&self.cols) {
+            if let Some(v) = *c {
+                self.model.set_obj(v, if pat.is_empty() { 0.0 } else { self.col_cost });
+            }
+        }
+        self.streak.iter_mut().for_each(|s| *s = 0);
+        if cold {
+            self.invalidate();
+        }
+    }
+
+    /// The basis of the last master solve over the pool, or `None` when
+    /// it kept no state: pool indices for the basic pattern columns (the
+    /// overflow variables drop out) and the master rows with a basic
+    /// slack.
+    fn pool_basis(&self) -> Option<Basis> {
+        let basis = self.warm.as_ref()?.basis();
+        let mut pool_of_var = vec![usize::MAX; self.model.num_vars()];
+        for (i, c) in self.cols.iter().enumerate() {
+            if let Some(v) = c {
+                pool_of_var[v.0] = i;
+            }
+        }
+        let vars = basis
+            .vars
+            .iter()
+            .map(|v| pool_of_var[v.0])
+            .filter(|&i| i != usize::MAX)
+            .map(VarId)
+            .collect();
+        Some(Basis { vars, slack_rows: basis.slack_rows })
+    }
+
     /// Admit priced patterns: each joins the pool, the dedup key set and
     /// the master model.
     fn admit(&mut self, cands: Vec<Pattern>, stats: &mut Stats) {
@@ -352,114 +438,16 @@ pub fn generate_columns(
     cancel: Option<&CancelToken>,
     enrich: &mut Enrichment,
 ) -> Pricing {
-    // Safety valve on the master size: on the per-bag path the row count
-    // is the symbol count (the pre-aggregation gate, byte-for-byte);
-    // classed symbols are already collapsed, so the aggregated path is
-    // gated on its class count instead — the quantity that stays small
-    // when thousands of per-bag symbols share a few profiles. Each
-    // symbol is a master row, so past the budget every pivot factors and
-    // prices against a basis that many rows tall, and the master LP
-    // dominates everything pricing saves: declare a stall, and the caller
-    // tries its next partition or fails the guess. The budget's default
-    // was set on the dense tableau and has not been re-measured on the
-    // sparse engine.
-    let master_size = if classes.all_singletons() { symbols.len() } else { classes.num_classes() };
-    if master_size > cfg.pricing_symbol_budget {
-        return Pricing::Stalled;
-    }
-    let m = trans.tinst.num_machines() as f64;
-    let t = trans.t;
-    let small_area: f64 = (0..trans.tinst.num_jobs())
-        .filter(|&j| trans.tclass[j] == JobClass::Small)
-        .map(|j| trans.tinst.size(JobId(j as u32)))
-        .sum();
-
-    let pool = seed_pool(trans, symbols, classes);
-    stats.patterns_enumerated += pool.len() as u64;
-
-    // Master model. Rows: 0 = machines (1), 1..=S = symbol coverings (2),
-    // S+1 = aggregate small area. The overflow variables make the
-    // feasibility phase structurally feasible together with the singleton
-    // seed columns. Priced columns are appended in place via
-    // `Model::add_column`; the model is never rebuilt.
-    let mut model = Model::new();
-    let z_machines = model.add_var(1.0, 0.0, f64::INFINITY);
-    let z_area = model.add_var(1.0, 0.0, f64::INFINITY);
-    model.add_con(&[(z_machines, -1.0)], Relation::Le, m);
-    for sym in symbols {
-        model.add_con(&[], Relation::Eq, sym.avail as f64);
-    }
-    model.add_con(&[(z_area, 1.0)], Relation::Ge, small_area);
-    let mut master = Master::new(model, pool, t, cfg.column_purge_threshold);
-
-    let mut rounds = 0usize;
-    let px = PriceCtx { symbols, classes, t };
-
-    // ---- Phase A: feasibility (minimize the overflow). ----
-    loop {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Pricing::Cancelled;
-        }
-        let lp = master.solve(stats);
-        if lp.status != LpStatus::Optimal {
-            // The overflow variables make the master feasible and the
-            // objective nonnegative; anything else is numerical distress.
-            return Pricing::Stalled;
-        }
-        let overflow = lp.x[z_machines.0] + lp.x[z_area.0];
-        if overflow <= 1e-7 {
-            break;
-        }
-        if rounds >= MAX_ROUNDS {
-            return Pricing::Stalled;
-        }
-        master.purge(&lp, stats);
-        rounds += 1;
-        stats.pricing_rounds += 1;
-        let (cands, complete) = price(&px, &lp.duals, master.col_cost, cfg, stats, &master.keys);
-        if cands.is_empty() {
-            // With an exhaustive pricing round, "no improving column"
-            // certifies the master optimum equals the full-pattern
-            // optimum *up to the pricing tolerance* (each skipped column
-            // improves by at most 1e-7). Only an overflow clearly above
-            // that slack is an infeasibility proof — real infeasibilities
-            // are of integral size (a job or machine unit of the scaled
-            // instance). A hair-above-zero overflow is numerical noise:
-            // stall instead of refuting the guess.
-            return if complete && overflow > 1e-4 {
-                Pricing::Infeasible
-            } else {
-                Pricing::Stalled
-            };
-        }
-        master.admit(cands, stats);
-    }
+    let (mut master, mut rounds) =
+        match feasibility_phase(trans, symbols, classes, cfg, stats, cancel) {
+            Ok(phase_a) => phase_a,
+            Err(verdict) => return verdict,
+        };
+    let px = PriceCtx { symbols, classes, t: trans.t };
 
     // ---- Phase B: minimize machines used to enrich the pool. ----
-    // The overflow variables pin to zero and the pattern columns take the
-    // machine-count objective. The mutation is by `VarId`, so it applies
-    // to the purge-compacted model exactly as to an untouched one, and
-    // columns purged in phase A stay out — the re-admission guard brings
-    // any of them back the moment it prices negative under the new
-    // objective's duals (purged columns are never the empty seed, so
-    // their coefficient is 1). Streaks reset: a reduced cost under the
-    // feasibility objective says nothing about the machine-count one.
-    master.model.set_bounds(z_machines, 0.0, 0.0);
-    master.model.set_bounds(z_area, 0.0, 0.0);
-    master.model.set_obj(z_machines, 0.0);
-    master.model.set_obj(z_area, 0.0);
-    master.col_cost = 1.0;
-    for (pat, c) in master.pool.iter().zip(&master.cols) {
-        if let Some(v) = *c {
-            master.model.set_obj(v, if pat.is_empty() { 0.0 } else { master.col_cost });
-        }
-    }
-    master.streak.iter_mut().for_each(|s| *s = 0);
-    // Phase B cold-starts once and then warm-starts its own re-solves.
-    // The dual engine could absorb the bound flip on the overflow
-    // variables, but starting phase B warm changes its pivots and the
-    // pools it grows, so that switch waits for its own measurement.
-    master.invalidate();
+    // Only the retry path restarts it cold (see [`Enrichment`]).
+    master.start_phase_b(enrich.retry);
     // Enrichment stops at [`ENRICH_ROUNDS`], not at convergence: late
     // rounds trade dust-sized master improvements for ever-wider masters
     // (each admitted column raises the per-pivot cost of every later
@@ -467,13 +455,13 @@ pub fn generate_columns(
     // The pool is feasibility-complete either way, and a column the
     // integral search turns out to miss is priced *in the tree*
     // ([`TreePriceDriver`]) instead of speculatively at the root. Only a
-    // narrow master of a retry ([`Enrichment::narrow_uncapped`]) runs to
-    // convergence.
+    // narrow master of a retry runs to convergence.
     let narrow = master.pool.len() <= cfg.pricing_symbol_budget;
-    let capped = !(narrow && enrich.narrow_uncapped);
+    let capped = !(narrow && enrich.retry);
     let mut enrich_rounds = 0usize;
     // Every exit happens right after a master solve of the final,
-    // unmodified model, so the last LP doubles as the pruning input.
+    // unmodified model, so the last LP doubles as the pruning input and
+    // the master's basis as the restricted MILP's root basis.
     let final_lp = loop {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Pricing::Cancelled;
@@ -502,6 +490,7 @@ pub fn generate_columns(
         master.purge(&lp, stats);
         master.admit(cands, stats);
     };
+    let mut basis = if enrich.retry { None } else { master.pool_basis() };
 
     // ---- Final pruning: the restricted MILP pays per column. ----
     // On large instances the converged pool carries hundreds of columns
@@ -510,27 +499,111 @@ pub fn generate_columns(
     // every pivot of *each* branch-and-bound node LP downstream, and a
     // candidate to branch on (a down-branch appends its bound row to
     // the subtree below). Keep the LP
-    // support (the columns that matter), the empty pattern and the
-    // singleton seeds (structural feasibility); drop the rest. Small
-    // pools are passed through untouched — pre-aggregation behaviour.
-    // `POOL_CAP` dates from the dense tableau and has not been
-    // re-measured on the sparse engine.
+    // support (the columns that matter), the basic columns (at zero only
+    // when degenerate, and needed for the root basis), the empty pattern
+    // and the singleton seeds (structural feasibility); drop the rest.
+    // Small pools are passed through untouched — pre-aggregation
+    // behaviour. `POOL_CAP` dates from the dense tableau and has not
+    // been re-measured on the sparse engine.
     let Master { pool, cols, .. } = master;
     if pool.len() > POOL_CAP && final_lp.status == LpStatus::Optimal {
+        let mut basic = vec![false; pool.len()];
+        for v in basis.iter().flat_map(|b| &b.vars) {
+            basic[v.0] = true;
+        }
         // A column still purged at exit is nonbasic by construction (the
         // guard would have re-admitted a useful one), so it falls to the
         // same support filter as an in-model column at zero.
-        let pruned: Vec<Pattern> = pool
-            .iter()
-            .zip(&cols)
-            .filter(|&(pat, c)| {
-                pat.is_empty() || pat.num_slots() == 1 || c.is_some_and(|v| final_lp.x[v.0] > 1e-9)
-            })
-            .map(|(pat, _)| pat.clone())
-            .collect();
-        return Pricing::Converged(pruned);
+        let mut new_index = vec![usize::MAX; pool.len()];
+        let mut pruned: Vec<Pattern> = Vec::new();
+        for (i, (pat, c)) in pool.iter().zip(&cols).enumerate() {
+            if pat.is_empty()
+                || pat.num_slots() == 1
+                || basic[i]
+                || c.is_some_and(|v| final_lp.x[v.0] > 1e-9)
+            {
+                new_index[i] = pruned.len();
+                pruned.push(pat.clone());
+            }
+        }
+        for v in basis.iter_mut().flat_map(|b| &mut b.vars) {
+            v.0 = new_index[v.0];
+        }
+        return Pricing::Converged(pruned, basis);
     }
-    Pricing::Converged(pool)
+    Pricing::Converged(pool, basis)
+}
+
+/// Phase A of [`generate_columns`]: build the feasibility master over the
+/// seed pool and price until its overflow is zero. Returns the master and
+/// the pricing rounds spent, or the verdict phase A reached instead.
+fn feasibility_phase(
+    trans: &Transformed,
+    symbols: &[Symbol],
+    classes: &BagClasses,
+    cfg: &EptasConfig,
+    stats: &mut Stats,
+    cancel: Option<&CancelToken>,
+) -> Result<(Master, usize), Pricing> {
+    // Safety valve on the master size: on the per-bag path the row count
+    // is the symbol count (the pre-aggregation gate, byte-for-byte);
+    // classed symbols are already collapsed, so the aggregated path is
+    // gated on its class count instead — the quantity that stays small
+    // when thousands of per-bag symbols share a few profiles. Each
+    // symbol is a master row, so past the budget every pivot factors and
+    // prices against a basis that many rows tall, and the master LP
+    // dominates everything pricing saves: declare a stall, and the caller
+    // tries its next partition or fails the guess. The budget's default
+    // was set on the dense tableau and has not been re-measured on the
+    // sparse engine.
+    let master_size = if classes.all_singletons() { symbols.len() } else { classes.num_classes() };
+    if master_size > cfg.pricing_symbol_budget {
+        return Err(Pricing::Stalled);
+    }
+    let pool = seed_pool(trans, symbols, classes);
+    stats.patterns_enumerated += pool.len() as u64;
+    let mut master = Master::new(trans, symbols, pool, cfg);
+    let [z_machines, z_area] = master.overflow;
+    let px = PriceCtx { symbols, classes, t: trans.t };
+    let mut rounds = 0usize;
+    loop {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(Pricing::Cancelled);
+        }
+        let lp = master.solve(stats);
+        if lp.status != LpStatus::Optimal {
+            // The overflow variables make the master feasible and the
+            // objective nonnegative; anything else is numerical distress.
+            return Err(Pricing::Stalled);
+        }
+        let overflow = lp.x[z_machines.0] + lp.x[z_area.0];
+        if overflow <= 1e-7 {
+            return Ok((master, rounds));
+        }
+        if rounds >= MAX_ROUNDS {
+            return Err(Pricing::Stalled);
+        }
+        master.purge(&lp, stats);
+        rounds += 1;
+        stats.pricing_rounds += 1;
+        let (cands, complete) = price(&px, &lp.duals, master.col_cost, cfg, stats, &master.keys);
+        if cands.is_empty() {
+            // With an exhaustive pricing round, "no improving column"
+            // certifies the master optimum equals the full-pattern
+            // optimum *up to the pricing tolerance* (each skipped column
+            // improves by at most 1e-7). Only an overflow clearly above
+            // that slack is an infeasibility proof — real infeasibilities
+            // are of integral size (a job or machine unit of the scaled
+            // instance). A hair-above-zero overflow is numerical noise:
+            // stall instead of refuting the guess.
+            return Err(if complete && overflow > 1e-4 {
+                Pricing::Infeasible
+            } else {
+                Pricing::Stalled
+            });
+        }
+        master.admit(cands, stats);
+    }
 }
 
 /// Reduced cost of `pat`'s master column (objective coefficient `obj`)
@@ -575,6 +648,11 @@ fn seed_pool(trans: &Transformed, symbols: &[Symbol], classes: &BagClasses) -> V
     });
     let m = trans.tinst.num_machines();
     let mut height = vec![0.0f64; m];
+    // The machines ordered by `(height bits, machine)`, which is height
+    // order with the lowest index first on ties (heights are sums of
+    // positive finite sizes), as in `lpt::conflict_aware_lpt`.
+    let mut by_height: BTreeSet<(u64, u32)> =
+        (0..m as u32).map(|i| (0.0f64.to_bits(), i)).collect();
     let mut counts: Vec<HashMap<usize, u16>> = vec![HashMap::new(); m];
     // The machines already holding a job of each priority bag, and one
     // machine mask reused per job: nothing here is sized `m × bags`.
@@ -597,14 +675,19 @@ fn seed_pool(trans: &Transformed, symbols: &[Symbol], classes: &BagClasses) -> V
         for &i in held {
             blocked[i as usize] = true;
         }
-        let target = (0..m)
-            .filter(|&i| height[i] + size <= t + 1e-9 && !blocked[i])
-            .min_by(|&a, &b| height[a].total_cmp(&height[b]).then(a.cmp(&b)));
+        // The lowest unblocked machine is the only candidate: if the job
+        // does not fit on it, it fits on no higher one.
+        let lowest = by_height.iter().find(|&&(_, i)| !blocked[i as usize]).copied();
         for &i in held {
             blocked[i as usize] = false;
         }
-        let Some(i) = target else { continue }; // heuristic: skipping is fine
+        let Some((key, i)) = lowest.filter(|&(_, i)| height[i as usize] + size <= t + 1e-9) else {
+            continue; // heuristic: skipping is fine
+        };
+        by_height.remove(&(key, i));
+        let i = i as usize;
         height[i] += size;
+        by_height.insert((height[i].to_bits(), i as u32));
         *counts[i].entry(s).or_insert(0) += 1;
         if matches!(bag, SlotBag::Priority(_)) {
             bag_machines[tbag.idx()].push(i as u32);
@@ -1130,7 +1213,7 @@ mod tests {
         let cfg = EptasConfig::with_epsilon(0.5);
         let (mut packed, mut shared_bags) = (0usize, 0usize);
         for family in gen::Family::ALL {
-            for (n, m) in [(40, 4), (60, 20), (90, 30)] {
+            for (n, m) in [(40, 4), (60, 20), (90, 30), (2000, 700)] {
                 let inst = family.generate(n, m, 3);
                 let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
                 let lb = lower_bounds(&inst).combined();
@@ -1166,6 +1249,73 @@ mod tests {
         assert!(packed > 0 && shared_bags > 0, "{packed} packed patterns, {shared_bags} bags");
     }
 
+    /// Phase B continued from phase A's basis solves the same LPs as
+    /// phase B restarted cold: at the switch and after every enrichment
+    /// round, the master re-solves warm and its objective matches a cold
+    /// solve of the same master LP within 1e-9. Checked over the two
+    /// `tight-milp` cells and a sample of every generator family, at the
+    /// first guess of the grid `lb * (1 + 0.1 k)` whose feasibility phase
+    /// succeeds, on the partition the ladder would open with.
+    #[test]
+    fn warm_phase_b_reaches_the_cold_phase_b_objective() {
+        use crate::pattern::collect_symbols_classed;
+        use bagsched_types::{gen, lowerbound::lower_bounds};
+        let cfg = EptasConfig::with_epsilon(0.5);
+        let mut cells =
+            vec![gen::clustered(300, 100, 100, 5, 2), gen::clustered(450, 150, 150, 5, 2)];
+        cells.extend(gen::Family::ALL.iter().map(|f| f.generate(60, 20, 4)));
+        let mut solves = 0;
+        for (cell, inst) in cells.iter().enumerate() {
+            let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
+            let lb = lower_bounds(inst).combined();
+            let phase_a = (0..10).find_map(|k| {
+                let r = scale_and_round(&sizes, lb * (1.0 + 0.1 * k as f64), 0.5)?;
+                let c = classify(&r, inst.num_machines());
+                let p = select_priority(inst, &r, &c, &cfg);
+                let t = transform(inst, &r, &c, &p);
+                let singles = BagClasses::singletons(&t);
+                let classes =
+                    if collect_symbols_classed(&t, &singles).len() > cfg.pricing_symbol_budget {
+                        BagClasses::compute(&t)
+                    } else {
+                        singles
+                    };
+                let symbols = collect_symbols_classed(&t, &classes);
+                let mut stats = Stats::default();
+                let (master, _) =
+                    feasibility_phase(&t, &symbols, &classes, &cfg, &mut stats, None).ok()?;
+                Some((t, classes, symbols, master))
+            });
+            let (t, classes, symbols, mut master) =
+                phase_a.expect("a guess on the grid is feasible");
+            let px = PriceCtx { symbols: &symbols, classes: &classes, t: t.t };
+            let mut stats = Stats::default();
+            master.start_phase_b(false);
+            for round in 0..=ENRICH_ROUNDS {
+                let (lp, warm) = master.model.solve_lp_with(&mut master.warm);
+                let reference = master.model.solve_lp();
+                assert!(warm, "cell {cell} round {round}: the re-solve went cold");
+                assert_eq!(lp.status, LpStatus::Optimal, "cell {cell} round {round}");
+                assert_eq!(reference.status, LpStatus::Optimal, "cell {cell} round {round}");
+                assert!(
+                    (lp.objective - reference.objective).abs() < 1e-9,
+                    "cell {cell} round {round}: warm {} vs cold {}",
+                    lp.objective,
+                    reference.objective
+                );
+                solves += 1;
+                let (cands, _) =
+                    price(&px, &lp.duals, master.col_cost, &cfg, &mut stats, &master.keys);
+                if cands.is_empty() {
+                    break;
+                }
+                master.purge(&lp, &mut stats);
+                master.admit(cands, &mut stats);
+            }
+        }
+        assert!(solves >= 30, "{solves} phase-B solves compared");
+    }
+
     #[test]
     fn converges_to_feasible_pool_on_feasible_guess() {
         let t = transformed(&[(0.9, 0), (0.9, 1), (0.4, 2), (0.05, 0), (0.05, 3)], 3, 0.5);
@@ -1181,7 +1331,7 @@ mod tests {
             None,
             &mut Enrichment::default(),
         ) {
-            Pricing::Converged(pool) => {
+            Pricing::Converged(pool, _) => {
                 assert!(pool[0].is_empty());
                 // The pool stays far below eager enumeration on any
                 // nontrivial instance and every pattern is valid.
@@ -1228,7 +1378,7 @@ mod tests {
         let symbols = collect_symbols(&t);
         let cfg = EptasConfig::with_epsilon(0.5);
         let mut stats = Stats::default();
-        let Pricing::Converged(pool) = generate_columns(
+        let Pricing::Converged(pool, _) = generate_columns(
             &t,
             &symbols,
             &crate::classes::BagClasses::singletons(&t),
@@ -1268,7 +1418,7 @@ mod tests {
                 None,
                 &mut Enrichment::default(),
             ) {
-                Pricing::Converged(pool) => (pool, stats),
+                Pricing::Converged(pool, _) => (pool, stats),
                 other => panic!("expected convergence, got {other:?}"),
             }
         };

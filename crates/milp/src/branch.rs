@@ -17,7 +17,11 @@
 //! `[0, inf)` — appends that variable's bound row to the child's basis
 //! and at most one eta to its factorization, with no rebuild, so a node
 //! falls back to the cold solve only on a numerically singular step or
-//! an iteration-limited warm re-solve.
+//! an iteration-limited warm re-solve. The root re-solves the same way
+//! when the caller hands it a starting basis ([`solve_milp_with`]): the
+//! EPTAS passes the pricing master's final basis
+//! ([`crate::simplex::WarmState::from_basis`]), so with column generation
+//! in front no node LP of the search solves cold.
 //! Basis hand-off is by reference count: small bases are shared with both
 //! children, large ones only with the dive child (the sibling re-solves
 //! cold on backtrack) to bound memory by O(1) bases instead of O(depth).
@@ -214,11 +218,15 @@ enum NodeOutcome {
 
 /// Solve `model` to integral optimality (subject to budgets).
 pub fn solve_milp(model: &Model, opts: &MilpOptions) -> MilpResult {
-    solve_milp_with(model, opts, None)
+    solve_milp_with(model, opts, None, None)
 }
 
 /// Like [`solve_milp`], with an optional in-tree pricer consulted at
-/// fractional optimal nodes (see [`TreePricer`]).
+/// fractional optimal nodes (see [`TreePricer`]) and an optional starting
+/// basis for the root node LP, typically [`WarmState::from_basis`] of a
+/// related LP's final basis. The root re-solves from it through
+/// [`simplex::solve_warm`] like any other node, cold when the warm
+/// attempt fails.
 ///
 /// Claim semantics with a pricer: once any column was grafted, subtrees
 /// explored *before* the graft were not re-explored, so an exhausted
@@ -230,6 +238,7 @@ pub fn solve_milp_with(
     model: &Model,
     opts: &MilpOptions,
     mut pricer: Option<&mut dyn TreePricer>,
+    root: Option<WarmState>,
 ) -> MilpResult {
     let _span = bagsched_types::obs::Span::enter("milp.bnb");
     let start = Instant::now();
@@ -256,7 +265,8 @@ pub fn solve_milp_with(
     let mut budget_hit = false;
     let mut unbounded_root = false;
 
-    let mut stack = vec![Node { bounds: Vec::new(), parent_bound: f64::NEG_INFINITY, warm: None }];
+    let mut stack =
+        vec![Node { bounds: Vec::new(), parent_bound: f64::NEG_INFINITY, warm: root.map(Rc::new) }];
     let mut work = model.clone();
 
     'search: while let Some(node) = stack.pop() {
@@ -481,6 +491,7 @@ pub fn solve_milp_with(
 mod tests {
     use super::*;
     use crate::model::{Model, Relation::*};
+    use crate::simplex::Basis;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -682,7 +693,7 @@ mod tests {
         assert_eq!(plain.status, MilpStatus::Infeasible);
         // With it the unit column completes the cover.
         let mut pricer = UnitPricer { fired: false };
-        let priced = solve_milp_with(&m, &opts, Some(&mut pricer));
+        let priced = solve_milp_with(&m, &opts, Some(&mut pricer), None);
         assert_eq!(priced.status, MilpStatus::Feasible);
         assert_eq!(priced.tree_columns, 1);
         assert_eq!(priced.x.len(), 2, "result must cover the priced column");
@@ -719,7 +730,7 @@ mod tests {
         }
 
         let opts = MilpOptions { first_solution: true, price_after_nodes: 0, ..Default::default() };
-        let warm = solve_milp_with(&m, &opts, Some(&mut CheapColumn { fired: false }));
+        let warm = solve_milp_with(&m, &opts, Some(&mut CheapColumn { fired: false }), None);
         assert_eq!(warm.tree_columns, 1);
         assert_eq!(warm.status, MilpStatus::Feasible);
         assert_close(warm.x[1], 1.0);
@@ -754,10 +765,150 @@ mod tests {
         }
         let mut pricer = NoisePricer { fired: false };
         let opts = MilpOptions { first_solution: true, price_after_nodes: 0, ..Default::default() };
-        let r = solve_milp_with(&m, &opts, Some(&mut pricer));
+        let r = solve_milp_with(&m, &opts, Some(&mut pricer), None);
         assert_eq!(r.status, MilpStatus::Feasible);
         assert_eq!(r.x.len(), 3);
         assert_close(r.x[2], 0.0);
+    }
+
+    /// xorshift64*, so the seeded-root sweeps do not depend on the
+    /// proptest shim's sampling.
+    struct Rng(u64);
+    impl Rng {
+        fn f(&mut self, lo: f64, hi: f64) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            lo + (self.0 >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+        }
+        fn u(&mut self, lo: usize, hi: usize) -> usize {
+            self.f(lo as f64, hi as f64 + 1.0).floor().min(hi as f64) as usize
+        }
+    }
+
+    /// A random covering LP over `[0, inf)` variables, and the same LP
+    /// with `extra` more rows below: `<=` rows set under the first LP's
+    /// optimal activity and `>=` rows above it, so each extra row is
+    /// violated at that optimum with probability one half. `None` when
+    /// the first LP has no optimum.
+    fn lp_and_extension(rng: &mut Rng, extra: usize) -> Option<(Model, Model)> {
+        let n = rng.u(4, 9);
+        let mut sub = Model::new();
+        let vars: Vec<_> =
+            (0..n).map(|_| sub.add_var(rng.f(0.1, 2.0), 0.0, f64::INFINITY)).collect();
+        for _ in 0..rng.u(2, 6) {
+            let terms: Vec<_> = vars.iter().map(|&v| (v, rng.f(0.0, 1.5))).collect();
+            sub.add_con(&terms, Ge, rng.f(0.5, 3.0));
+        }
+        let all: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        sub.add_con(&all, Le, 100.0);
+        let lp = sub.solve_lp();
+        if lp.status != LpStatus::Optimal {
+            return None;
+        }
+        let mut full = sub.clone();
+        for _ in 0..extra {
+            let terms: Vec<_> = vars.iter().map(|&v| (v, rng.f(0.0, 1.5))).collect();
+            let activity: f64 = terms.iter().map(|&(v, a)| a * lp.x[v.0]).sum();
+            let violate = rng.f(0.0, 1.0) < 0.5;
+            if rng.f(0.0, 1.0) < 0.5 {
+                let slack = rng.f(0.1, 1.0);
+                full.add_con(&terms, Le, if violate { activity - slack } else { activity + slack });
+            } else {
+                let slack = rng.f(0.1, 1.0);
+                full.add_con(&terms, Ge, if violate { activity + slack } else { activity - slack });
+            }
+        }
+        Some((sub, full))
+    }
+
+    /// A root seeded from the optimal basis of a sub-LP, the rows the
+    /// sub-LP lacks entering with their slacks basic, reaches the cold
+    /// root's status and objective, and counts as a warm node. Some of
+    /// the extra rows are violated at the seed, so the root's dual
+    /// simplex has work to do; some extensions are infeasible.
+    #[test]
+    fn a_root_seeded_from_a_sub_lp_basis_matches_the_cold_root() {
+        let opts = MilpOptions::default();
+        let (mut seeded, mut infeasible, mut repaired) = (0, 0, 0);
+        for seed in 1..=60u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+            let extra = rng.u(1, 4);
+            let Some((sub, full)) = lp_and_extension(&mut rng, extra) else { continue };
+            let (_, state) = simplex::solve_with_state(&sub, 10_000);
+            let mut basis = state.expect("an optimal solve keeps its state").basis();
+            basis.slack_rows.extend(sub.num_cons()..full.num_cons());
+            let root = WarmState::from_basis(&full, &basis)
+                .expect("a basis with slack-basic extra rows is nonsingular");
+            let warm = solve_milp_with(&full, &opts, None, Some(root));
+            let cold = solve_milp(&full, &opts);
+            assert_eq!(warm.status, cold.status, "seed {seed}");
+            assert_eq!((warm.nodes, warm.node_warm_starts), (1, 1), "seed {seed}: root not warm");
+            match cold.status {
+                MilpStatus::Optimal => {
+                    assert!(
+                        (warm.objective - cold.objective).abs() < 1e-9,
+                        "seed {seed}: seeded {} vs cold {}",
+                        warm.objective,
+                        cold.objective
+                    );
+                    assert!(full.is_feasible_point(&warm.x, 1e-6), "seed {seed}");
+                    repaired += usize::from(warm.dual_pivots > 0);
+                }
+                MilpStatus::Infeasible => infeasible += 1,
+                other => panic!("seed {seed}: {other:?}"),
+            }
+            seeded += 1;
+        }
+        assert!(
+            seeded >= 40 && infeasible >= 3 && repaired >= 10,
+            "{seeded} seeded, {infeasible} infeasible, {repaired} repaired by dual pivots"
+        );
+    }
+
+    /// A basis that does not fit the model, or is singular, yields no
+    /// state; a state of another model hands the root to the cold solve.
+    #[test]
+    fn a_mismatched_or_singular_seed_falls_back_to_the_cold_root() {
+        let opts = MilpOptions::default();
+        let mut rng = Rng(7);
+        let (sub, full) = std::iter::repeat_with(|| lp_and_extension(&mut rng, 2))
+            .flatten()
+            .next()
+            .expect("an optimal draw");
+        let (_, state) = simplex::solve_with_state(&sub, 10_000);
+        let state = state.unwrap();
+        let mut basis = state.basis();
+        basis.slack_rows.extend(sub.num_cons()..full.num_cons());
+        assert!(WarmState::from_basis(&full, &basis).is_some());
+
+        // One basic column too few, one too many, and a row out of range.
+        let mut short = basis.clone();
+        short.slack_rows.pop();
+        assert!(WarmState::from_basis(&full, &short).is_none());
+        let mut long = basis.clone();
+        long.vars
+            .extend((0..full.num_vars()).map(VarId).filter(|v| !basis.vars.contains(v)).take(1));
+        assert!(WarmState::from_basis(&full, &long).is_none());
+        let mut beyond = short.clone();
+        beyond.slack_rows.push(full.num_cons());
+        assert!(WarmState::from_basis(&full, &beyond).is_none());
+
+        // Two equal columns cannot both be basic.
+        let mut twin = Model::new();
+        let x = twin.add_var(1.0, 0.0, f64::INFINITY);
+        let y = twin.add_var(1.0, 0.0, f64::INFINITY);
+        twin.add_con(&[(x, 1.0), (y, 1.0)], Ge, 1.0);
+        twin.add_con(&[(x, 2.0), (y, 2.0)], Le, 5.0);
+        let singular = Basis { vars: vec![x, y], slack_rows: vec![] };
+        assert!(WarmState::from_basis(&twin, &singular).is_none());
+
+        // The sub-LP's own state has fewer rows than the full LP.
+        let warm = solve_milp_with(&full, &opts, None, Some(state));
+        let cold = solve_milp(&full, &opts);
+        assert_eq!(warm.node_warm_starts, 0, "a state of another model must not be used");
+        assert_eq!(warm.status, cold.status);
+        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
     }
 
     proptest::proptest! {

@@ -40,7 +40,7 @@ pub use branch::{
 };
 pub use dual::DualOutcome;
 pub use model::{LpResult, LpStatus, Model, Relation, VarId};
-pub use simplex::{purge_columns, WarmState};
+pub use simplex::{purge_columns, Basis, WarmState};
 
 /// Numerical tolerance used for reduced costs, pivots, integrality and
 /// constraint satisfaction throughout the solver.

@@ -40,7 +40,10 @@
 //! untouched. A change the warm path cannot absorb — new constraints,
 //! non-`[0, inf)` bounds on appended variables, a numerically singular
 //! step — or an iteration-limited warm attempt falls back to a cold
-//! solve.
+//! solve. A state can also be carried to a *related* model with more
+//! rows: [`WarmState::basis`] names a basis in model terms, and
+//! [`WarmState::from_basis`] factorizes it for another model, the rows
+//! it does not name entering with their slacks basic.
 //!
 //! **Column lifecycle** ([`purge_columns`]): a column-generation master
 //! accumulates columns forever; nonbasic columns can be physically
@@ -251,12 +254,14 @@ impl Core {
 
     /// Rebuild the factorization off the current basis columns and
     /// recompute `xb` from `b0`. A (numerically) singular rebuild keeps
-    /// the old — still valid — eta file.
-    fn refactor(&mut self) {
-        if self.factor.refactor(|j| self.cols.col(j), &mut self.basis) {
+    /// the old eta file and returns `false`.
+    fn refactor(&mut self) -> bool {
+        let rebuilt = self.factor.refactor(|j| self.cols.col(j), &mut self.basis);
+        if rebuilt {
             self.xb.copy_from_slice(&self.b0);
             self.factor.ftran(&mut self.xb);
         }
+        rebuilt
     }
 
     /// Ratio test: leaving row for the transformed entering column `w`,
@@ -417,7 +422,97 @@ pub struct WarmState {
     pub(crate) num_cons: usize,
 }
 
+/// A basis named in model terms: its basic variables, and the constraint
+/// rows whose slack is basic (for an equality row, its artificial).
+/// Bound rows are not named: [`WarmState::from_basis`] makes each bound
+/// row's slack basic, and [`WarmState::basis`] leaves them out.
+///
+/// Both lists are in basis order: [`WarmState::basis`] reads them off by
+/// pivot row, and [`WarmState::from_basis`] hands the variables and then
+/// the slacks to the factorization in that order, so a basis carried from
+/// one state to a related model is factorized much as it was held.
+#[derive(Debug, Clone, Default)]
+pub struct Basis {
+    /// Basic model variables.
+    pub vars: Vec<VarId>,
+    /// Constraint rows with a basic slack.
+    pub slack_rows: Vec<usize>,
+}
+
 impl WarmState {
+    /// This state's basis in model terms, by pivot row (see [`Basis`]).
+    pub fn basis(&self) -> Basis {
+        let mut basis = Basis::default();
+        for &col in &self.c.basis {
+            match self.var_of_col[col] {
+                Some(v) => basis.vars.push(VarId(v)),
+                // Slacks and artificials are unit columns of their row.
+                None => {
+                    let r = self.c.cols.col(col)[0].0;
+                    if r < self.num_cons {
+                        basis.slack_rows.push(r);
+                    }
+                }
+            }
+        }
+        basis
+    }
+
+    /// The state of `model` on `basis`, factorized once, ready for
+    /// [`solve_warm`]: the model is built as [`solve_with_state`] builds
+    /// it, the named columns and the slack of every bound row form the
+    /// basis, and the basic solution is `B^-1 b`. It may be primal
+    /// infeasible (the dual simplex of the re-solve repairs that) and dual
+    /// infeasible (its primal clean-up does).
+    ///
+    /// `None` when the basis does not fit the model (a variable or row out
+    /// of range, a column named twice, or not one basic column per row),
+    /// when it is numerically singular, or when it leaves an equality
+    /// row's artificial basic away from zero.
+    pub fn from_basis(model: &Model, basis: &Basis) -> Option<WarmState> {
+        let mut state = build(model).ok()?;
+        let n = model.num_vars();
+        let c = &mut state.c;
+        // Each row's slack, or its artificial when it has none: slacks
+        // precede artificials in the column layout, so the first unit
+        // column of a row wins.
+        let mut logical = vec![usize::MAX; c.rows];
+        for col in n..state.art_end {
+            let r = c.cols.col(col)[0].0;
+            if logical[r] == usize::MAX {
+                logical[r] = col;
+            }
+        }
+        if basis.vars.iter().any(|v| v.0 >= n)
+            || basis.slack_rows.iter().any(|&r| r >= state.num_cons)
+        {
+            return None;
+        }
+        let cols: Vec<usize> = basis
+            .vars
+            .iter()
+            .map(|v| v.0)
+            .chain(basis.slack_rows.iter().map(|&r| logical[r]))
+            .chain(logical[state.num_cons..].iter().copied())
+            .collect();
+        if cols.len() != c.rows {
+            return None;
+        }
+        c.in_basis.fill(false);
+        for &col in &cols {
+            if std::mem::replace(&mut c.in_basis[col], true) {
+                return None;
+            }
+        }
+        c.basis = cols;
+        if !c.refactor() {
+            return None;
+        }
+        let stray_artificial =
+            c.basis.iter().zip(&c.xb).any(|(&b, &x)| b >= state.art_start && x.abs() > TOL);
+        (!stray_artificial).then_some(state)
+    }
+
     /// Memory-weight proxy (stored nonzeros plus per-row vectors), the
     /// sparse replacement for the dense tableau's `rows * cols` cell
     /// count. Branch & bound uses it to decide whether a node basis is
@@ -466,9 +561,90 @@ pub fn solve(model: &Model, iter_limit: usize) -> LpResult {
 /// models have no basis to reuse).
 pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<WarmState>) {
     let _span = bagsched_types::obs::Span::enter("milp.simplex");
+    let mut state = match build(model) {
+        Ok(state) => state,
+        Err(trivial) => return (trivial, None),
+    };
+    let (art_start, art_end) = (state.art_start, state.art_end);
+    let core = &mut state.c;
+    let mut iterations = 0usize;
+    let mut y: Vec<f64> = Vec::new();
+    let counters = |c: &Core| (c.factor.refactorizations as usize, c.factor.eta_updates as usize);
+
+    // ---- Phase 1: minimize the sum of artificials. ----
+    if art_end > art_start {
+        let mut costs1 = vec![0.0; art_end];
+        costs1[art_start..art_end].iter_mut().for_each(|c| *c = 1.0);
+        let status = core.optimize(&costs1, |_| true, iter_limit, &mut iterations, &mut y);
+        if status == LpStatus::IterLimit {
+            let (rf, eu) = counters(core);
+            return (
+                LpResult { refactorizations: rf, eta_updates: eu, ..lp_fail(status, iterations) },
+                None,
+            );
+        }
+        let phase1_obj = core.objective(&costs1);
+        if phase1_obj > 1e-6 {
+            let (rf, eu) = counters(core);
+            return (
+                LpResult {
+                    refactorizations: rf,
+                    eta_updates: eu,
+                    ..lp_fail(LpStatus::Infeasible, iterations)
+                },
+                None,
+            );
+        }
+        // Drive remaining artificials out of the basis. Iterate by
+        // artificial column, not by row: a triggered refactorization may
+        // permute the basis-to-row assignment mid-loop.
+        let art_basics: Vec<usize> =
+            core.basis.iter().copied().filter(|&b| b >= art_start).collect();
+        let mut rho: Vec<f64> = Vec::new();
+        let mut w: Vec<f64> = Vec::new();
+        for a in art_basics {
+            let Some(r) = core.basis.iter().position(|&b| b == a) else { continue };
+            core.btran_unit(r, &mut rho);
+            let pivot_col = (0..art_start)
+                .find(|&j| !core.in_basis[j] && Core::dot(core.cols.col(j), &rho).abs() > 1e-6);
+            if let Some(j) = pivot_col {
+                core.ftran_col(j, &mut w);
+                core.pivot(r, j, &w);
+                iterations += 1;
+            }
+            // If no structural pivot exists the row is redundant
+            // (all-zero); the artificial stays basic at value ~0 and we
+            // simply never let artificials re-enter in phase 2.
+        }
+    }
+
+    // ---- Phase 2: minimize the real objective. ----
+    let mut costs2 = vec![0.0; core.ncols()];
+    for (j, v) in model.vars.iter().enumerate() {
+        costs2[j] = v.obj;
+    }
+    let status = core.optimize(&costs2, |c| c < art_start, iter_limit, &mut iterations, &mut y);
+    if status != LpStatus::Optimal {
+        let (rf, eu) = counters(core);
+        return (
+            LpResult { refactorizations: rf, eta_updates: eu, ..lp_fail(status, iterations) },
+            None,
+        );
+    }
+
+    let (rf, eu) = state.counters();
+    let res = extract_optimal(model, &state, &y, iterations, rf as usize, eu as usize);
+    (res, Some(state))
+}
+
+/// The normalized LP of `model` on its starting basis, with no pivot
+/// taken: every row's slack where it has coefficient `+1`, an artificial
+/// elsewhere, and the identity factorization. A model that needs no
+/// basis, or whose bounds cross, is settled here and comes back as
+/// `Err` with its result.
+fn build(model: &Model) -> Result<WarmState, LpResult> {
     let n = model.num_vars();
     let lbs: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
-    let obj_offset: f64 = model.vars.iter().map(|v| v.obj * v.lb).sum();
     let ncons = model.cons.len();
 
     // Shifted RHS per row; rows are model constraints then bound rows.
@@ -487,7 +663,7 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
         if v.ub.is_finite() {
             let range = v.ub - v.lb;
             if range < -TOL {
-                return (lp_fail(LpStatus::Infeasible, 0), None);
+                return Err(lp_fail(LpStatus::Infeasible, 0));
             }
             bound_row_of_var[j] = Some(rhs.len());
             rhs.push(range.max(0.0));
@@ -499,20 +675,18 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
         // No constraints at all: optimum sits at the lower bounds unless
         // some cost is negative (then x_j -> +inf is improving).
         if model.vars.iter().any(|v| v.obj < -TOL) {
-            return (lp_fail(LpStatus::Unbounded, 0), None);
+            return Err(lp_fail(LpStatus::Unbounded, 0));
         }
-        return (
-            LpResult {
-                status: LpStatus::Optimal,
-                x: lbs,
-                objective: obj_offset,
-                iterations: 0,
-                duals: vec![],
-                refactorizations: 0,
-                eta_updates: 0,
-            },
-            None,
-        );
+        let obj_offset: f64 = model.vars.iter().map(|v| v.obj * v.lb).sum();
+        return Err(LpResult {
+            status: LpStatus::Optimal,
+            x: lbs,
+            objective: obj_offset,
+            iterations: 0,
+            duals: vec![],
+            refactorizations: 0,
+            eta_updates: 0,
+        });
     }
 
     let m = rhs.len();
@@ -554,103 +728,31 @@ pub fn solve_with_state(model: &Model, iter_limit: usize) -> (LpResult, Option<W
         cols.push([(r, 1.0)]);
     }
     let art_end = cols.len();
-    let num_arts = art_end - art_start;
 
     let mut in_basis = vec![false; art_end];
     for &b in &basis {
         in_basis[b] = true;
     }
-    let mut core = Core {
-        cols,
-        rows: m,
-        basis,
-        in_basis,
-        xb: b0.clone(),
-        b0,
-        factor: Factor::identity(),
-        refactor_interval: model.refactor_interval,
-    };
-
-    let mut iterations = 0usize;
-    let mut y: Vec<f64> = Vec::new();
-    let counters = |c: &Core| (c.factor.refactorizations as usize, c.factor.eta_updates as usize);
-
-    // ---- Phase 1: minimize the sum of artificials. ----
-    if num_arts > 0 {
-        let mut costs1 = vec![0.0; art_end];
-        costs1[art_start..art_end].iter_mut().for_each(|c| *c = 1.0);
-        let status = core.optimize(&costs1, |_| true, iter_limit, &mut iterations, &mut y);
-        if status == LpStatus::IterLimit {
-            let (rf, eu) = counters(&core);
-            return (
-                LpResult { refactorizations: rf, eta_updates: eu, ..lp_fail(status, iterations) },
-                None,
-            );
-        }
-        let phase1_obj = core.objective(&costs1);
-        if phase1_obj > 1e-6 {
-            let (rf, eu) = counters(&core);
-            return (
-                LpResult {
-                    refactorizations: rf,
-                    eta_updates: eu,
-                    ..lp_fail(LpStatus::Infeasible, iterations)
-                },
-                None,
-            );
-        }
-        // Drive remaining artificials out of the basis. Iterate by
-        // artificial column, not by row: a triggered refactorization may
-        // permute the basis-to-row assignment mid-loop.
-        let art_basics: Vec<usize> =
-            core.basis.iter().copied().filter(|&b| b >= art_start).collect();
-        let mut rho: Vec<f64> = Vec::new();
-        let mut w: Vec<f64> = Vec::new();
-        for a in art_basics {
-            let Some(r) = core.basis.iter().position(|&b| b == a) else { continue };
-            core.btran_unit(r, &mut rho);
-            let pivot_col = (0..art_start)
-                .find(|&j| !core.in_basis[j] && Core::dot(core.cols.col(j), &rho).abs() > 1e-6);
-            if let Some(j) = pivot_col {
-                core.ftran_col(j, &mut w);
-                core.pivot(r, j, &w);
-                iterations += 1;
-            }
-            // If no structural pivot exists the row is redundant
-            // (all-zero); the artificial stays basic at value ~0 and we
-            // simply never let artificials re-enter in phase 2.
-        }
-    }
-
-    // ---- Phase 2: minimize the real objective. ----
-    let mut costs2 = vec![0.0; core.ncols()];
-    for (j, v) in model.vars.iter().enumerate() {
-        costs2[j] = v.obj;
-    }
-    let status = core.optimize(&costs2, |c| c < art_start, iter_limit, &mut iterations, &mut y);
-    if status != LpStatus::Optimal {
-        let (rf, eu) = counters(&core);
-        return (
-            LpResult { refactorizations: rf, eta_updates: eu, ..lp_fail(status, iterations) },
-            None,
-        );
-    }
-
-    let var_of_col = (0..core.ncols()).map(|c| (c < n).then_some(c)).collect();
-    let state = WarmState {
-        c: core,
+    Ok(WarmState {
+        c: Core {
+            cols,
+            rows: m,
+            basis,
+            in_basis,
+            xb: b0.clone(),
+            b0,
+            factor: Factor::identity(),
+            refactor_interval: model.refactor_interval,
+        },
         row_sign,
         art_start,
         art_end,
-        var_of_col,
+        var_of_col: (0..art_end).map(|c| (c < n).then_some(c)).collect(),
         col_of_var: (0..n).collect(),
         bounds: model.vars.iter().map(|v| (v.lb, v.ub)).collect(),
         bound_row_of_var,
         num_cons: ncons,
-    };
-    let (rf, eu) = state.counters();
-    let res = extract_optimal(model, &state, &y, iterations, rf as usize, eu as usize);
-    (res, Some(state))
+    })
 }
 
 /// Solve `model` warm from the basis held in `warm`, cold when there is
