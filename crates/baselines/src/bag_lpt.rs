@@ -8,9 +8,11 @@
 //! proves the resulting loads differ by at most `pmax` and the top machine
 //! ends at most `h + x + pmax` where `x` is the average assigned area.
 //!
-//! [`bag_lpt_assign`] is the reusable primitive (also called by the EPTAS
-//! for priority-bag small jobs and machine groups); [`bag_lpt_schedule`]
-//! wraps it into a standalone baseline over all `m` machines.
+//! [`bag_lpt_assign`] is the primitive, whose Lemma-8 bounds the `lemma8`
+//! experiment measures; [`bag_lpt_schedule`] wraps it into a standalone
+//! baseline over all `m` machines. The EPTAS does not call it: its
+//! small-job placement (`bagsched_core::small`) runs bag-LPT loops of its
+//! own over padded work lists and machine groups.
 
 use bagsched_types::{validate_instance, Instance, InstanceError, JobId, MachineId, Schedule};
 

@@ -93,12 +93,16 @@ use serde::{Deserialize, DeserializeError, Serialize, Value};
 /// `--assert-identical` byte gate sees only the deterministic span
 /// counts. v8 baselines are rejected only for the version stamp —
 /// counters are unchanged — so re-blessing is a plain re-run.
+///
+/// Dropping a counter needs no bump: [`compare`] reads counters by name
+/// and skips a key only the baseline has. v9 documents lost
+/// `warm_start_pivots_saved` that way, once the pricing master's only
+/// cold solve was its first and the estimate against it said nothing.
 pub const SCHEMA_VERSION: u64 = 9;
 
 /// Counters whose *growth* reports an optimization engaging harder, not
 /// the solver working harder; the `--compare` gate never flags them.
-/// `warm_start_pivots_saved` grows when master warm starts skip more
-/// pivots, `node_warm_starts` when more node LPs start from the parent
+/// `node_warm_starts` grows when more node LPs start from the parent
 /// basis instead of cold, and `dual_pivots` is the substitution cost
 /// that rides along with every extra warm start (the total work those
 /// pivots replace is already gated through `simplex_pivots`).
@@ -112,8 +116,7 @@ pub const SCHEMA_VERSION: u64 = 9;
 /// `cache_near_hits` grows when the similarity tier seeds more cold
 /// searches — the probes it saves are gated through `lp_solves` and the
 /// per-guess counters.
-pub const SAVINGS_COUNTERS: [&str; 8] = [
-    "warm_start_pivots_saved",
+pub const SAVINGS_COUNTERS: [&str; 7] = [
     "node_warm_starts",
     "dual_pivots",
     "cache_hits",
@@ -528,10 +531,9 @@ pub fn compare(current: &Baseline, baseline: &Baseline, threshold: f64) -> Compa
             let Some((_, base_val)) = base.counters.iter().find(|(n, _)| n == name) else {
                 continue;
             };
-            // Savings estimates are inverted: growth means the
-            // optimization got *better* (warm starts skipping more
-            // pivots, more nodes warm-started), never that the solver
-            // works harder.
+            // Savings counters are inverted: growth means the
+            // optimization got *better* (more nodes warm-started, more
+            // cache hits), never that the solver works harder.
             if SAVINGS_COUNTERS.contains(&name.as_str()) {
                 continue;
             }
@@ -593,7 +595,6 @@ mod tests {
             pricing_dfs_nodes: 40,
             bag_classes: 2,
             symbols_after_aggregation: 5,
-            warm_start_pivots_saved: 7,
             dual_pivots: 8,
             node_warm_starts: 4,
             tree_columns_generated: 1,

@@ -21,7 +21,7 @@ use crate::assign_large::{assign_large, WorkState};
 use crate::classify::classify;
 use crate::config::EptasConfig;
 use crate::medium_flow::reinsert_medium;
-use crate::milp_model::{PatternSolve, ReplaySeed};
+use crate::milp_model::{PatternSolution, PatternSolve};
 use crate::par::CancelToken;
 use crate::pricing::Enrichment;
 use crate::priority::select_priority;
@@ -159,7 +159,7 @@ pub(crate) fn solve_session_inner(
     // A stale or mismatched seed fails fast (`SeedMismatch`) and the
     // cold search below takes over — a cache collision can cost time,
     // never correctness.
-    let mut best: Option<(Schedule, f64, GuessStats, f64, ReplaySeed)> = None;
+    let mut best: Option<(Schedule, f64, GuessStats, f64, PatternSolution)> = None;
     if let Some(state) = replay {
         report.guesses_tried += 1;
         match try_guess(
@@ -319,7 +319,7 @@ pub(crate) fn solve_session_inner(
 
 /// The per-guess result type shared by the inline walk and the
 /// speculative workers.
-type GuessOutcome = Result<(Schedule, GuessStats, ReplaySeed), GuessFailure>;
+type GuessOutcome = Result<(Schedule, GuessStats, PatternSolution), GuessFailure>;
 
 /// One node of a speculative prediction window: a `(lo, hi)` search
 /// range with its midpoint guess and the two possible continuations.
@@ -570,9 +570,9 @@ fn try_guess(
     inst: &Instance,
     t0: f64,
     stats: &mut Stats,
-    replay: Option<&ReplaySeed>,
+    replay: Option<&PatternSolution>,
     cancel: Option<&CancelToken>,
-) -> Result<(Schedule, GuessStats, ReplaySeed), GuessFailure> {
+) -> Result<(Schedule, GuessStats, PatternSolution), GuessFailure> {
     let _guess_span = obs::Span::enter("guess");
     let mut enrich = Enrichment::default();
     match run_guess(cfg, inst, t0, stats, replay, cancel, &mut enrich) {
@@ -591,10 +591,10 @@ fn run_guess(
     inst: &Instance,
     t0: f64,
     stats: &mut Stats,
-    replay: Option<&ReplaySeed>,
+    replay: Option<&PatternSolution>,
     cancel: Option<&CancelToken>,
     enrich: &mut Enrichment,
-) -> Result<(Schedule, GuessStats, ReplaySeed), GuessFailure> {
+) -> Result<(Schedule, GuessStats, PatternSolution), GuessFailure> {
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
     let (rounded, trans) = {
@@ -626,12 +626,12 @@ fn run_guess(
     if cancelled() {
         return Err(GuessFailure::Cancelled);
     }
-    let (ps, out, seed) = (sol.patterns, sol.outcome, sol.seed);
+    let (ps, out) = (&sol.patterns, &sol.outcome);
 
     let mut state = WorkState::new(trans.tinst.num_jobs(), inst.num_machines());
     let (la, lemma7_swaps) = {
         let _span = obs::Span::enter("place.large");
-        let la = assign_large(&trans, &ps, &out.x, &mut state)?;
+        let la = assign_large(&trans, ps, &out.x, &mut state)?;
         // repair_conflicts records its swaps into `stats` itself, so
         // work done before a SwapRepair abort is not lost.
         let lemma7_swaps = repair_conflicts(&trans, &mut state, &la.conflicts, stats)?;
@@ -640,7 +640,7 @@ fn run_guess(
 
     let small_stats = {
         let _span = obs::Span::enter("place.small");
-        place_priority_smalls(&trans, &ps, &out, &la.machine_pattern, &mut state);
+        place_priority_smalls(&trans, ps, out, &la.machine_pattern, &mut state);
         place_nonpriority_smalls(&trans, cfg.epsilon, &mut state);
         repair_priority_conflicts(&trans, &la.origin, &mut state)
     };
@@ -672,7 +672,7 @@ fn run_guess(
         medium_reinserted: mediums.len(),
         filler_jobs: trans.filler_for.iter().filter(|f| f.is_some()).count(),
     };
-    Ok((schedule, gstats, seed))
+    Ok((schedule, gstats, sol))
 }
 
 /// Move conflicting jobs to the least-loaded conflict-free machine until
@@ -903,9 +903,9 @@ mod tests {
         for (name, value) in stats.named() {
             // The seed pool can already be LP-complete, in which case the
             // pricing loop converges without generating a single column;
-            // the aggregation/warm-start counters stay zero when the
-            // accepted guess has no priority bags at all (everything
-            // small) — the clustered test below covers them.
+            // the aggregation counters stay zero when the accepted guess
+            // has no priority bags at all (everything small) — the
+            // clustered test below covers them.
             // The branch-and-price trio is conditional too: dual pivots /
             // node warm starts need a node LP that actually re-optimizes
             // (a dive of all-optimal-at-parent-basis children pivots
@@ -927,7 +927,6 @@ mod tests {
                 "columns_generated"
                     | "bag_classes"
                     | "symbols_after_aggregation"
-                    | "warm_start_pivots_saved"
                     | "dual_pivots"
                     | "node_warm_starts"
                     | "tree_columns_generated"
@@ -987,9 +986,7 @@ mod tests {
     #[test]
     fn aggregation_counters_populate_on_clustered_instances() {
         // Tight clustered instances have priority bags at every real
-        // guess, so the class/aggregation counters must be live, and the
-        // pricing loop runs enough master re-solves for the warm-start
-        // saving estimate to be positive.
+        // guess, so the class/aggregation counters must be live.
         let inst = gen::clustered(60, 20, 20, 5, 2);
         let r = Solver::with_epsilon(0.5).solve_instance(&inst).unwrap();
         let stats = &r.report.stats;
@@ -999,7 +996,6 @@ mod tests {
             stats.bag_classes <= stats.symbols_after_aggregation,
             "a class contributes at least one symbol"
         );
-        assert!(stats.warm_start_pivots_saved > 0, "warm starts saved no pivots");
     }
 
     #[test]

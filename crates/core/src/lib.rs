@@ -78,6 +78,6 @@ pub use bagsched_types::obs;
 
 pub use config::EptasConfig;
 pub use driver::{EptasError, EptasResult};
-pub use milp_model::{PatternSolution, PatternSolve, ReplaySeed};
+pub use milp_model::{PatternSolution, PatternSolve};
 pub use report::{EptasReport, Stats};
 pub use solver::{CacheCounters, Solver, SolverState};

@@ -126,67 +126,34 @@ impl Partition {
     }
 }
 
-/// Replayable state of one successful pattern solve, captured by
-/// [`PatternSolve::run`] and consumed by [`PatternSolve::replay`]: the
-/// partition the solve ran over, the rounded guess, the symbol table and
-/// the solution the placement phases consumed.
+/// Solution of one [`PatternSolve::run`], and the seed that replays it:
+/// the pool the downstream placement phases consume (tree-priced tail
+/// included) and the MILP outcome over it, plus the partition the solve
+/// ran over, the rounded guess and the symbol table.
 ///
-/// Replaying skips the whole pattern phase — pricing rounds and the
-/// restricted MILP — and hands the captured solution straight to
-/// placement. Validation is structural: the rounded guess and the symbol
-/// table of the rebuilt partition (sizes, bags *and* availabilities) must
-/// match bit-exactly, so replaying against a mismatched instance (a
-/// fingerprint collision upstream) fails with
+/// Replaying ([`PatternSolve::replay`]) skips the whole pattern phase —
+/// pricing rounds and the restricted MILP — and hands the solution
+/// straight to placement. Validation is structural: the rounded guess and
+/// the symbol table of the rebuilt partition (sizes, bags *and*
+/// availabilities) must match bit-exactly, so replaying against a
+/// mismatched instance (a fingerprint collision upstream) fails with
 /// [`GuessFailure::SeedMismatch`] instead of mis-scheduling.
 #[derive(Debug, Clone)]
-pub struct ReplaySeed {
+pub struct PatternSolution {
+    /// The final (post-extension, post-declass) pattern set the placement
+    /// phases consume (`outcome.x`'s index space).
+    pub patterns: PatternSet,
+    /// The integral outcome over `patterns`.
+    pub outcome: MilpOutcome,
     partition: Partition,
-    /// `trans.t` at capture; replay requires a bit-exact match.
+    /// `trans.t` of the solve; replay requires a bit-exact match.
     t: f64,
     /// The symbol table the solve priced over (replay validation).
     symbols: Vec<Symbol>,
-    /// The final (post-extension, post-declass) pattern set the
-    /// placement phases consumed.
-    patterns: PatternSet,
-    /// The integral outcome over `patterns`.
-    outcome: MilpOutcome,
-}
-
-/// Solution of one [`PatternSolve::run`]: the pool the downstream
-/// placement phases consume (tree-priced tail included), the MILP
-/// outcome over it, and the replay seed for the next identical solve.
-#[derive(Debug, Clone)]
-pub struct PatternSolution {
-    /// The solved pattern set (`outcome.x`'s index space).
-    pub patterns: PatternSet,
-    /// The MILP solution over `patterns`.
-    pub outcome: MilpOutcome,
-    /// Replayable state of this solve.
-    pub seed: ReplaySeed,
-}
-
-impl PatternSolution {
-    /// Wrap a solved pattern set together with the seed that replays it.
-    fn capture(
-        partition: Partition,
-        trans: &Transformed,
-        symbols: Vec<Symbol>,
-        patterns: PatternSet,
-        outcome: MilpOutcome,
-    ) -> Self {
-        let seed = ReplaySeed {
-            partition,
-            t: trans.t,
-            symbols,
-            patterns: patterns.clone(),
-            outcome: outcome.clone(),
-        };
-        PatternSolution { patterns, outcome, seed }
-    }
 }
 
 /// Builder for one guess's pattern phase: generate patterns and solve the
-/// MILP, or replay a cached [`ReplaySeed`]; then
+/// MILP, or replay a cached [`PatternSolution`]; then
 /// [`run`](PatternSolve::run).
 ///
 /// ```
@@ -209,14 +176,14 @@ impl PatternSolution {
 ///
 /// let mut stats = Stats::default();
 /// let sol = PatternSolve::new(&trans, &cfg).run(&mut stats).expect("the guess fits");
-/// let again = PatternSolve::new(&trans, &cfg).replay(&sol.seed).run(&mut stats).unwrap();
+/// let again = PatternSolve::new(&trans, &cfg).replay(&sol).run(&mut stats).unwrap();
 /// assert_eq!(again.outcome.x, sol.outcome.x);
 /// ```
 #[derive(Debug)]
 pub struct PatternSolve<'a> {
     trans: &'a Transformed,
     cfg: &'a EptasConfig,
-    replay: Option<&'a ReplaySeed>,
+    replay: Option<&'a PatternSolution>,
     cancel: Option<&'a CancelToken>,
     enrich: Option<&'a mut Enrichment>,
 }
@@ -227,8 +194,8 @@ impl<'a> PatternSolve<'a> {
         PatternSolve { trans, cfg, replay: None, cancel: None, enrich: None }
     }
 
-    /// Replay a cached seed instead of generating patterns.
-    pub fn replay(mut self, seed: &'a ReplaySeed) -> Self {
+    /// Replay a cached solution instead of generating patterns.
+    pub fn replay(mut self, seed: &'a PatternSolution) -> Self {
         self.replay = Some(seed);
         self
     }
@@ -371,8 +338,8 @@ enum Unsolved {
 }
 
 /// One rung of the ladder: price a pool over the partition's symbols,
-/// solve the restricted MILP over it with in-tree pricing, de-class the
-/// result unless the partition is per-bag, and capture the replay seed.
+/// solve the restricted MILP over it with in-tree pricing, and de-class
+/// the result unless the partition is per-bag.
 fn solve_over(
     trans: &Transformed,
     cfg: &EptasConfig,
@@ -401,21 +368,20 @@ fn solve_over(
         .map_err(Unsolved::Inconclusive)?;
     let ps = ext.unwrap_or(ps);
     let symbols = ps.symbols.clone();
-    let (ps, out) = if partition == Partition::PerBag {
+    let (patterns, outcome) = if partition == Partition::PerBag {
         (ps, out)
     } else {
         crate::declass::declass(trans, classes, &ps, &out, stats).map_err(Unsolved::Inconclusive)?
     };
-    Ok(PatternSolution::capture(partition, trans, symbols, ps, out))
+    Ok(PatternSolution { patterns, outcome, partition, t: trans.t, symbols })
 }
 
-/// Replay a cached seed: rebuild the recorded partition, compare its
-/// symbol table with the seed's, and hand the captured solution to
-/// placement.
+/// Replay a cached solution: rebuild the recorded partition, compare its
+/// symbol table with the seed's, and hand the solution to placement.
 fn replay(
     trans: &Transformed,
     cfg: &EptasConfig,
-    seed: &ReplaySeed,
+    seed: &PatternSolution,
 ) -> Result<PatternSolution, GuessFailure> {
     // The rounded guess pins the whole size geometry; a drifted `t`
     // means the seed belongs to a different guess grid.
@@ -429,16 +395,12 @@ fn replay(
         return Err(GuessFailure::SeedMismatch);
     }
     // The symbol table (availabilities included) matched bit-exactly, so
-    // the captured multiplicities place this instance's large/priority
+    // the cached multiplicities place this instance's large/priority
     // jobs decision for decision. Anything the outcome cannot cover
     // (e.g. a drifted small-job area on a colliding fingerprint) fails
     // in a placement phase as an ordinary `GuessFailure` and the driver
     // solves cold.
-    Ok(PatternSolution {
-        patterns: seed.patterns.clone(),
-        outcome: seed.outcome.clone(),
-        seed: seed.clone(),
-    })
+    Ok(seed.clone())
 }
 
 /// The one place pattern sets grow a tree-priced tail: patterns append in
@@ -515,14 +477,13 @@ fn solve_restricted(
     });
     let driver =
         ladder.map(|_| TreePriceDriver::new(&ps.symbols, &ctx, trans.t, cfg, &ps.patterns));
-    let (res, tree_patterns, tree_x) = run_milp(&model, stats, driver, cancel, root);
+    let (res, tree_patterns) = run_milp(&model, stats, driver, cancel, root);
     record_milp(stats, &res);
-    let np = ps.patterns.len();
+    // `res.x` spans every column: the pool's, then the tree-priced ones
+    // in the order they were appended.
     let xs: Vec<u32> = match res.status {
         MilpStatus::Optimal | MilpStatus::Feasible => {
-            let mut xs: Vec<u32> = res.x[..np].iter().map(|&v| v.round() as u32).collect();
-            xs.extend(tree_x);
-            xs
+            res.x.iter().map(|&v| v.round() as u32).collect()
         }
         MilpStatus::Infeasible => return Err(GuessFailure::MilpInfeasible),
         // A budget stop under a tripped token is a cancellation, not a
@@ -686,28 +647,21 @@ fn milp_options(cancel: Option<&CancelToken>) -> MilpOptions {
 
 /// Run the restricted MILP from the root basis `root`, with the in-tree
 /// pricer attached when `tree` is set. Returns the raw result plus the
-/// tree-priced patterns and their solution values (the tail of the
-/// extended `x` index space).
+/// tree-priced patterns, in column order.
 fn run_milp(
     model: &Model,
     stats: &mut Stats,
     tree: Option<TreePriceDriver<'_>>,
     cancel: Option<&CancelToken>,
     root: Option<WarmState>,
-) -> (MilpResult, Vec<Pattern>, Vec<u32>) {
+) -> (MilpResult, Vec<Pattern>) {
     match tree {
         Some(mut driver) => {
             let res = solve_milp_with(model, &milp_options(cancel), Some(&mut driver), root);
             stats.add(&driver.stats);
-            let tree_x = match res.status {
-                MilpStatus::Optimal | MilpStatus::Feasible => {
-                    driver.new_vars.iter().map(|&v| res.x[v.0].round() as u32).collect()
-                }
-                _ => Vec::new(),
-            };
-            (res, driver.new_patterns, tree_x)
+            (res, driver.new_patterns)
         }
-        None => (solve_milp_with(model, &milp_options(cancel), None, root), Vec::new(), Vec::new()),
+        None => (solve_milp_with(model, &milp_options(cancel), None, root), Vec::new()),
     }
 }
 

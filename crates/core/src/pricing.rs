@@ -31,10 +31,12 @@
 //!   stops after `ENRICH_ROUNDS` (8) rounds unless the caller lets a
 //!   narrow master run to convergence ([`Enrichment`]);
 //! * **one cold LP:** only the first master solve of phase A starts
-//!   cold (and a periodic refresh, `WARM_REFRESH_EVERY`). Phase B
-//!   continues from phase A's basis, and [`Pricing::Converged`] hands the
-//!   master's final basis to the restricted MILP, whose root LP starts
-//!   from it. The driver's retry of a failed guess restarts both cold.
+//!   cold. Every later master solve re-optimizes the previous basis
+//!   (`solve_warm` itself falls back cold on a refused or
+//!   iteration-limited attempt), phase B continues from phase A's basis,
+//!   and [`Pricing::Converged`] hands the master's final basis to the
+//!   restricted MILP, whose root LP starts from it. The driver's retry of
+//!   a failed guess restarts phase B and the root cold.
 //!
 //! The pool is seeded with the empty pattern, one singleton per symbol,
 //! and LPT-packed patterns, and holds orders of magnitude fewer patterns
@@ -93,12 +95,6 @@ pub enum Pricing {
 /// on the dense tableau the sparse engine replaced; it has not been
 /// re-measured since.
 const COLS_PER_ROUND: usize = 4;
-
-/// Warm-started master re-solves accumulate floating-point drift in the
-/// reused basis; a periodic cold refresh bounds it (the revised engine
-/// additionally refactorizes every 32 pivots, the `Model` default,
-/// *within* a solve).
-const WARM_REFRESH_EVERY: usize = 32;
 
 /// Consecutive master re-solves a nonbasic column must price above
 /// [`EptasConfig::column_purge_threshold`] before it is purged.
@@ -172,9 +168,7 @@ pub(crate) type PatternKey = Vec<(usize, u16)>;
 /// (the pattern itself never leaves the pool or the dedup key set, so
 /// pricing cannot re-propose it and the re-admission guard can bring it
 /// back). `streak[i]` counts the consecutive re-solves it spent nonbasic
-/// above the purge threshold. The warm-start basis rides along with the
-/// pivot count of the last cold solve (the baseline that
-/// [`Stats::warm_start_pivots_saved`] is estimated against).
+/// above the purge threshold. The warm-start basis rides along.
 struct Master {
     model: Model,
     /// The overflow variables of phase A: machine overflow and area
@@ -195,8 +189,6 @@ struct Master {
     col_cost: f64,
     purge_threshold: f64,
     warm: Option<WarmState>,
-    last_cold_pivots: u64,
-    solves_since_refresh: usize,
 }
 
 impl Master {
@@ -231,8 +223,6 @@ impl Master {
             col_cost: 0.0,
             purge_threshold: cfg.column_purge_threshold,
             warm: None,
-            last_cold_pivots: 0,
-            solves_since_refresh: 0,
         };
         for i in 0..master.pool.len() {
             let v = master.add_column(i);
@@ -248,35 +238,20 @@ impl Master {
         self.model.add_column(self.col_cost, 0.0, f64::INFINITY, &col)
     }
 
-    /// Drop the warm basis and restart the refresh cadence.
-    fn invalidate(&mut self) {
-        self.warm = None;
-        self.solves_since_refresh = 0;
-    }
-
     /// One master LP solve: warm when a basis is available, cold
-    /// otherwise, with a periodic cold refresh for numerical hygiene.
-    /// Counts pivots/solves and the warm-start saving estimate.
+    /// otherwise. Counts the solve, its pivots and its basis updates.
+    ///
+    /// The basis is never dropped for numerical hygiene: the engine
+    /// refactorizes every 32 pivots (the `Model` default) and recomputes
+    /// the basic solution from the right-hand side when it does, as
+    /// branch-and-bound relies on for its chains of warm node re-solves.
     fn solve_once(&mut self, stats: &mut Stats) -> LpResult {
         let _span = obs::Span::enter("pricing.master_lp");
         stats.lp_solves += 1;
-        self.solves_since_refresh += 1;
-        if self.solves_since_refresh >= WARM_REFRESH_EVERY {
-            self.invalidate();
-            self.solves_since_refresh = 1;
-        }
-        let (lp, was_warm) = self.model.solve_lp_with(&mut self.warm);
+        let (lp, _) = self.model.solve_lp_with(&mut self.warm);
         stats.simplex_pivots += lp.iterations as u64;
         stats.basis_refactorizations += lp.refactorizations as u64;
         stats.eta_updates += lp.eta_updates as u64;
-        if was_warm {
-            // A cold re-solve would have paid roughly what the last cold
-            // solve of this master did; the warm basis skips most of it.
-            stats.warm_start_pivots_saved +=
-                self.last_cold_pivots.saturating_sub(lp.iterations as u64);
-        } else {
-            self.last_cold_pivots = lp.iterations as u64;
-        }
         lp
     }
 
@@ -384,29 +359,39 @@ impl Master {
         }
         self.streak.iter_mut().for_each(|s| *s = 0);
         if cold {
-            self.invalidate();
+            self.warm = None;
         }
     }
 
     /// The basis of the last master solve over the pool, or `None` when
-    /// it kept no state: pool indices for the basic pattern columns (the
-    /// overflow variables drop out) and the master rows with a basic
-    /// slack.
+    /// it kept no state: pool indices for the basic pattern columns and
+    /// the master rows with a basic slack.
+    ///
+    /// The restricted MILP has no overflow variables, so a basic one
+    /// (degenerate at zero once phase B pins it) stands in for its row's
+    /// slack: `z_machines` is `-1` in row 0 alone and `z_area` `+1` in
+    /// row `S + 1` alone, each a multiple of that row's unit column. That
+    /// slack is nonbasic while the overflow variable is basic, so the
+    /// swap keeps the basis square and nonsingular.
     fn pool_basis(&self) -> Option<Basis> {
-        let basis = self.warm.as_ref()?.basis();
+        let mut basis = self.warm.as_ref()?.basis();
         let mut pool_of_var = vec![usize::MAX; self.model.num_vars()];
         for (i, c) in self.cols.iter().enumerate() {
             if let Some(v) = c {
                 pool_of_var[v.0] = i;
             }
         }
-        let vars = basis
-            .vars
-            .iter()
-            .map(|v| pool_of_var[v.0])
-            .filter(|&i| i != usize::MAX)
-            .map(VarId)
-            .collect();
+        let [z_machines, z_area] = self.overflow;
+        let mut vars = Vec::with_capacity(basis.vars.len());
+        for v in basis.vars {
+            if v == z_machines {
+                basis.slack_rows.push(0);
+            } else if v == z_area {
+                basis.slack_rows.push(self.num_symbols + 1);
+            } else {
+                vars.push(VarId(pool_of_var[v.0]));
+            }
+        }
         Some(Basis { vars, slack_rows: basis.slack_rows })
     }
 
@@ -733,8 +718,6 @@ pub(crate) struct TreePriceDriver<'a> {
     keys: HashSet<PatternKey>,
     /// Patterns appended to the model, in column order.
     pub new_patterns: Vec<Pattern>,
-    /// The model variables of `new_patterns`, in the same order.
-    pub new_vars: Vec<VarId>,
     rounds_left: usize,
     /// Local counter accumulation (pricing DFS nodes), merged into the
     /// run stats by the caller after the MILP solve.
@@ -759,7 +742,6 @@ impl<'a> TreePriceDriver<'a> {
             cfg,
             keys: pool.iter().map(|p| p.entries.clone()).collect(),
             new_patterns: Vec::new(),
-            new_vars: Vec::new(),
             rounds_left: TREE_ROUND_CAP,
             stats: Stats::default(),
             next_obj_index: pool.len(),
@@ -792,7 +774,6 @@ impl bagsched_milp::TreePricer for TreePriceDriver<'_> {
             model.set_integer(v, true);
             self.keys.insert(pat.entries.clone());
             self.new_patterns.push(pat);
-            self.new_vars.push(v);
             added.push(v);
         }
         added

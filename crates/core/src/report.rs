@@ -117,10 +117,6 @@ pub struct Stats {
     /// count of the same instance is what the pre-aggregation master
     /// would have carried.
     pub symbols_after_aggregation: u64,
-    /// Estimated pivots the warm-started master re-solves skipped: per
-    /// warm re-solve, the last cold solve's pivot count minus the warm
-    /// pivot count (floored at zero).
-    pub warm_start_pivots_saved: u64,
     /// Dual-simplex pivots spent re-optimizing warm branch-and-bound
     /// node LPs (a subset of `simplex_pivots`): the actual cost of the
     /// branching bound changes, paid instead of cold node solves.
@@ -231,7 +227,6 @@ impl Stats {
         self.pricing_dfs_nodes += other.pricing_dfs_nodes;
         self.bag_classes += other.bag_classes;
         self.symbols_after_aggregation += other.symbols_after_aggregation;
-        self.warm_start_pivots_saved += other.warm_start_pivots_saved;
         self.dual_pivots += other.dual_pivots;
         self.node_warm_starts += other.node_warm_starts;
         self.tree_columns_generated += other.tree_columns_generated;
@@ -257,7 +252,7 @@ impl Stats {
     /// The counters as `(name, value)` pairs, in schema order. The bench
     /// JSON emitter and the CLI both render from this single source so the
     /// on-disk schema cannot drift from the struct.
-    pub fn named(&self) -> [(&'static str, u64); 33] {
+    pub fn named(&self) -> [(&'static str, u64); 32] {
         [
             ("patterns_enumerated", self.patterns_enumerated),
             ("simplex_pivots", self.simplex_pivots),
@@ -271,7 +266,6 @@ impl Stats {
             ("pricing_dfs_nodes", self.pricing_dfs_nodes),
             ("bag_classes", self.bag_classes),
             ("symbols_after_aggregation", self.symbols_after_aggregation),
-            ("warm_start_pivots_saved", self.warm_start_pivots_saved),
             ("dual_pivots", self.dual_pivots),
             ("node_warm_starts", self.node_warm_starts),
             ("tree_columns_generated", self.tree_columns_generated),
@@ -394,7 +388,6 @@ mod tests {
             pricing_dfs_nodes: 10,
             bag_classes: 11,
             symbols_after_aggregation: 12,
-            warm_start_pivots_saved: 13,
             dual_pivots: 14,
             node_warm_starts: 15,
             tree_columns_generated: 16,

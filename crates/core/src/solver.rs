@@ -24,7 +24,7 @@
 
 use crate::config::EptasConfig;
 use crate::driver::{solve_session_inner, EptasError, EptasResult};
-use crate::milp_model::ReplaySeed;
+use crate::milp_model::PatternSolution;
 use bagsched_types::{
     coarse_fingerprint, fingerprint, CacheTag, Instance, SolveRequest, SolveResponse,
 };
@@ -40,8 +40,8 @@ use std::time::Instant;
 pub struct SolverState {
     /// The winning makespan guess of the captured solve.
     pub(crate) chosen_guess: f64,
-    /// The pattern-phase replay seed (partition, symbols, solution).
-    pub(crate) seed: ReplaySeed,
+    /// The pattern-phase solution of that guess, its replay seed.
+    pub(crate) seed: PatternSolution,
 }
 
 impl SolverState {
@@ -392,6 +392,12 @@ impl Solver {
                 }
             }
             if let Some(state) = state {
+                // A miss caches a copy of its state: the solve's own
+                // vectors keep the slack they grew with, which every
+                // resident state would hold (64 cached n=120 states:
+                // ~0.5 MB more peak RSS), while a clone allocates each
+                // at its length. A hit's state already is such a copy.
+                let state = if res.report.replayed { state } else { state.clone() };
                 let mut lru = lock_cache(cache);
                 lru.put_near(near_key, state.chosen_guess);
                 if lru.put(key, state) {

@@ -55,6 +55,47 @@ pub struct Transformed {
     pub t: f64,
 }
 
+/// The transformed instance under construction: the instance builder
+/// plus the per-job vectors of [`Transformed`], pushed in step.
+struct Builder {
+    builder: InstanceBuilder,
+    to_orig: Vec<Option<JobId>>,
+    filler_for: Vec<Option<JobId>>,
+    texp: Vec<SizeExp>,
+    tclass: Vec<JobClass>,
+}
+
+impl Builder {
+    fn new(machines: usize) -> Self {
+        Builder {
+            builder: InstanceBuilder::new(machines),
+            to_orig: Vec::new(),
+            filler_for: Vec::new(),
+            texp: Vec::new(),
+            tclass: Vec::new(),
+        }
+    }
+
+    /// Append a transformed job in external bag `ext`: the real job
+    /// `orig`, or (`orig` = `None`) the filler for `filler`.
+    fn push(
+        &mut self,
+        size: f64,
+        ext: u32,
+        orig: Option<JobId>,
+        filler: Option<JobId>,
+        exp: SizeExp,
+        cls: JobClass,
+    ) -> JobId {
+        let tid = self.builder.push(size, ext);
+        self.to_orig.push(orig);
+        self.filler_for.push(filler);
+        self.texp.push(exp);
+        self.tclass.push(cls);
+        tid
+    }
+}
+
 /// Apply the transformation.
 pub fn transform(
     inst: &Instance,
@@ -64,54 +105,24 @@ pub fn transform(
 ) -> Transformed {
     let eps = rounded.epsilon;
     let b = inst.num_bags();
-    let mut builder = InstanceBuilder::new(inst.num_machines());
-    let mut to_orig: Vec<Option<JobId>> = Vec::new();
-    let mut filler_for: Vec<Option<JobId>> = Vec::new();
-    let mut texp: Vec<SizeExp> = Vec::new();
-    let mut tclass: Vec<JobClass> = Vec::new();
+    let mut out = Builder::new(inst.num_machines());
     let mut from_orig: Vec<Option<JobId>> = vec![None; inst.num_jobs()];
     let mut removed_medium: Vec<JobId> = Vec::new();
     let mut was_modified = vec![false; b];
 
-    // External bag ids for the builder: 2l = the bag itself (or its small
-    // side), 2l + 1 = the large side of a split bag.
-    let push = |builder: &mut InstanceBuilder,
-                size: f64,
-                ext: u32,
-                orig: Option<JobId>,
-                filler: Option<JobId>,
-                exp: SizeExp,
-                cls: JobClass,
-                to_orig: &mut Vec<Option<JobId>>,
-                filler_for: &mut Vec<Option<JobId>>,
-                texp: &mut Vec<SizeExp>,
-                tclass: &mut Vec<JobClass>| {
-        let tid = builder.push(size, ext);
-        to_orig.push(orig);
-        filler_for.push(filler);
-        texp.push(exp);
-        tclass.push(cls);
-        tid
+    // A real job keeps its rounded size, exponent and class.
+    let real = |out: &mut Builder, j: JobId, ext: u32| {
+        let (size, exp) = (rounded.size[j.idx()], rounded.exp[j.idx()]);
+        out.push(size, ext, Some(j), None, exp, class.of(j.idx()))
     };
-
     for (bag, members) in inst.bags() {
         let l = bag.idx();
+        // External bag ids for the builder: 2l = the bag itself (or its
+        // small side), 2l + 1 = the large side of a split bag.
+        let (side, large_side) = (2 * l as u32, 2 * l as u32 + 1);
         if priority.is_priority[l] {
             for &j in members {
-                let tid = push(
-                    &mut builder,
-                    rounded.size[j.idx()],
-                    2 * l as u32,
-                    Some(j),
-                    None,
-                    rounded.exp[j.idx()],
-                    class.of(j.idx()),
-                    &mut to_orig,
-                    &mut filler_for,
-                    &mut texp,
-                    &mut tclass,
-                );
-                from_orig[j.idx()] = Some(tid);
+                from_orig[j.idx()] = Some(real(&mut out, j, side));
             }
             continue;
         }
@@ -123,20 +134,7 @@ pub fn transform(
         let Some(&pmax_job) = pmax else {
             // No small jobs: the bag is left unmodified (paper §2.2).
             for &j in members {
-                let tid = push(
-                    &mut builder,
-                    rounded.size[j.idx()],
-                    2 * l as u32,
-                    Some(j),
-                    None,
-                    rounded.exp[j.idx()],
-                    class.of(j.idx()),
-                    &mut to_orig,
-                    &mut filler_for,
-                    &mut texp,
-                    &mut tclass,
-                );
-                from_orig[j.idx()] = Some(tid);
+                from_orig[j.idx()] = Some(real(&mut out, j, side));
             }
             continue;
         };
@@ -145,74 +143,23 @@ pub fn transform(
         let pmax_exp = rounded.exp[pmax_job.idx()];
         for &j in members {
             match class.of(j.idx()) {
-                JobClass::Small => {
-                    let tid = push(
-                        &mut builder,
-                        rounded.size[j.idx()],
-                        2 * l as u32,
-                        Some(j),
-                        None,
-                        rounded.exp[j.idx()],
-                        JobClass::Small,
-                        &mut to_orig,
-                        &mut filler_for,
-                        &mut texp,
-                        &mut tclass,
-                    );
-                    from_orig[j.idx()] = Some(tid);
-                }
+                JobClass::Small => from_orig[j.idx()] = Some(real(&mut out, j, side)),
                 JobClass::Large => {
                     // Real job moves to the large side...
-                    let tid = push(
-                        &mut builder,
-                        rounded.size[j.idx()],
-                        2 * l as u32 + 1,
-                        Some(j),
-                        None,
-                        rounded.exp[j.idx()],
-                        JobClass::Large,
-                        &mut to_orig,
-                        &mut filler_for,
-                        &mut texp,
-                        &mut tclass,
-                    );
-                    from_orig[j.idx()] = Some(tid);
+                    from_orig[j.idx()] = Some(real(&mut out, j, large_side));
                     // ...and a filler of size pmax joins the small side.
-                    push(
-                        &mut builder,
-                        pmax_size,
-                        2 * l as u32,
-                        None,
-                        Some(j),
-                        pmax_exp,
-                        JobClass::Small,
-                        &mut to_orig,
-                        &mut filler_for,
-                        &mut texp,
-                        &mut tclass,
-                    );
+                    out.push(pmax_size, side, None, Some(j), pmax_exp, JobClass::Small);
                 }
                 JobClass::Medium => {
                     // The medium job is set aside; only its filler remains.
                     removed_medium.push(j);
-                    push(
-                        &mut builder,
-                        pmax_size,
-                        2 * l as u32,
-                        None,
-                        Some(j),
-                        pmax_exp,
-                        JobClass::Small,
-                        &mut to_orig,
-                        &mut filler_for,
-                        &mut texp,
-                        &mut tclass,
-                    );
+                    out.push(pmax_size, side, None, Some(j), pmax_exp, JobClass::Small);
                 }
             }
         }
     }
 
+    let Builder { builder, to_orig, filler_for, texp, tclass } = out;
     let tinst = builder.build();
 
     // Reconstruct bag-level maps from the members.

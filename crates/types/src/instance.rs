@@ -1,6 +1,7 @@
 //! Problem instances: jobs, bags, machines.
 
 use serde::{Deserialize, DeserializeError, Serialize, Value};
+use std::collections::HashMap;
 
 /// Index of a job within an [`Instance`] (dense, `0..n`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -291,13 +292,14 @@ impl Instance {
 pub struct InstanceBuilder {
     jobs: Vec<Job>,
     machines: usize,
-    bag_remap: Vec<(u32, u32)>,
+    /// External bag id -> dense bag id.
+    bag_remap: HashMap<u32, u32>,
 }
 
 impl InstanceBuilder {
     /// Start building an instance on `machines` identical machines.
     pub fn new(machines: usize) -> Self {
-        InstanceBuilder { jobs: Vec::new(), machines, bag_remap: Vec::new() }
+        InstanceBuilder { jobs: Vec::new(), machines, bag_remap: HashMap::new() }
     }
 
     /// Append a job with processing time `size` in external bag `bag`.
@@ -309,24 +311,11 @@ impl InstanceBuilder {
             size > 0.0 && size.is_finite(),
             "job sizes must be positive and finite, got {size}"
         );
-        let dense = match self.bag_remap.iter().find(|&&(ext, _)| ext == bag) {
-            Some(&(_, dense)) => dense,
-            None => {
-                let dense = self.bag_remap.len() as u32;
-                self.bag_remap.push((bag, dense));
-                dense
-            }
-        };
+        let fresh = self.bag_remap.len() as u32;
+        let dense = *self.bag_remap.entry(bag).or_insert(fresh);
         let id = JobId(self.jobs.len() as u32);
         self.jobs.push(Job { id, size, bag: BagId(dense) });
         id
-    }
-
-    /// Append a job in its own fresh singleton bag.
-    pub fn push_singleton(&mut self, size: f64) -> JobId {
-        let fresh =
-            self.bag_remap.iter().map(|&(ext, _)| ext).max().map_or(0, |m| m.wrapping_add(1));
-        self.push(size, fresh)
     }
 
     /// Number of jobs pushed so far.
@@ -357,17 +346,7 @@ mod tests {
         assert_eq!(inst.bag_of(JobId(0)), inst.bag_of(JobId(2)));
         assert_ne!(inst.bag_of(JobId(0)), inst.bag_of(JobId(1)));
         assert_eq!(inst.bag(BagId(0)), &[JobId(0), JobId(2)]);
-    }
-
-    #[test]
-    fn singleton_bags_are_fresh() {
-        let mut b = InstanceBuilder::new(4);
-        b.push(1.0, 0);
-        b.push_singleton(2.0);
-        b.push_singleton(3.0);
-        let inst = b.build();
-        assert_eq!(inst.num_bags(), 3);
-        assert_eq!(inst.max_bag_size(), 1);
+        assert_eq!(inst.bag_of(JobId(1)), BagId(1), "dense ids follow first-seen order");
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! change to the branch-and-price trees from noise, since single trees
 //! move several-fold either way; the sums over these 60 can.
 //!
-//! Every cell must take the priced path with no failed guess, and the
-//! summed branch-and-bound nodes and simplex pivots must stay below the
-//! sweep's totals with phase B and the restricted MILP's root started
-//! cold: 2,165 nodes and 98,007 pivots.
+//! Every cell must take the priced path with no failed guess and solve
+//! one LP cold per guess (one `milp.simplex` span: phase A's first master
+//! solve), and the summed branch-and-bound nodes and simplex pivots must
+//! stay below the sweep's totals with phase B and the restricted MILP's
+//! root started cold: 2,165 nodes and 98,007 pivots.
 
-use bagsched::eptas::{EptasConfig, Solver};
+use bagsched::eptas::{obs, EptasConfig, Solver};
 use bagsched::types::{gen, validate_schedule};
 
 /// Summed nodes and simplex pivots of the sweep with a cold phase B and a
@@ -31,9 +32,13 @@ fn the_tight_sweep_stays_on_the_priced_path_with_fewer_nodes_and_pivots() {
                     for &(n, seed) in cells.iter().skip(w).step_by(2) {
                         let tag = format!("n={n} seed {seed}");
                         let inst = gen::clustered(n, n / 3, n / 3, 5, seed);
-                        let r = Solver::new(EptasConfig::with_epsilon(0.5))
-                            .solve_instance(&inst)
-                            .unwrap();
+                        let rec = obs::Recorder::new();
+                        let r = {
+                            let _obs = rec.install("tight-sweep");
+                            Solver::new(EptasConfig::with_epsilon(0.5))
+                                .solve_instance(&inst)
+                                .unwrap()
+                        };
                         validate_schedule(&inst, &r.schedule)
                             .unwrap_or_else(|e| panic!("{tag}: {e}"));
                         assert!(!r.report.fell_back_to_lpt, "{tag}: fell back to LPT");
@@ -42,6 +47,12 @@ fn the_tight_sweep_stays_on_the_priced_path_with_fewer_nodes_and_pivots() {
                         assert_eq!(
                             s.node_warm_starts, s.milp_nodes,
                             "{tag}: a node LP solved cold"
+                        );
+                        let cold = rec.profile().get("milp.simplex").map_or(0, |p| p.count);
+                        assert_eq!(
+                            cold, r.report.guesses_tried as u64,
+                            "{tag}: {cold} cold LPs over {} guesses",
+                            r.report.guesses_tried
                         );
                         nodes += s.milp_nodes;
                         pivots += s.simplex_pivots;
