@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the substrates: simplex LP, MILP branch
 //! and bound, the branch-and-bound node hand-off of a warm basis, a cold
-//! pattern-LP solve, Dinic max-flow.
+//! pattern-LP solve, one basis rebuild, Dinic max-flow.
 
 use bagsched_flow::{max_flow, FlowNetwork, NodeId};
 use bagsched_milp::simplex::{solve_warm, solve_with_state};
-use bagsched_milp::{solve_milp, LpStatus, MilpOptions, Model, Relation, VarId};
+use bagsched_milp::{solve_milp, LpStatus, MilpOptions, Model, Relation, VarId, WarmState};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -126,6 +126,23 @@ fn bench_cold_pattern_lp(c: &mut Criterion) {
     group.finish();
 }
 
+/// One rebuild of the basis factorization through the public API: the
+/// pattern LP's optimal basis factorized afresh by
+/// `WarmState::from_basis` (the model's LP form built, the basis
+/// factorized once, its basic solution computed).
+fn bench_refactor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("refactor");
+    let model = pattern_lp(120, 400);
+    let (lp, state) = solve_with_state(&model, 100_000);
+    assert_eq!(lp.status, LpStatus::Optimal, "the pattern LP must solve");
+    let basis = state.expect("an optimal solve returns its basis").basis();
+    assert!(WarmState::from_basis(&model, &basis).is_some(), "the optimal basis must factorize");
+    group.bench_function(BenchmarkId::from_parameter("pattern_120x400"), |b| {
+        b.iter(|| black_box(WarmState::from_basis(&model, &basis)))
+    });
+    group.finish();
+}
+
 fn bench_dinic(c: &mut Criterion) {
     let mut group = c.benchmark_group("dinic");
     for &layers in &[10usize, 30, 60] {
@@ -164,6 +181,7 @@ criterion_group!(
     bench_milp,
     bench_warm_state,
     bench_cold_pattern_lp,
+    bench_refactor,
     bench_dinic
 );
 criterion_main!(benches);

@@ -40,7 +40,7 @@ use bagsched_types::{
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Why the EPTAS refused to run at all.
@@ -159,7 +159,7 @@ pub(crate) fn solve_session_inner(
     // A stale or mismatched seed fails fast (`SeedMismatch`) and the
     // cold search below takes over — a cache collision can cost time,
     // never correctness.
-    let mut best: Option<(Schedule, f64, GuessStats, f64, PatternSolution)> = None;
+    let mut best: Option<(Schedule, f64, GuessStats, f64, Arc<PatternSolution>)> = None;
     if let Some(state) = replay {
         report.guesses_tried += 1;
         match try_guess(
@@ -319,7 +319,7 @@ pub(crate) fn solve_session_inner(
 
 /// The per-guess result type shared by the inline walk and the
 /// speculative workers.
-type GuessOutcome = Result<(Schedule, GuessStats, PatternSolution), GuessFailure>;
+type GuessOutcome = Result<(Schedule, GuessStats, Arc<PatternSolution>), GuessFailure>;
 
 /// One node of a speculative prediction window: a `(lo, hi)` search
 /// range with its midpoint guess and the two possible continuations.
@@ -570,9 +570,9 @@ fn try_guess(
     inst: &Instance,
     t0: f64,
     stats: &mut Stats,
-    replay: Option<&PatternSolution>,
+    replay: Option<&Arc<PatternSolution>>,
     cancel: Option<&CancelToken>,
-) -> Result<(Schedule, GuessStats, PatternSolution), GuessFailure> {
+) -> Result<(Schedule, GuessStats, Arc<PatternSolution>), GuessFailure> {
     let _guess_span = obs::Span::enter("guess");
     let mut enrich = Enrichment::default();
     match run_guess(cfg, inst, t0, stats, replay, cancel, &mut enrich) {
@@ -591,10 +591,10 @@ fn run_guess(
     inst: &Instance,
     t0: f64,
     stats: &mut Stats,
-    replay: Option<&PatternSolution>,
+    replay: Option<&Arc<PatternSolution>>,
     cancel: Option<&CancelToken>,
     enrich: &mut Enrichment,
-) -> Result<(Schedule, GuessStats, PatternSolution), GuessFailure> {
+) -> Result<(Schedule, GuessStats, Arc<PatternSolution>), GuessFailure> {
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
     let (rounded, trans) = {
@@ -610,18 +610,20 @@ fn run_guess(
     }
 
     // Pattern generation (column-generation pricing over the partition
-    // ladder) and the MILP solve; all pattern, pricing and LP work
-    // counters are recorded inside.
-    let mut solve = PatternSolve::new(&trans, cfg).enrichment(enrich);
-    if let Some(seed) = replay {
-        solve = solve.replay(seed);
-    }
-    if let Some(token) = cancel {
-        solve = solve.cancel_token(token);
-    }
+    // ladder) and the MILP solve, or the replay of a cached solution; all
+    // pattern, pricing and LP work counters are recorded inside.
     let sol = {
         let _span = obs::Span::enter("patterns");
-        solve.run(stats)?
+        match replay {
+            Some(seed) => PatternSolution::replay(seed, &trans, cfg)?,
+            None => {
+                let mut solve = PatternSolve::new(&trans, cfg).enrichment(enrich);
+                if let Some(token) = cancel {
+                    solve = solve.cancel_token(token);
+                }
+                Arc::new(solve.run(stats)?)
+            }
+        }
     };
     if cancelled() {
         return Err(GuessFailure::Cancelled);
@@ -818,7 +820,7 @@ mod tests {
     /// start warm.
     #[test]
     fn a_guess_that_fails_on_a_capped_pool_is_retried_uncapped() {
-        let inst = gen::uniform(40, 13, 13, 1);
+        let inst = gen::uniform(40, 13, 13, 12);
         let mut cfg = EptasConfig::with_epsilon(0.5);
         cfg.priority_cap = Some(1);
         let r = Solver::new(cfg.clone()).solve_instance(&inst).unwrap();

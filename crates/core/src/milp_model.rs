@@ -67,6 +67,7 @@ use bagsched_milp::{
 };
 use bagsched_types::{BagId, JobId};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A priority size-restricted bag of small jobs: `B_l^s` with `l` priority.
@@ -131,7 +132,7 @@ impl Partition {
 /// included) and the MILP outcome over it, plus the partition the solve
 /// ran over, the rounded guess and the symbol table.
 ///
-/// Replaying ([`PatternSolve::replay`]) skips the whole pattern phase —
+/// Replaying ([`PatternSolution::replay`]) skips the whole pattern phase —
 /// pricing rounds and the restricted MILP — and hands the solution
 /// straight to placement. Validation is structural: the rounded guess and
 /// the symbol table of the rebuilt partition (sizes, bags *and*
@@ -153,15 +154,15 @@ pub struct PatternSolution {
 }
 
 /// Builder for one guess's pattern phase: generate patterns and solve the
-/// MILP, or replay a cached [`PatternSolution`]; then
-/// [`run`](PatternSolve::run).
+/// MILP when [`run`](PatternSolve::run). A cached solution replays
+/// through [`PatternSolution::replay`] instead.
 ///
 /// ```
 /// use bagsched_core::classify::classify;
 /// use bagsched_core::priority::select_priority;
 /// use bagsched_core::rounding::scale_and_round;
 /// use bagsched_core::transform::transform;
-/// use bagsched_core::{EptasConfig, PatternSolve, Stats};
+/// use bagsched_core::{EptasConfig, PatternSolution, PatternSolve, Stats};
 /// use bagsched_types::Instance;
 ///
 /// // Two large jobs and a medium one in bags of their own, small jobs
@@ -176,14 +177,14 @@ pub struct PatternSolution {
 ///
 /// let mut stats = Stats::default();
 /// let sol = PatternSolve::new(&trans, &cfg).run(&mut stats).expect("the guess fits");
-/// let again = PatternSolve::new(&trans, &cfg).replay(&sol).run(&mut stats).unwrap();
-/// assert_eq!(again.outcome.x, sol.outcome.x);
+/// let seed = std::sync::Arc::new(sol);
+/// let again = PatternSolution::replay(&seed, &trans, &cfg).unwrap();
+/// assert!(std::sync::Arc::ptr_eq(&again, &seed));
 /// ```
 #[derive(Debug)]
 pub struct PatternSolve<'a> {
     trans: &'a Transformed,
     cfg: &'a EptasConfig,
-    replay: Option<&'a PatternSolution>,
     cancel: Option<&'a CancelToken>,
     enrich: Option<&'a mut Enrichment>,
 }
@@ -191,13 +192,7 @@ pub struct PatternSolve<'a> {
 impl<'a> PatternSolve<'a> {
     /// Start a pattern solve for one guess.
     pub fn new(trans: &'a Transformed, cfg: &'a EptasConfig) -> Self {
-        PatternSolve { trans, cfg, replay: None, cancel: None, enrich: None }
-    }
-
-    /// Replay a cached solution instead of generating patterns.
-    pub fn replay(mut self, seed: &'a PatternSolution) -> Self {
-        self.replay = Some(seed);
-        self
+        PatternSolve { trans, cfg, cancel: None, enrich: None }
     }
 
     /// Observe a cancellation token: the pricing loop polls it per
@@ -218,8 +213,8 @@ impl<'a> PatternSolve<'a> {
         self
     }
 
-    /// Run the solve: replay the seed when one is set, otherwise climb
-    /// the ladder of bag partitions, each rung one `solve_over`. Work
+    /// Run the solve: climb the ladder of bag partitions, each rung one
+    /// `solve_over`. Work
     /// counters are recorded into `stats` whatever the outcome. Verdict
     /// soundness:
     ///
@@ -236,9 +231,6 @@ impl<'a> PatternSolve<'a> {
     ///   solve's: inconclusive, so the driver raises the guess.
     pub fn run(self, stats: &mut Stats) -> Result<PatternSolution, GuessFailure> {
         let (trans, cfg, cancel) = (self.trans, self.cfg, self.cancel);
-        if let Some(seed) = self.replay {
-            return replay(trans, cfg, seed);
-        }
         let mut capped = Enrichment::default();
         let enrich = self.enrich.unwrap_or(&mut capped);
         // The ladder always ends on the per-bag rung, whose failure wins.
@@ -376,31 +368,34 @@ fn solve_over(
     Ok(PatternSolution { patterns, outcome, partition, t: trans.t, symbols })
 }
 
-/// Replay a cached solution: rebuild the recorded partition, compare its
-/// symbol table with the seed's, and hand the solution to placement.
-fn replay(
-    trans: &Transformed,
-    cfg: &EptasConfig,
-    seed: &PatternSolution,
-) -> Result<PatternSolution, GuessFailure> {
-    // The rounded guess pins the whole size geometry; a drifted `t`
-    // means the seed belongs to a different guess grid.
-    if trans.t.to_bits() != seed.t.to_bits() {
-        return Err(GuessFailure::SeedMismatch);
+impl PatternSolution {
+    /// Replay a cached solution for `trans`: rebuild the recorded
+    /// partition, compare its symbol table with the seed's, and hand the
+    /// seed itself (shared, not copied) to placement.
+    pub fn replay(
+        seed: &Arc<PatternSolution>,
+        trans: &Transformed,
+        cfg: &EptasConfig,
+    ) -> Result<Arc<PatternSolution>, GuessFailure> {
+        // The rounded guess pins the whole size geometry; a drifted `t`
+        // means the seed belongs to a different guess grid.
+        if trans.t.to_bits() != seed.t.to_bits() {
+            return Err(GuessFailure::SeedMismatch);
+        }
+        let classes = seed.partition.classes(trans, cfg);
+        if (seed.partition != Partition::PerBag && classes.all_singletons())
+            || collect_symbols_classed(trans, &classes) != seed.symbols
+        {
+            return Err(GuessFailure::SeedMismatch);
+        }
+        // The symbol table (availabilities included) matched bit-exactly, so
+        // the cached multiplicities place this instance's large/priority
+        // jobs decision for decision. Anything the outcome cannot cover
+        // (e.g. a drifted small-job area on a colliding fingerprint) fails
+        // in a placement phase as an ordinary `GuessFailure` and the driver
+        // solves cold.
+        Ok(Arc::clone(seed))
     }
-    let classes = seed.partition.classes(trans, cfg);
-    if (seed.partition != Partition::PerBag && classes.all_singletons())
-        || collect_symbols_classed(trans, &classes) != seed.symbols
-    {
-        return Err(GuessFailure::SeedMismatch);
-    }
-    // The symbol table (availabilities included) matched bit-exactly, so
-    // the cached multiplicities place this instance's large/priority
-    // jobs decision for decision. Anything the outcome cannot cover
-    // (e.g. a drifted small-job area on a colliding fingerprint) fails
-    // in a placement phase as an ordinary `GuessFailure` and the driver
-    // solves cold.
-    Ok(seed.clone())
 }
 
 /// The one place pattern sets grow a tree-priced tail: patterns append in

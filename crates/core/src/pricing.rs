@@ -807,18 +807,9 @@ struct PriceCtx<'a> {
     t: f64,
 }
 
-/// Find up to [`COLS_PER_ROUND`] patterns with reduced cost below
-/// `-tol` under `duals`, for a column cost of `col_cost` per nonempty
-/// pattern. Returns the patterns and whether the search was exhaustive
-/// (false once the node budget is hit).
-fn price(
-    px: &PriceCtx<'_>,
-    duals: &[f64],
-    col_cost: f64,
-    cfg: &EptasConfig,
-    stats: &mut Stats,
-    pool_keys: &HashSet<PatternKey>,
-) -> (Vec<Pattern>, bool) {
+/// The pricing DFS's items under `duals`, in density order with their
+/// symmetry chains, and the profit an improving column needs.
+fn price_items(px: &PriceCtx<'_>, duals: &[f64], col_cost: f64) -> (Vec<PriceItem>, f64) {
     let PriceCtx { symbols, classes, t } = *px;
     let y_machines = duals[0];
     let y_area = duals[duals.len() - 1];
@@ -883,9 +874,39 @@ fn price(
         }
         last_of_exp.insert(exp, i);
     }
+    (items, needed)
+}
 
-    let num_classes = classes.num_classes();
-    let class_cap: Vec<u16> = (0..num_classes).map(|c| classes.size(c) as u16).collect();
+/// `min_size[i]`: the smallest item size from `i` on.
+fn suffix_min_sizes(items: &[PriceItem]) -> Vec<f64> {
+    let mut min_size = vec![f64::INFINITY; items.len() + 1];
+    for i in (0..items.len()).rev() {
+        min_size[i] = items[i].size.min(min_size[i + 1]);
+    }
+    min_size
+}
+
+/// Copies of an item of `size` that fit in height `cap`.
+fn copies_fit(cap: f64, size: f64) -> u32 {
+    ((cap + 1e-9) / size).floor().max(0.0) as u32
+}
+
+/// Find up to [`COLS_PER_ROUND`] patterns with reduced cost below
+/// `-tol` under `duals`, for a column cost of `col_cost` per nonempty
+/// pattern. Returns the patterns and whether the search was exhaustive
+/// (false once the node budget is hit).
+fn price(
+    px: &PriceCtx<'_>,
+    duals: &[f64],
+    col_cost: f64,
+    cfg: &EptasConfig,
+    stats: &mut Stats,
+    pool_keys: &HashSet<PatternKey>,
+) -> (Vec<Pattern>, bool) {
+    let PriceCtx { symbols, classes, t } = *px;
+    let (items, needed) = price_items(px, duals, col_cost);
+    let min_size = suffix_min_sizes(&items);
+    let class_cap: Vec<u16> = (0..classes.num_classes()).map(|c| classes.size(c) as u16).collect();
 
     // Sharded DFS: shard `s` of `S` explores exactly the patterns whose
     // first used item index is `≡ s (mod S)` (the empty pattern belongs
@@ -900,22 +921,7 @@ fn price(
         // Timed inside the closure so each shard's DFS is attributed to
         // the worker thread that actually ran it.
         let _span = obs::Span::enter("pricing.dfs");
-        let mut dfs = PriceDfs {
-            items: &items,
-            needed,
-            budget: DFS_NODE_BUDGET,
-            nodes: 0,
-            complete: true,
-            used: vec![0u16; items.len()],
-            class_used: vec![0u16; num_classes],
-            class_cap: class_cap.clone(),
-            cands: Vec::new(),
-            threshold: needed,
-            pool_keys,
-            shard: s,
-            shard_count: shards,
-            used_any: false,
-        };
+        let mut dfs = PriceDfs::new(&items, &min_size, needed, &class_cap, pool_keys, (s, shards));
         dfs.run(0, t, 0.0);
         (dfs.cands, dfs.complete, dfs.nodes)
     };
@@ -951,6 +957,8 @@ fn price(
 /// The bounded-knapsack pricing DFS.
 struct PriceDfs<'a> {
     items: &'a [PriceItem],
+    /// `min_size[i]`: the smallest item size from `i` on.
+    min_size: &'a [f64],
     /// Minimum profit for an improving column.
     needed: f64,
     budget: usize,
@@ -961,7 +969,7 @@ struct PriceDfs<'a> {
     /// Class slots used along the current path, capped by `class_cap`
     /// (one slot per member bag).
     class_used: Vec<u16>,
-    class_cap: Vec<u16>,
+    class_cap: &'a [u16],
     /// Improving leaves found so far: `(profit, canonical entries)`.
     cands: Vec<(f64, PatternKey)>,
     /// Cached pruning threshold: `needed` until the candidate list is
@@ -978,7 +986,36 @@ struct PriceDfs<'a> {
     used_any: bool,
 }
 
-impl PriceDfs<'_> {
+impl<'a> PriceDfs<'a> {
+    /// A DFS over `items` with the full node budget, for shard
+    /// `(shard, shard_count)`.
+    fn new(
+        items: &'a [PriceItem],
+        min_size: &'a [f64],
+        needed: f64,
+        class_cap: &'a [u16],
+        pool_keys: &'a HashSet<PatternKey>,
+        (shard, shard_count): (usize, usize),
+    ) -> Self {
+        PriceDfs {
+            items,
+            min_size,
+            needed,
+            budget: DFS_NODE_BUDGET,
+            nodes: 0,
+            complete: true,
+            used: vec![0; items.len()],
+            class_used: vec![0; class_cap.len()],
+            class_cap,
+            cands: Vec::new(),
+            threshold: needed,
+            pool_keys,
+            shard,
+            shard_count,
+            used_any: false,
+        }
+    }
+
     /// Recompute the cached threshold after the candidate list changed.
     fn reprice(&mut self) {
         self.threshold = if self.cands.len() < COLS_PER_ROUND {
@@ -1005,7 +1042,21 @@ impl PriceDfs<'_> {
         b
     }
 
+    /// Explore the subtree of node `i` (items before `i` fixed, `cap`
+    /// height left, `profit` so far).
     fn run(&mut self, i: usize, cap: f64, profit: f64) {
+        self.walk::<true>(i, cap, profit);
+    }
+
+    /// The DFS from node `i`. With `ZERO_CHAINS`, a node from which no
+    /// item fits any more walks its subtree in [`PriceDfs::zero_chain`];
+    /// without, it recurses through it, which the tests keep as the
+    /// oracle of that loop.
+    fn walk<const ZERO_CHAINS: bool>(&mut self, i: usize, cap: f64, profit: f64) {
+        if ZERO_CHAINS && i < self.items.len() && copies_fit(cap, self.min_size[i]) == 0 {
+            self.zero_chain(i, cap, profit);
+            return;
+        }
         self.nodes += 1;
         if self.nodes > self.budget {
             self.complete = false;
@@ -1021,8 +1072,7 @@ impl PriceDfs<'_> {
             return;
         }
         let item = &self.items[i];
-        let by_cap = ((cap + 1e-9) / item.size).floor().max(0.0) as u32;
-        let mut max_mult = item.max_mult.min(by_cap);
+        let mut max_mult = item.max_mult.min(copies_fit(cap, item.size));
         if let Some(c) = item.class {
             max_mult = max_mult.min((self.class_cap[c] - self.class_used[c]) as u32);
         }
@@ -1046,7 +1096,11 @@ impl PriceDfs<'_> {
             }
             let was_used_any = self.used_any;
             self.used_any = was_used_any || mult > 0;
-            self.run(i + 1, cap - mult as f64 * item.size, profit + mult as f64 * item.value);
+            self.walk::<ZERO_CHAINS>(
+                i + 1,
+                cap - mult as f64 * item.size,
+                profit + mult as f64 * item.value,
+            );
             self.used_any = was_used_any;
             if let Some(c) = item.class {
                 self.class_used[c] -= mult as u16;
@@ -1056,6 +1110,28 @@ impl PriceDfs<'_> {
             }
         }
         self.used[i] = 0;
+    }
+
+    /// The subtree of node `i` when no item from `i` on fits in `cap`:
+    /// every node takes multiplicity 0, so it is one chain down to the
+    /// leaf, with `cap` and `profit` unchanged. Each node of the chain
+    /// counts, meets the node budget and the bound test as
+    /// [`PriceDfs::walk`] would, in the same order.
+    fn zero_chain(&mut self, i: usize, cap: f64, profit: f64) {
+        for k in i..=self.items.len() {
+            self.nodes += 1;
+            if self.nodes > self.budget {
+                self.complete = false;
+                return;
+            }
+            if k == self.items.len() {
+                self.leaf(profit);
+                return;
+            }
+            if profit + self.bound(k, cap) <= self.threshold {
+                return;
+            }
+        }
     }
 
     fn leaf(&mut self, profit: f64) {
@@ -1295,6 +1371,86 @@ mod tests {
             }
         }
         assert!(solves >= 30, "{solves} phase-B solves compared");
+    }
+
+    /// The pricing DFS's zero-chain loop walks exactly the nodes the
+    /// recursion walks: the same candidates (profits bit for bit), the
+    /// same completeness and the same node count. Checked on the masters
+    /// of the two `tight-milp` cells and of every generator family,
+    /// round by round through phase B, at the full node budget, at budgets
+    /// that cut the search short, unsharded and as two shards.
+    #[test]
+    fn zero_chains_walk_the_nodes_the_recursion_walks() {
+        use crate::pattern::collect_symbols_classed;
+        use bagsched_types::{gen, lowerbound::lower_bounds};
+        let cfg = EptasConfig::with_epsilon(0.5);
+        let mut cells =
+            vec![gen::clustered(300, 100, 100, 5, 2), gen::clustered(450, 150, 150, 5, 2)];
+        cells.extend(gen::Family::ALL.iter().map(|f| f.generate(60, 20, 4)));
+        let (mut runs, mut cut) = (0, 0);
+        for (cell, inst) in cells.iter().enumerate() {
+            let sizes: Vec<f64> = inst.jobs().iter().map(|j| j.size).collect();
+            let lb = lower_bounds(inst).combined();
+            let phase_a = (0..10).find_map(|k| {
+                let r = scale_and_round(&sizes, lb * (1.0 + 0.1 * k as f64), 0.5)?;
+                let c = classify(&r, inst.num_machines());
+                let p = select_priority(inst, &r, &c, &cfg);
+                let t = transform(inst, &r, &c, &p);
+                let classes = BagClasses::compute(&t);
+                let symbols = collect_symbols_classed(&t, &classes);
+                let mut stats = Stats::default();
+                let (master, _) =
+                    feasibility_phase(&t, &symbols, &classes, &cfg, &mut stats, None).ok()?;
+                Some((t, classes, symbols, master))
+            });
+            let (t, classes, symbols, mut master) =
+                phase_a.expect("a guess on the grid is feasible");
+            let px = PriceCtx { symbols: &symbols, classes: &classes, t: t.t };
+            let class_cap: Vec<u16> =
+                (0..classes.num_classes()).map(|c| classes.size(c) as u16).collect();
+            let mut stats = Stats::default();
+            master.start_phase_b(false);
+            for round in 0..=ENRICH_ROUNDS {
+                let (lp, _) = master.model.solve_lp_with(&mut master.warm);
+                let (items, needed) = price_items(&px, &lp.duals, master.col_cost);
+                let min_size = suffix_min_sizes(&items);
+                let dfs = |shard, budget| {
+                    let mut dfs =
+                        PriceDfs::new(&items, &min_size, needed, &class_cap, &master.keys, shard);
+                    dfs.budget = budget;
+                    dfs
+                };
+                let full = {
+                    let mut d = dfs((0, 1), DFS_NODE_BUDGET);
+                    d.run(0, t.t, 0.0);
+                    d.nodes
+                };
+                for budget in [DFS_NODE_BUDGET, full / 2 + 1, 97] {
+                    for shard in [(0, 1), (1, 2)] {
+                        let (mut chains, mut recursion) = (dfs(shard, budget), dfs(shard, budget));
+                        chains.run(0, t.t, 0.0);
+                        recursion.walk::<false>(0, t.t, 0.0);
+                        let tag = format!("cell {cell} round {round} budget {budget} {shard:?}");
+                        assert_eq!(chains.nodes, recursion.nodes, "{tag}: nodes");
+                        assert_eq!(chains.complete, recursion.complete, "{tag}: complete");
+                        let bits = |d: &PriceDfs| -> Vec<(u64, PatternKey)> {
+                            d.cands.iter().map(|(p, k)| (p.to_bits(), k.clone())).collect()
+                        };
+                        assert_eq!(bits(&chains), bits(&recursion), "{tag}: candidates");
+                        runs += 1;
+                        cut += usize::from(!chains.complete);
+                    }
+                }
+                let (cands, _) =
+                    price(&px, &lp.duals, master.col_cost, &cfg, &mut stats, &master.keys);
+                if cands.is_empty() {
+                    break;
+                }
+                master.purge(&lp, &mut stats);
+                master.admit(cands, &mut stats);
+            }
+        }
+        assert!(runs >= 100 && cut >= 30, "{runs} walks compared, {cut} cut by the budget");
     }
 
     #[test]

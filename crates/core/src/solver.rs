@@ -35,19 +35,27 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Opaque per-shape solver state: everything needed to replay a solve of
-/// a structurally identical instance without re-searching.
+/// a structurally identical instance without re-searching. Cloning it
+/// shares the pattern solution instead of copying it.
 #[derive(Debug, Clone)]
 pub struct SolverState {
     /// The winning makespan guess of the captured solve.
     pub(crate) chosen_guess: f64,
     /// The pattern-phase solution of that guess, its replay seed.
-    pub(crate) seed: PatternSolution,
+    pub(crate) seed: Arc<PatternSolution>,
 }
 
 impl SolverState {
     /// The makespan guess the replay retries first.
     pub fn chosen_guess(&self) -> f64 {
         self.chosen_guess
+    }
+
+    /// A state holding its own copy of the pattern solution, each vector
+    /// allocated at its length.
+    fn compacted(&self) -> SolverState {
+        let seed = Arc::new(PatternSolution::clone(&self.seed));
+        SolverState { chosen_guess: self.chosen_guess, seed }
     }
 }
 
@@ -395,9 +403,9 @@ impl Solver {
                 // A miss caches a copy of its state: the solve's own
                 // vectors keep the slack they grew with, which every
                 // resident state would hold (64 cached n=120 states:
-                // ~0.5 MB more peak RSS), while a clone allocates each
-                // at its length. A hit's state already is such a copy.
-                let state = if res.report.replayed { state } else { state.clone() };
+                // ~0.5 MB more peak RSS), while a copy allocates each at
+                // its length. A hit's state shares the cached copy.
+                let state = if res.report.replayed { state } else { state.compacted() };
                 let mut lru = lock_cache(cache);
                 lru.put_near(near_key, state.chosen_guess);
                 if lru.put(key, state) {

@@ -13,9 +13,9 @@
 //!   right-hand side, and [`Model::add_column`] is how column generation
 //!   grows a model,
 //! * [`simplex`] — a sparse *revised* two-phase primal simplex: the basis
-//!   is held as an eta-file factorization with
-//!   product-form (PFI) eta updates per pivot and periodic sparse
-//!   refactorization, one warm re-solve path ([`simplex::solve_warm`])
+//!   is held as an eta file, a sparse LU of the basis (Markowitz pivots,
+//!   rebuilt periodically) followed by one product-form (PFI) eta per
+//!   pivot since, one warm re-solve path ([`simplex::solve_warm`])
 //!   shared by column generation and branch & bound, and physical column
 //!   removal ([`purge_columns`]) for master-pool lifecycle management,
 //! * [`dual`] — the dual-simplex engine behind every warm re-solve: it

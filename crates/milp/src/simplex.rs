@@ -3,8 +3,10 @@
 //!
 //! The basis is never inverted explicitly: an eta-file factorization
 //! (the crate-private `factor::Factor`) carries `B^-1` as a product of
-//! per-pivot eta matrices, rebuilt from the sparse basis columns every
-//! [`Model::set_refactor_interval`] pivots. Per iteration the engine
+//! eta matrices: the factors of a sparse Markowitz LU of the basis,
+//! rebuilt from the sparse basis columns every
+//! [`Model::set_refactor_interval`] pivots, and one eta per pivot since.
+//! Per iteration the engine
 //! computes the simplex multipliers `y = B^-T c_B` (BTRAN), prices the
 //! sparse nonbasic columns against them, transforms the entering column
 //! `w = B^-1 a_j` (FTRAN), runs the ratio test on `w`, and appends one
