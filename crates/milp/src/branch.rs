@@ -40,11 +40,30 @@
 //! no singleton rows to turn into bounds, and a pricer addresses
 //! constraint rows by index.
 //!
+//! **Rounding to an incumbent** (first-solution mode only): every
+//! fractional node LP is first offered to a rounding heuristic, before the
+//! pricer is consulted and before the node branches, and again after each
+//! pricing re-solve. It floors every fractional integer variable, then
+//! visits them by decreasing fractional part (ties to the lower index) and
+//! adds 1 back to each one with a positive coefficient in a `>=` or `=`
+//! row that is still short. A point that satisfies every bound (branching
+//! bounds included) and every row is taken as the incumbent, which ends
+//! the search. On the EPTAS's restricted MILP every row but the machine
+//! cap is a `>=` row with nonnegative coefficients, so the floor of a node
+//! LP with a few columns rounded back up often is such a point. The result
+//! is [`MilpStatus::Feasible`], never `Optimal`, since the rounded node's
+//! subtree was not explored. The heuristic only reads the node's LP
+//! result: a search where it never lands takes the same steps as one
+//! without it, and one where it lands can only end sooner. Its
+//! comparisons are relative to the magnitudes compared, so rescaling a row
+//! by a power of two changes no verdict. Each attempt is an `obs` span,
+//! `milp.round`, and allocates nothing once its scratch has grown.
+//!
 //! Budgets (nodes, wall-clock) are explicit: exhausting one yields
 //! [`MilpStatus::Feasible`] if an incumbent exists, otherwise
 //! [`MilpStatus::Budget`] — never a silent wrong answer.
 
-use crate::model::{LpResult, LpStatus, Model, VarId};
+use crate::model::{scaled_tol, LpResult, LpStatus, Model, Relation, VarId};
 use crate::simplex::{self, WarmState};
 use crate::TOL;
 use std::rc::Rc;
@@ -84,7 +103,8 @@ pub struct MilpOptions {
     /// Wall-clock limit.
     pub time_limit: Duration,
     /// Stop as soon as *any* integral solution is found (feasibility mode —
-    /// the paper's MILP is a pure feasibility question).
+    /// the paper's MILP is a pure feasibility question), rounding
+    /// fractional node LPs to look for one (see the module docs).
     pub first_solution: bool,
     /// Consult the in-tree pricer only once this many nodes were explored
     /// (without an incumbent, in first-solution mode): a dive that lands
@@ -211,9 +231,69 @@ enum NodeOutcome {
     UnboundedRoot,
     /// The node LP is integral: a candidate incumbent.
     Incumbent(Vec<f64>),
+    /// The node LP is fractional and [`Rounding::land`] turned it into a
+    /// feasible integral point, left in the rounding's scratch.
+    Rounded,
     /// Branch on variable `j` at fractional value `v` with effective
     /// bounds `(lb, ub)`; `state` is this node's final basis.
     Branch { j: usize, v: f64, lb: f64, ub: f64, obj: f64, state: Option<Box<WarmState>> },
+}
+
+/// The rounding heuristic of first-solution mode, with its scratch kept
+/// across the nodes of one search so that an attempt allocates nothing
+/// once the buffers have grown to the model.
+#[derive(Default)]
+struct Rounding {
+    /// The rounded point.
+    x: Vec<f64>,
+    /// The fractional integer variables, in visiting order.
+    order: Vec<usize>,
+    /// Row activities at `x`.
+    lhs: Vec<f64>,
+}
+
+impl Rounding {
+    /// Round the fractional node-LP point `lp_x` to an integral point of
+    /// `model` (node bounds applied): floor every fractional integer
+    /// variable, then visit them by decreasing fractional part (ties to
+    /// the lower index) and add 1 back to each one that has a positive
+    /// coefficient in a `>=` or `=` row still short of its right-hand
+    /// side. Returns whether the point satisfies every bound and row; it
+    /// is left in `self.x` either way. Every comparison uses
+    /// [`scaled_tol`], so a power-of-two rescaling of the rows changes no
+    /// verdict.
+    fn land(&mut self, model: &Model, lp_x: &[f64], int_vars: &[usize]) -> bool {
+        let _span = bagsched_types::obs::Span::enter("milp.round");
+        let frac = |j: usize| lp_x[j] - lp_x[j].floor();
+        self.x.clear();
+        self.x.extend_from_slice(lp_x);
+        self.order.clear();
+        for &j in int_vars {
+            let v = lp_x[j];
+            if (v - v.round()).abs() > INT_TOL {
+                self.x[j] = v.floor();
+                self.order.push(j);
+            } else {
+                self.x[j] = v.round();
+            }
+        }
+        self.order.sort_unstable_by(|&a, &b| frac(b).total_cmp(&frac(a)).then(a.cmp(&b)));
+        model.activities(&self.x, &mut self.lhs);
+        for &j in &self.order {
+            let col = &model.vars[j].col;
+            let short = col.iter().any(|&(r, c)| {
+                let (con, lhs) = (&model.cons[r], self.lhs[r]);
+                c > 0.0 && con.rel != Relation::Le && lhs < con.rhs - scaled_tol(lhs, con.rhs)
+            });
+            if short {
+                self.x[j] += 1.0;
+                for &(r, c) in col {
+                    self.lhs[r] += c;
+                }
+            }
+        }
+        model.fits(&self.x, &mut self.lhs)
+    }
 }
 
 /// Solve `model` to integral optimality (subject to budgets).
@@ -264,6 +344,10 @@ pub fn solve_milp_with(
     let mut incumbent: Option<(Vec<f64>, f64)> = None;
     let mut budget_hit = false;
     let mut unbounded_root = false;
+    // Set when the incumbent is a rounded node LP: that node's subtree was
+    // never explored, so the search proves nothing about optimality.
+    let mut rounded = false;
+    let mut rounding = Rounding::default();
 
     let mut stack =
         vec![Node { bounds: Vec::new(), parent_bound: f64::NEG_INFINITY, warm: root.map(Rc::new) }];
@@ -348,6 +432,15 @@ pub fn solve_milp_with(
                     break 'node NodeOutcome::Incumbent(lp.x.clone());
                 };
 
+                // ---- Rounding: in first-solution mode any integral point
+                // ends the search, and the floor of a node LP with a few
+                // of its fractional columns rounded back up is often one.
+                // Tried before the pricer and before branching, and again
+                // after every pricing re-solve.
+                if opts.first_solution && rounding.land(&work, &lp.x, &int_vars) {
+                    break 'node NodeOutcome::Rounded;
+                }
+
                 // ---- In-tree pricing: the pool may be missing columns
                 // that would let this fractional node land. Only consulted
                 // once the search shows signs of struggle (healthy dives
@@ -399,6 +492,13 @@ pub fn solve_milp_with(
             }
             NodeOutcome::UnboundedRoot => {
                 unbounded_root = true;
+                break 'search;
+            }
+            NodeOutcome::Rounded => {
+                let x = std::mem::take(&mut rounding.x);
+                let obj = work.objective_value(&x);
+                incumbent = Some((x, obj));
+                rounded = true;
                 break 'search;
             }
             NodeOutcome::Incumbent(mut x) => {
@@ -476,8 +576,9 @@ pub fn solve_milp_with(
             // each pruned subtree saw: a column grafted later could have
             // re-opened an already-pruned (dominated or infeasible)
             // subtree, so any tree-priced column degrades the claim to
-            // Feasible.
-            let proven = !budget_hit && stack.is_empty() && res.tree_columns == 0;
+            // Feasible, as does a rounded incumbent (its node's subtree
+            // was never explored).
+            let proven = !budget_hit && stack.is_empty() && res.tree_columns == 0 && !rounded;
             res.status = if proven { MilpStatus::Optimal } else { MilpStatus::Feasible };
             res.x = x;
             res.objective = objective;
@@ -739,13 +840,16 @@ mod tests {
     }
 
     /// A column priced before the incumbent is part of the result's
-    /// index space even when the incumbent never uses it.
+    /// index space even when the incumbent never uses it. The equality
+    /// row keeps the root from rounding to an incumbent before the pricer
+    /// fires: its LP point (1.75, 0.75) rounds to (2, 1), which misses it.
     #[test]
     fn result_spans_pre_incumbent_priced_columns() {
         let mut m = Model::new();
         let x = m.add_int_var(-1.0, 0.0, 5.0);
         let y = m.add_int_var(-1.0, 0.0, 5.0);
         m.add_con(&[(x, 2.0), (y, 2.0)], Le, 5.0);
+        m.add_con(&[(x, 1.0), (y, 3.0)], Eq, 4.0);
 
         // Fires once at the first fractional node; the added column is
         // useless (cost 10) so the incumbent never includes it.
@@ -769,6 +873,95 @@ mod tests {
         assert_eq!(r.status, MilpStatus::Feasible);
         assert_eq!(r.x.len(), 3);
         assert_close(r.x[2], 0.0);
+    }
+
+    /// Solve `m` in first-solution mode under a recorder; returns the
+    /// result and the number of rounding attempts.
+    fn first_solution_rounds(m: &Model) -> (MilpResult, u64) {
+        let rec = bagsched_types::obs::Recorder::new();
+        let opts = MilpOptions { first_solution: true, ..Default::default() };
+        let r = {
+            let _obs = rec.install("branch-test");
+            solve_milp(m, &opts)
+        };
+        (r, rec.profile().get("milp.round").map_or(0, |p| p.count))
+    }
+
+    /// A covering model with a cardinality cap: the root LP (1.5, 1.5, 0)
+    /// floors to (1, 1, 0), short on both `>=` rows, and adding 1 back to
+    /// each of the two fractional columns lands on (2, 2, 0) under the
+    /// cap. The search stops there, at the root, and does not claim
+    /// optimality: (1, 1, 1) is cheaper.
+    #[test]
+    fn a_fractional_root_rounds_to_a_feasible_incumbent() {
+        let mut m = Model::new();
+        let x0 = m.add_int_var(1.0, 0.0, f64::INFINITY);
+        let x1 = m.add_int_var(1.0, 0.0, f64::INFINITY);
+        let x2 = m.add_int_var(1.2, 0.0, f64::INFINITY);
+        m.add_con(&[(x0, 1.0), (x1, 1.0), (x2, 1.0)], Le, 4.0);
+        m.add_con(&[(x0, 2.0), (x2, 1.0)], Ge, 3.0);
+        m.add_con(&[(x1, 2.0), (x2, 1.0)], Ge, 3.0);
+        let (r, rounds) = first_solution_rounds(&m);
+        assert_eq!((r.status, r.nodes, rounds), (MilpStatus::Feasible, 1, 1));
+        assert_eq!(r.x, [2.0, 2.0, 0.0]);
+        assert_eq!(r.x.len(), m.num_vars(), "the result spans every column");
+        assert!(r.x.iter().all(|v| v.fract() == 0.0));
+        assert!(m.is_feasible_point(&r.x, 1e-9));
+        assert_close(r.objective, 4.0);
+        // Proving optimality explores the tree and finds the cheaper point.
+        let optimal = solve_milp(&m, &MilpOptions::default());
+        assert_eq!(optimal.status, MilpStatus::Optimal);
+        assert_close(optimal.objective, 3.2);
+    }
+
+    /// At a node whose branch capped `x` at 1, the LP point (0.7, 0.5)
+    /// has `x` as the only column with a positive coefficient in the row
+    /// `x - y >= 0.2`. Rounding adds 1 back once, to the bound and not
+    /// past it; `y`'s own row then breaks that row again, and the point
+    /// is rejected instead of pushing `x` to 2.
+    #[test]
+    fn rounding_stays_under_a_branching_upper_bound() {
+        let mut work = Model::new();
+        let x = work.add_int_var(1.0, 0.0, f64::INFINITY);
+        let y = work.add_int_var(1.0, 0.0, f64::INFINITY);
+        work.add_con(&[(x, 1.0), (y, -1.0)], Ge, 0.2);
+        work.add_con(&[(y, 1.0)], Ge, 0.5);
+        work.set_bounds(x, 0.0, 1.0);
+        let lp = work.solve_lp();
+        assert_eq!(lp.status, LpStatus::Optimal);
+        assert_close(lp.x[0], 0.7);
+        assert_close(lp.x[1], 0.5);
+        let mut rounding = Rounding::default();
+        assert!(!rounding.land(&work, &lp.x, &[0, 1]));
+        assert_eq!(rounding.x, [1.0, 1.0], "x rounded past its upper bound");
+        // The search settles the same model (the bound on `x` imposed by
+        // no branch this time): `x - y >= 0.2` with `y >= 1` needs x = 2.
+        let (r, _) = first_solution_rounds(&work);
+        assert_eq!(r.status, MilpStatus::Infeasible);
+        work.set_bounds(x, 0.0, f64::INFINITY);
+        let (r, _) = first_solution_rounds(&work);
+        assert_eq!(r.x, [2.0, 1.0]);
+        assert!(work.is_feasible_point(&r.x, 1e-9));
+    }
+
+    /// Two equality rows with even coefficients in the first: rounding is
+    /// tried at every fractional node and never lands, so the search is
+    /// the one branch and bound runs without the heuristic (13 nodes, 15
+    /// simplex and 13 dual pivots to the same point).
+    #[test]
+    fn an_equality_model_that_never_rounds_searches_as_without_rounding() {
+        let mut m = Model::new();
+        let cost = [1.1, 1.3, 1.0, 1.2, 1.4];
+        let vars: Vec<_> = cost.iter().map(|&c| m.add_int_var(c, 0.0, f64::INFINITY)).collect();
+        let terms = |a: [f64; 5]| -> Vec<_> { vars.iter().copied().zip(a).collect() };
+        m.add_con(&terms([4.0, 6.0, 2.0, 4.0, 6.0]), Eq, 14.0);
+        m.add_con(&terms([2.0, 1.0, 4.0, 3.0, 2.0]), Eq, 10.0);
+        let (r, rounds) = first_solution_rounds(&m);
+        assert_eq!(rounds, 8, "one attempt per fractional node");
+        assert_eq!(r.status, MilpStatus::Feasible);
+        assert_eq!(r.x, [3.0, 0.0, 1.0, 0.0, 0.0]);
+        assert_eq!((r.nodes, r.lp_iterations, r.dual_pivots), (13, 15, 13));
+        assert_close(r.objective, 4.3);
     }
 
     /// xorshift64*, so the seeded-root sweeps do not depend on the
