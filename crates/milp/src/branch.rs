@@ -54,16 +54,16 @@
 //! is [`MilpStatus::Feasible`], never `Optimal`, since the rounded node's
 //! subtree was not explored. The heuristic only reads the node's LP
 //! result: a search where it never lands takes the same steps as one
-//! without it, and one where it lands can only end sooner. Its
-//! comparisons are relative to the magnitudes compared, so rescaling a row
-//! by a power of two changes no verdict. Each attempt is an `obs` span,
-//! `milp.round`, and allocates nothing once its scratch has grown.
+//! without it, and one where it lands can only end sooner. Its rows are
+//! checked within the solver's [`TOL`], as [`Model::is_feasible_point`]
+//! checks them. Each attempt is an `obs` span, `milp.round`, and
+//! allocates nothing once its scratch has grown.
 //!
 //! Budgets (nodes, wall-clock) are explicit: exhausting one yields
 //! [`MilpStatus::Feasible`] if an incumbent exists, otherwise
 //! [`MilpStatus::Budget`] — never a silent wrong answer.
 
-use crate::model::{scaled_tol, LpResult, LpStatus, Model, Relation, VarId};
+use crate::model::{LpResult, LpStatus, Model, Relation, VarId};
 use crate::simplex::{self, WarmState};
 use crate::TOL;
 use std::rc::Rc;
@@ -229,11 +229,9 @@ enum NodeOutcome {
     BudgetHit,
     /// Root relaxation unbounded.
     UnboundedRoot,
-    /// The node LP is integral: a candidate incumbent.
+    /// The node LP is integral, or [`Rounding::land`] turned it into a
+    /// feasible integral point: a candidate incumbent.
     Incumbent(Vec<f64>),
-    /// The node LP is fractional and [`Rounding::land`] turned it into a
-    /// feasible integral point, left in the rounding's scratch.
-    Rounded,
     /// Branch on variable `j` at fractional value `v` with effective
     /// bounds `(lb, ub)`; `state` is this node's final basis.
     Branch { j: usize, v: f64, lb: f64, ub: f64, obj: f64, state: Option<Box<WarmState>> },
@@ -258,10 +256,11 @@ impl Rounding {
     /// variable, then visit them by decreasing fractional part (ties to
     /// the lower index) and add 1 back to each one that has a positive
     /// coefficient in a `>=` or `=` row still short of its right-hand
-    /// side. Returns whether the point satisfies every bound and row; it
-    /// is left in `self.x` either way. Every comparison uses
-    /// [`scaled_tol`], so a power-of-two rescaling of the rows changes no
-    /// verdict.
+    /// side. Returns whether the rounded variables keep their bounds and
+    /// every row holds within [`TOL`], read from the activities kept while
+    /// rounding. The other variables keep their node-LP values, integer
+    /// ones rounded to the nearest integer as at an integral node. The
+    /// point is left in `self.x` either way.
     fn land(&mut self, model: &Model, lp_x: &[f64], int_vars: &[usize]) -> bool {
         let _span = bagsched_types::obs::Span::enter("milp.round");
         let frac = |j: usize| lp_x[j] - lp_x[j].floor();
@@ -282,8 +281,8 @@ impl Rounding {
         for &j in &self.order {
             let col = &model.vars[j].col;
             let short = col.iter().any(|&(r, c)| {
-                let (con, lhs) = (&model.cons[r], self.lhs[r]);
-                c > 0.0 && con.rel != Relation::Le && lhs < con.rhs - scaled_tol(lhs, con.rhs)
+                let con = &model.cons[r];
+                c > 0.0 && con.rel != Relation::Le && self.lhs[r] < con.rhs - TOL
             });
             if short {
                 self.x[j] += 1.0;
@@ -292,7 +291,10 @@ impl Rounding {
                 }
             }
         }
-        model.fits(&self.x, &mut self.lhs)
+        self.order.iter().all(|&j| {
+            let (lb, ub) = model.bounds(VarId(j));
+            (lb - TOL..=ub + TOL).contains(&self.x[j])
+        }) && model.rows_hold(&self.lhs, TOL)
     }
 }
 
@@ -438,7 +440,8 @@ pub fn solve_milp_with(
                 // Tried before the pricer and before branching, and again
                 // after every pricing re-solve.
                 if opts.first_solution && rounding.land(&work, &lp.x, &int_vars) {
-                    break 'node NodeOutcome::Rounded;
+                    rounded = true;
+                    break 'node NodeOutcome::Incumbent(std::mem::take(&mut rounding.x));
                 }
 
                 // ---- In-tree pricing: the pool may be missing columns
@@ -492,13 +495,6 @@ pub fn solve_milp_with(
             }
             NodeOutcome::UnboundedRoot => {
                 unbounded_root = true;
-                break 'search;
-            }
-            NodeOutcome::Rounded => {
-                let x = std::mem::take(&mut rounding.x);
-                let obj = work.objective_value(&x);
-                incumbent = Some((x, obj));
-                rounded = true;
                 break 'search;
             }
             NodeOutcome::Incumbent(mut x) => {

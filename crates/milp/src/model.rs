@@ -211,37 +211,14 @@ impl Model {
 
     /// Check whether `x` satisfies every constraint and bound up to `tol`.
     pub fn is_feasible_point(&self, x: &[f64], tol: f64) -> bool {
-        self.check_point(x, &mut Vec::new(), |_, _| tol)
-    }
-
-    /// [`Model::is_feasible_point`] with each comparison's tolerance
-    /// relative to its two sides ([`scaled_tol`]), so scaling a row or a
-    /// bound by a power of two changes no verdict. `lhs` is scratch space.
-    pub(crate) fn fits(&self, x: &[f64], lhs: &mut Vec<f64>) -> bool {
-        self.check_point(x, lhs, scaled_tol)
-    }
-
-    /// Bounds and rows at `x`, each side pair `(a, b)` compared within
-    /// `tol(a, b)`; the row activities are summed into `lhs`.
-    fn check_point(&self, x: &[f64], lhs: &mut Vec<f64>, tol: impl Fn(f64, f64) -> f64) -> bool {
         if x.len() != self.vars.len()
-            || self
-                .vars
-                .iter()
-                .zip(x)
-                .any(|(v, &xi)| xi < v.lb - tol(xi, v.lb) || xi > v.ub + tol(xi, v.ub))
+            || self.vars.iter().zip(x).any(|(v, &xi)| xi < v.lb - tol || xi > v.ub + tol)
         {
             return false;
         }
-        self.activities(x, lhs);
-        self.cons.iter().zip(lhs.iter()).all(|(con, &lhs)| {
-            let tol = tol(lhs, con.rhs);
-            match con.rel {
-                Relation::Le => lhs <= con.rhs + tol,
-                Relation::Ge => lhs >= con.rhs - tol,
-                Relation::Eq => (lhs - con.rhs).abs() <= tol,
-            }
-        })
+        let mut lhs = Vec::new();
+        self.activities(x, &mut lhs);
+        self.rows_hold(&lhs, tol)
     }
 
     /// The row activities at `x`, written into `lhs`.
@@ -253,6 +230,15 @@ impl Model {
                 lhs[r] += c * xi;
             }
         }
+    }
+
+    /// Whether the row activities `lhs` satisfy every row up to `tol`.
+    pub(crate) fn rows_hold(&self, lhs: &[f64], tol: f64) -> bool {
+        self.cons.iter().zip(lhs).all(|(con, &lhs)| match con.rel {
+            Relation::Le => lhs <= con.rhs + tol,
+            Relation::Ge => lhs >= con.rhs - tol,
+            Relation::Eq => (lhs - con.rhs).abs() <= tol,
+        })
     }
 
     /// Solve the LP relaxation (integrality ignored) with the default
@@ -274,13 +260,6 @@ impl Model {
         let (res, dual_pivots) = simplex::solve_warm(self, simplex::default_iter_limit(self), warm);
         (res, dual_pivots.is_some())
     }
-}
-
-/// The tolerance [`Model::fits`] compares `a` with `b` within: [`TOL`]
-/// times the larger magnitude. Scaling both sides by a power of two scales
-/// it exactly, so the comparison reads the same in any size unit.
-pub(crate) fn scaled_tol(a: f64, b: f64) -> f64 {
-    TOL * a.abs().max(b.abs())
 }
 
 #[cfg(test)]
@@ -329,22 +308,6 @@ mod tests {
         assert!(!m.is_feasible_point(&[0.0, 0.5], 1e-9)); // y below lb
         assert!(!m.is_feasible_point(&[2.0, 2.0], 1e-9)); // eq violated
         assert!(!m.is_feasible_point(&[1.0], 1e-9)); // wrong len
-    }
-
-    /// A row short of its right-hand side by a relative 5e-8 fits, one
-    /// short by 2e-7 does not, whatever power of two the row is scaled
-    /// by; an absolute tolerance flips with the scale.
-    #[test]
-    fn fits_reads_the_same_in_any_power_of_two_unit() {
-        for scale in [0.25, 1.0, 8.0, 1024.0] {
-            let mut m = Model::new();
-            let x = m.add_var(0.0, 0.0, f64::INFINITY);
-            m.add_con(&[(x, 3.0 * scale)], Relation::Ge, 3.0 * scale);
-            let mut lhs = Vec::new();
-            assert!(m.fits(&[1.0 - 5e-8], &mut lhs), "scale {scale}");
-            assert!(!m.fits(&[1.0 - 2e-7], &mut lhs), "scale {scale}");
-            assert_eq!(m.is_feasible_point(&[1.0 - 2e-7], 1e-6), scale <= 1.0);
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The size unit changes no solver step. Scaling every job size by a power
-//! of two scales every size-valued number of the solve exactly, so the
-//! guesses, the pricing DFS, the LPs and the branch-and-bound tree
-//! (rounding heuristic included, whose tolerances are relative) must take
-//! the same steps in any unit. The benchmark relies on this: it expresses
+//! of two scales every guess exactly, and the restricted MILP is built from
+//! the sizes divided by the guess, so the pricing DFS, the LPs and the
+//! branch-and-bound tree (rounding heuristic included) must take the same
+//! steps in any unit. The benchmark relies on this: it expresses
 //! its cells in a power-of-two unit picked by its seed and compares the
 //! work counters across seeds.
 
